@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Measure whether the structured pair schemas cut out the same solution
-modules as exhaustive zero-product scans.
+modules as the exhaustive zero-product pair set.
 
 The structured family is the exact list of pair shapes consumed by the
 corner-peeling argument, instantiated over module basis elements only.  That
-instantiation is *not* claimed to be equivalent to the full scan anywhere; this
-script reports the comparison empirically per ring and per conditional kind.
+instantiation is *not* claimed to be equivalent to the full pair set anywhere;
+this script reports the comparison empirically per ring and per conditional
+kind.
 
 Usage:
-    python scripts/compare_pair_modes.py [--max-size 700]
+    python scripts/compare_pair_modes.py [--max-size 6561]
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ CANDIDATE_RINGS = [
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-size", type=int, default=700,
+    parser.add_argument("--max-size", type=int, default=6561,
                         help="skip rings with more elements than this "
-                             "(the exhaustive scan is quadratic in size)")
+                             "(exhaustive mode solves one annihilator kernel "
+                             "per element)")
     args = parser.parse_args(argv)
 
     print(f"{'ring':14s} {'kind':10s} {'structured':>11s} {'exhaustive':>11s} equal")

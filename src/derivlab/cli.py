@@ -11,8 +11,9 @@ Subcommands:
 Rings are assembled from flags: ``--base zmod:M | dual:M`` picks the base,
 ``--n N`` wraps it into the N x N matrix ring, ``--trivial-ext`` wraps that
 once more into the square-zero extension.  Structured pair mode is the default
-(exhaustive scanning is quadratic in ring size).  Exit codes: 0 on success or
-skip, 1 when a verification is falsified or a check fails, 2 on usage errors.
+(exhaustive mode solves one annihilator kernel per ring element, so its cost
+grows with ring size).  Exit codes: 0 on success or skip, 1 when a
+verification is falsified or a check fails, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -87,8 +88,6 @@ def _add_common_flags(parser):
     parser.add_argument("--json", action="store_true", help="machine output")
     parser.add_argument("--out", help="write the result to this file")
     parser.add_argument("--seed", type=int, default=0, help="sampling seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for exhaustive pair scans")
 
 
 def build_parser():
@@ -163,7 +162,6 @@ def _cmd_verify(args):
         sample=args.sample,
         inflation_rank=args.inflation_rank or None,
         compare_modes=True if args.compare_modes else None,
-        threads=args.threads,
     )
     if args.theorem == "all":
         reports = run_all(ring, **options)
@@ -184,9 +182,8 @@ def _cmd_verify(args):
 
 def _cmd_solve(args):
     ring = _ring_from_args(args)
-    system = constraint_system(ring=ring, kind=args.kind, pair_mode=args.pairs,
-                               threads=args.threads)
-    module = solve_all(args.kind, ring, pair_mode=args.pairs, threads=args.threads)
+    system = constraint_system(ring=ring, kind=args.kind, pair_mode=args.pairs)
+    module = solve_all(args.kind, ring, pair_mode=args.pairs)
     gens = maps_from_module(module, ring, ring)
     payload = {
         "kind": args.kind,
@@ -212,7 +209,7 @@ def _load_map(path):
 
 def _cmd_check(args):
     fmap = _load_map(args.input)
-    report = check(fmap, args.kind, pair_mode=args.pairs, threads=args.threads)
+    report = check(fmap, args.kind, pair_mode=args.pairs)
     payload = report.to_json()
     lines = ["passed" if report.passed else "failed"]
     if report.witness:
@@ -264,7 +261,7 @@ def _cmd_pairs(args):
         "anticommuting": anti_commuting_pairs,
         "one-sided-zero": left_zero_pairs,
     }[args.condition]
-    pairs = enum(ring, args.pairs, threads=args.threads)
+    pairs = enum(ring, args.pairs)
     payload = {
         "ring": ring.to_json(),
         "condition": args.condition,

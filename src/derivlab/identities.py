@@ -10,8 +10,8 @@ flavours:
   * unconditional kinds quantify over all ordered pairs of module basis
     elements - enough, since every term is bilinear in the pair;
   * conditional kinds quantify over concrete pair sets (two-sided zero
-    products, anticommuting pairs, or one-sided zero products), either
-    enumerated exhaustively or instantiated from the structured schema family.
+    products, anticommuting pairs, or one-sided zero products), either taken
+    exhaustively or instantiated from the structured schema family.
 
 The identity term tables live in ``IDENTITY_TERMS`` keyed by tag.  Checkers
 evaluate the terms directly pair by pair; constraint assembly turns the same
@@ -32,6 +32,7 @@ from .rings import (
     RingElement,
     act_left,
     act_right,
+    annihilator_kernels,
     anti_commuting_pairs,
     basis_elements,
     bimodule_center,
@@ -81,7 +82,7 @@ _STAR = (
 class IdentitySpec:
     tag: str
     terms: tuple
-    quantifier: str  # basis_pairs | zero_products | anti_commuting | left_zero
+    quantifier: str  # basis_pairs | two_sided_zero | anti_commuting | left_zero
 
 
 IDENTITY_TERMS = {
@@ -95,11 +96,11 @@ IDENTITY_TERMS = {
         _JORDAN + ((1, "a", "one", "b"), (1, "b", "one", "a")),
         "basis_pairs",
     ),
-    "star": IdentitySpec("star", _STAR, "zero_products"),
+    "star": IdentitySpec("star", _STAR, "two_sided_zero"),
     "star_star": IdentitySpec(
         "star_star",
         _STAR + ((-1, "a", "one", "b"), (-1, "b", "one", "a")),
-        "zero_products",
+        "two_sided_zero",
     ),
     "phi": IdentitySpec(
         "phi",
@@ -124,16 +125,16 @@ def _spec_for(kind):
         raise ValueError(f"unknown identity kind {kind!r}") from None
 
 
-def _pairs_for(spec, ring, pair_mode, threads=1):
+def _pairs_for(spec, ring, pair_mode):
     if spec.quantifier == "basis_pairs":
         basis = basis_elements(ring)
         return [(a, b) for a in basis for b in basis]
-    if spec.quantifier == "zero_products":
-        return zero_product_pairs(ring, pair_mode, threads=threads)
+    if spec.quantifier == "two_sided_zero":
+        return zero_product_pairs(ring, pair_mode)
     if spec.quantifier == "anti_commuting":
-        return anti_commuting_pairs(ring, pair_mode, threads=threads)
+        return anti_commuting_pairs(ring, pair_mode)
     if spec.quantifier == "left_zero":
-        return left_zero_pairs(ring, pair_mode, threads=threads)
+        return left_zero_pairs(ring, pair_mode)
     raise ValueError(f"unknown quantifier {spec.quantifier!r}")
 
 
@@ -219,7 +220,7 @@ class CheckReport:
         }
 
 
-def check(fmap, kind, pair_mode="structured", threads=1):
+def check(fmap, kind, pair_mode="structured"):
     """Evaluate the identity directly on every required pair.
 
     Pairs run in deterministic order (basis-lexicographic, or the enumeration
@@ -228,7 +229,7 @@ def check(fmap, kind, pair_mode="structured", threads=1):
     spec = _spec_for(kind)
     ring = fmap.domain
     bim = fmap.codomain
-    for a, b in _pairs_for(spec, ring, pair_mode, threads=threads):
+    for a, b in _pairs_for(spec, ring, pair_mode):
         values = _pair_values(ring, a, b)
         cache = _ActionCache(bim, values)
         res = _residual(spec, fmap, bim, values, cache)
@@ -296,29 +297,47 @@ def _constraint_rows(spec, ring, bim, pairs):
     return rows, width
 
 
-def constraint_system(kind, ring, bimodule=None, pair_mode="structured", threads=1):
+def constraint_system(kind, ring, bimodule=None, pair_mode="structured"):
     """Homogeneous system over the flattened map matrix whose solution set is
-    exactly the maps satisfying the identity."""
+    exactly the maps satisfying the identity.
+
+    Exhaustive conditional kinds take rows only from the pairs (a, g), with g
+    running over the Howell generators of a's annihilator kernel K_a.  With a
+    fixed, every term is additive in b, so the row block of (a, b) is the
+    matching combination of the blocks of (a, g): these rows span the same
+    constraints as the full pair set, and the solution module is identical.
+    ``pair_count`` is still the size of the full set, the sum of |K_a|.
+    """
     spec = _spec_for(kind)
     bim = as_bimodule(bimodule if bimodule is not None else ring)
     if bim.ring != ring:
         raise ValueError("bimodule is not over the given ring")
     if ring_rank(ring) == 0:
         raise GuardError("degenerate rank-0 ring")
-    pairs = _pairs_for(spec, ring, pair_mode, threads=threads)
+    if pair_mode == "exhaustive" and spec.quantifier != "basis_pairs":
+        kernels = annihilator_kernels(ring, spec.quantifier)
+        pair_count = sum(kernel.size() for _, kernel in kernels)
+        pairs = [
+            (RingElement(ring, a), RingElement(ring, tuple(g)))
+            for a, kernel in kernels
+            for g in kernel.generators.to_rows()
+        ]
+    else:
+        pairs = _pairs_for(spec, ring, pair_mode)
+        pair_count = len(pairs)
     rows, width = _constraint_rows(spec, ring, bim, pairs)
     mat = (
         ResidueMatrix.from_rows(ring.m, rows)
         if rows
         else ResidueMatrix.zeros(ring.m, 0, width)
     )
-    return ConstraintSystem(kind, ring, bim, pair_mode, mat, len(pairs))
+    return ConstraintSystem(kind, ring, bim, pair_mode, mat, pair_count)
 
 
-def solve_all(kind, ring, bimodule=None, pair_mode="structured", threads=1):
+def solve_all(kind, ring, bimodule=None, pair_mode="structured"):
     """Canonical module of all maps (as flattened matrices) satisfying the
     identity kind."""
-    system = constraint_system(kind, ring, bimodule, pair_mode, threads=threads)
+    system = constraint_system(kind, ring, bimodule, pair_mode)
     return solve_homogeneous(system.matrix)
 
 

@@ -34,7 +34,7 @@ from .errors import EvenModulusError, GuardError
 from .linalg import ResidueMatrix, _check_modulus, solve_homogeneous
 
 MAX_RANK = 64
-EXHAUSTIVE_PAIR_BUDGET = 10**8
+EXHAUSTIVE_ELEMENT_BUDGET = 10**5
 
 
 # ---------------------------------------------------------------------------
@@ -655,54 +655,47 @@ def center_basis(desc):
 
 
 # ---------------------------------------------------------------------------
-# Zero-product style pair enumeration
+# Conditional pair sets
 # ---------------------------------------------------------------------------
 
-def _scan_condition(desc, keep, threads=1):
-    """All ordered coordinate pairs (x, y) with keep(xy, yx) true, in index
-    order.  Partitioned by first-element index ranges so a thread pool changes
-    nothing about the output order."""
+# With a fixed, each pair condition on (a, b) says that b lies in the kernel
+# of a stack of blocks; each block is the sum of the listed operators
+# L_a = (b |-> ab) and R_a = (b |-> ba).
+_CONDITION_OPERATORS = {
+    "two_sided_zero": (("L",), ("R",)),  # ab = 0 and ba = 0: [L_a; R_a]
+    "anti_commuting": (("L", "R"),),     # ab + ba = 0: L_a + R_a
+    "left_zero": (("L",),),              # ab = 0: L_a
+}
+
+
+def annihilator_kernels(desc, condition):
+    """[(a, K_a)] over every element a in index order, where the solution
+    module K_a = {b : (a, b) satisfies the condition} is over element
+    coordinates.
+
+    The exhaustive pair set is the disjoint union of {a} x K_a.  The cost is
+    one small kernel per element, so the guard is on ring size and fires
+    before any kernel is solved.
+    """
+    blocks = _CONDITION_OPERATORS[condition]
     size = ring_size(desc)
-    if size * size > EXHAUSTIVE_PAIR_BUDGET:
+    if size > EXHAUSTIVE_ELEMENT_BUDGET:
         raise GuardError(
-            f"exhaustive pair scan needs {size}^2 products, over the "
-            f"{EXHAUSTIVE_PAIR_BUDGET} budget"
+            f"exhaustive pairs need one annihilator kernel per element: ring "
+            f"size {size} is over the {EXHAUSTIVE_ELEMENT_BUDGET}-element budget"
         )
-    elements = [element_from_index(desc, i).coords for i in range(size)]
     bim = Bimodule.regular(desc)
-    lmats = [left_action_matrix(bim, x) for x in elements]
     n = desc.m
-    rank = ring_rank(desc)
-
-    def scan(lo, hi):
-        found = []
-        for ia in range(lo, hi):
-            la = lmats[ia]
-            xa = elements[ia]
-            for ib, xb in enumerate(elements):
-                ab = tuple(
-                    sum(la[t][j] * xb[j] for j in range(rank)) % n for t in range(rank)
-                )
-                lb = lmats[ib]
-                ba = tuple(
-                    sum(lb[t][j] * xa[j] for j in range(rank)) % n for t in range(rank)
-                )
-                if keep(ab, ba):
-                    found.append((xa, xb))
-        return found
-
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunk = max(1, -(-size // threads))
-        spans = [(k, min(k + chunk, size)) for k in range(0, size, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda s: scan(*s), spans))
-        out = []
-        for p in parts:
-            out.extend(p)
-        return out
-    return scan(0, size)
+    out = []
+    for elt in all_elements(desc):
+        a = elt.coords
+        ops = {"L": left_action_matrix(bim, a), "R": right_action_matrix(bim, a)}
+        rows = []
+        for block in blocks:
+            for parts in zip(*(ops[name] for name in block)):
+                rows.append([sum(col) % n for col in zip(*parts)])
+        out.append((a, solve_homogeneous(ResidueMatrix.from_rows(n, rows))))
+    return out
 
 
 def _structured_schemas(desc):
@@ -751,52 +744,42 @@ def _structured_schemas(desc):
     return [(x.coords, y.coords) for x, y in pairs]
 
 
-def _pairs_raw(desc, mode, condition, threads=1):
+def _condition_pairs(desc, mode, condition):
     if mode == "structured":
-        return _structured_schemas(desc)
-    if mode != "exhaustive":
-        raise ValueError(f"unknown pair mode {mode!r}")
-    zero = (0,) * ring_rank(desc)
-    if condition == "two_sided_zero":
-        keep = lambda ab, ba: ab == zero and ba == zero
-    elif condition == "anti_commuting":
-        m = desc.m
-        keep = lambda ab, ba: all((x + y) % m == 0 for x, y in zip(ab, ba))
-    elif condition == "left_zero":
-        keep = lambda ab, ba: ab == zero
+        raw = _structured_schemas(desc)
+    elif mode == "exhaustive":
+        raw = [
+            (a, b)
+            for a, kernel in annihilator_kernels(desc, condition)
+            for b in sorted(kernel.elements())
+        ]
     else:
-        raise ValueError(f"unknown pair condition {condition!r}")
-    return _scan_condition(desc, keep, threads=threads)
+        raise ValueError(f"unknown pair mode {mode!r}")
+    return [(RingElement(desc, a), RingElement(desc, b)) for a, b in raw]
 
 
-def zero_product_pairs(desc, mode="exhaustive", threads=1):
+def zero_product_pairs(desc, mode="exhaustive"):
     """Ordered pairs (A, B) with AB = BA = 0.
 
-    ``exhaustive`` scans all ordered element pairs (budget-guarded,
-    deterministic index order).  ``structured`` instantiates the fixed schema
-    family over the module basis; it is linear in ring rank instead of
-    quadratic in ring size, and whether it spans the same constraint set is
+    ``exhaustive`` lists every such pair: for each A in index order, the
+    elements B of its two-sided annihilator kernel (see
+    ``annihilator_kernels``) in sorted coordinate order, which is index order.
+    ``structured`` instantiates the fixed schema family over the module basis;
+    it is linear in ring rank, and whether it spans the same constraint set is
     measured empirically by the verification suite, never assumed.
     """
-    return [
-        (RingElement(desc, a), RingElement(desc, b))
-        for a, b in _pairs_raw(desc, mode, "two_sided_zero", threads=threads)
-    ]
+    return _condition_pairs(desc, mode, "two_sided_zero")
 
 
-def anti_commuting_pairs(desc, mode="exhaustive", threads=1):
-    """Ordered pairs with AB + BA = 0; structured mode reuses the zero-product
-    schemas (each satisfies this weaker hypothesis as well)."""
-    return [
-        (RingElement(desc, a), RingElement(desc, b))
-        for a, b in _pairs_raw(desc, mode, "anti_commuting", threads=threads)
-    ]
+def anti_commuting_pairs(desc, mode="exhaustive"):
+    """Ordered pairs with AB + BA = 0, listed like ``zero_product_pairs`` from
+    the kernels of L_A + R_A; structured mode reuses the zero-product schemas
+    (each satisfies this weaker hypothesis as well)."""
+    return _condition_pairs(desc, mode, "anti_commuting")
 
 
-def left_zero_pairs(desc, mode="exhaustive", threads=1):
+def left_zero_pairs(desc, mode="exhaustive"):
     """Ordered pairs with AB = 0 (one-sided, exactly as stated; the companion
-    BA = 0 is deliberately not required)."""
-    return [
-        (RingElement(desc, a), RingElement(desc, b))
-        for a, b in _pairs_raw(desc, mode, "left_zero", threads=threads)
-    ]
+    BA = 0 is deliberately not required), listed like ``zero_product_pairs``
+    from the kernels of L_A."""
+    return _condition_pairs(desc, mode, "left_zero")

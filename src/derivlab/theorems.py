@@ -139,7 +139,7 @@ def _sample_membership(source, target, rng, sample, label):
 
 def verify_theorem(theorem_id, ring, *, pair_mode="structured", seed=0,
                    sample=DEFAULT_SAMPLE, inflation_rank=None,
-                   compare_modes=None, threads=1):
+                   compare_modes=None):
     """Run one verification procedure and return its report.
 
     Guard violations (wrong ring shape, even modulus, pair budget) surface as
@@ -152,7 +152,7 @@ def verify_theorem(theorem_id, ring, *, pair_mode="structured", seed=0,
     rng = random.Random(seed)
     try:
         _dispatch(theorem_id, ring, report, pair_mode, rng, sample,
-                  inflation_rank, compare_modes, threads)
+                  inflation_rank, compare_modes)
         report.status = "verified"
     except _Falsified as exc:
         report.status = "falsified"
@@ -172,7 +172,7 @@ def verify_theorem(theorem_id, ring, *, pair_mode="structured", seed=0,
 
 
 def _dispatch(theorem_id, ring, report, pair_mode, rng, sample,
-              inflation_rank, compare_modes, threads):
+              inflation_rank, compare_modes):
     if ring.m % 2 == 0:
         raise EvenModulusError(
             f"modulus not 2-torsion free (m={ring.m}); construct the ring for "
@@ -191,8 +191,7 @@ def _dispatch(theorem_id, ring, report, pair_mode, rng, sample,
         "remark1_2": _verify_hypothesis_weakenings,
     }[theorem_id]
     handler(ring, report, pair_mode=pair_mode, rng=rng, sample=sample,
-            inflation_rank=inflation_rank, compare_modes=compare_modes,
-            threads=threads)
+            inflation_rank=inflation_rank, compare_modes=compare_modes)
 
 
 def _need_matrix(ring):
@@ -200,12 +199,12 @@ def _need_matrix(ring):
         raise ValueError("this verification needs a matrix ring (use --n)")
 
 
-def _solve_counted(kind, ring, pair_mode, threads):
-    system = constraint_system(kind, ring, pair_mode=pair_mode, threads=threads)
+def _solve_counted(kind, ring, pair_mode):
+    system = constraint_system(kind, ring, pair_mode=pair_mode)
     return solve_homogeneous(system.matrix), system.pair_count
 
 
-def _compare_pair_modes(kind, ring, requested_mode, compare_modes, threads):
+def _compare_pair_modes(kind, ring, requested_mode, compare_modes):
     """Empirically compare structured and exhaustive solution modules.
 
     Equality of the two is measured, not assumed; the result lands in the
@@ -214,10 +213,10 @@ def _compare_pair_modes(kind, ring, requested_mode, compare_modes, threads):
     if compare_modes is None:
         compare_modes = ring_size(ring) <= _MODE_COMPARE_SIZE
     if not compare_modes:
-        module, pairs = _solve_counted(kind, ring, requested_mode, threads)
+        module, pairs = _solve_counted(kind, ring, requested_mode)
         return None, module, pairs
-    structured, st_pairs = _solve_counted(kind, ring, "structured", threads)
-    exhaustive, ex_pairs = _solve_counted(kind, ring, "exhaustive", threads)
+    structured, st_pairs = _solve_counted(kind, ring, "structured")
+    exhaustive, ex_pairs = _solve_counted(kind, ring, "exhaustive")
     requested, pairs = (
         (structured, st_pairs) if requested_mode == "structured" else (exhaustive, ex_pairs)
     )
@@ -225,11 +224,11 @@ def _compare_pair_modes(kind, ring, requested_mode, compare_modes, threads):
 
 
 def _verify_zero_product_decomposition(ring, report, *, pair_mode, rng, sample,
-                                        compare_modes, threads, **_):
+                                        compare_modes, **_):
     _need_matrix(ring)
     modes_equal, star, pairs = _compare_pair_modes("star", ring, pair_mode,
-                                                   compare_modes, threads)
-    deriv = solve_all("derivation", ring, threads=threads)
+                                                   compare_modes)
+    deriv = solve_all("derivation", ring)
     center = center_basis(ring)
     shifted = deriv.sum_with(right_multiplier_module(ring, center))
     samples = min(sample, DEFAULT_SAMPLE)
@@ -258,11 +257,11 @@ def _verify_zero_product_decomposition(ring, report, *, pair_mode, rng, sample,
 
 
 def _verify_corrected_zero_product(ring, report, *, pair_mode, rng, sample,
-                                   compare_modes, threads, **_):
+                                   compare_modes, **_):
     _need_matrix(ring)
     modes_equal, starstar, pairs = _compare_pair_modes("star_star", ring, pair_mode,
-                                                       compare_modes, threads)
-    deriv = solve_all("derivation", ring, threads=threads)
+                                                       compare_modes)
+    deriv = solve_all("derivation", ring)
     shifted = deriv.sum_with(right_multiplier_module(ring))
     samples = min(sample, DEFAULT_SAMPLE)
     report.counts = {
@@ -280,9 +279,9 @@ def _verify_corrected_zero_product(ring, report, *, pair_mode, rng, sample,
                        "corrected_zero_product_maps")
 
 
-def _verify_inner_plus_lift(ring, report, *, rng, sample, threads, **_):
+def _verify_inner_plus_lift(ring, report, *, rng, sample, **_):
     _need_matrix(ring)
-    deriv = solve_all("derivation", ring, threads=threads)
+    deriv = solve_all("derivation", ring)
     nonzero_base_parts = 0
     for gen in maps_from_module(deriv, ring, ring):
         d, _g = decompose_inner_plus_lifted(gen)
@@ -295,12 +294,12 @@ def _verify_inner_plus_lift(ring, report, *, rng, sample, threads, **_):
     }
 
 
-def _verify_nonunital_components(ring, report, *, inflation_rank, threads, **_):
+def _verify_nonunital_components(ring, report, *, inflation_rank, **_):
     _need_matrix(ring)
     extra = inflation_rank if inflation_rank else ring_rank(ring)
     bim = Bimodule.inflated(Bimodule.regular(ring), extra)
-    jordan = solve_all("jordan", ring, bimodule=bim, threads=threads)
-    derivation = solve_all("derivation", ring, bimodule=bim, threads=threads)
+    jordan = solve_all("jordan", ring, bimodule=bim)
+    derivation = solve_all("derivation", ring, bimodule=bim)
     report.counts = {
         "jordan_module_size": jordan.size(),
         "derivation_module_size": derivation.size(),
@@ -315,10 +314,10 @@ def _verify_nonunital_components(ring, report, *, inflation_rank, threads, **_):
                    ring, bim, "jordan", "derivation")
 
 
-def _verify_jordan_is_derivation(ring, report, *, rng, sample, threads, **_):
+def _verify_jordan_is_derivation(ring, report, *, rng, sample, **_):
     _need_matrix(ring)
-    jordan = solve_all("jordan", ring, threads=threads)
-    deriv = solve_all("derivation", ring, threads=threads)
+    jordan = solve_all("jordan", ring)
+    deriv = solve_all("derivation", ring)
     samples = min(sample, DEFAULT_SAMPLE)
     report.counts = {
         "jordan_module_size": jordan.size(),
@@ -330,10 +329,10 @@ def _verify_jordan_is_derivation(ring, report, *, rng, sample, threads, **_):
     _sample_membership(jordan, deriv, rng, samples, "jordan_maps")
 
 
-def _verify_generalized_jordan(ring, report, *, rng, sample, threads, **_):
+def _verify_generalized_jordan(ring, report, *, rng, sample, **_):
     _need_matrix(ring)
-    gj = solve_all("generalized_jordan", ring, threads=threads)
-    gd = solve_all("generalized_derivation", ring, threads=threads)
+    gj = solve_all("generalized_jordan", ring)
+    gd = solve_all("generalized_derivation", ring)
     samples = min(sample, DEFAULT_SAMPLE)
     report.counts = {
         "generalized_jordan_module_size": gj.size(),
@@ -345,9 +344,9 @@ def _verify_generalized_jordan(ring, report, *, rng, sample, threads, **_):
     _sample_membership(gj, gd, rng, samples, "generalized_jordan_maps")
 
 
-def _verify_one_sided_multiplier(ring, report, *, threads, **_):
+def _verify_one_sided_multiplier(ring, report, **_):
     _need_matrix(ring)
-    phi = solve_all("phi", ring, threads=threads)
+    phi = solve_all("phi", ring)
     center = center_basis(ring)
     multipliers = right_multiplier_module(ring, center)
     report.counts = {
@@ -359,12 +358,12 @@ def _verify_one_sided_multiplier(ring, report, *, threads, **_):
                    ring, ring, "phi", "derivation")
 
 
-def _verify_extension_jordan(ring, report, *, rng, sample, threads, **_):
+def _verify_extension_jordan(ring, report, *, rng, sample, **_):
     ext = ring if ring.kind == "trivial_ext" else trivial_extension(ring)
     if ext.base.kind != "matrix":
         raise ValueError("the extension verification wraps a matrix ring")
-    jordan = solve_all("jordan", ext, threads=threads)
-    deriv = solve_all("derivation", ext, threads=threads)
+    jordan = solve_all("jordan", ext)
+    deriv = solve_all("derivation", ext)
     samples = min(sample, DEFAULT_SAMPLE)
     report.counts = {
         "jordan_module_size": jordan.size(),
@@ -389,9 +388,9 @@ def _verify_extension_jordan(ring, report, *, rng, sample, threads, **_):
     _sample_membership(jordan, deriv, rng, samples, "jordan_maps")
 
 
-def _verify_generalized_shift(ring, report, *, threads, **_):
-    gd = solve_all("generalized_derivation", ring, threads=threads)
-    deriv = solve_all("derivation", ring, threads=threads)
+def _verify_generalized_shift(ring, report, **_):
+    gd = solve_all("generalized_derivation", ring)
+    deriv = solve_all("derivation", ring)
     report.counts = {
         "generalized_derivation_module_size": gd.size(),
         "derivation_module_size": deriv.size(),
@@ -410,10 +409,10 @@ def _verify_generalized_shift(ring, report, *, threads, **_):
                 raise _Falsified(_witness_from_check(lifted, "generalized_derivation"))
 
 
-def _verify_hypothesis_weakenings(ring, report, *, pair_mode, threads, **_):
-    star = solve_all("star", ring, pair_mode=pair_mode, threads=threads)
-    anti = solve_all("remark_antizero", ring, pair_mode=pair_mode, threads=threads)
-    onesided = solve_all("remark_abzero", ring, pair_mode=pair_mode, threads=threads)
+def _verify_hypothesis_weakenings(ring, report, *, pair_mode, **_):
+    star = solve_all("star", ring, pair_mode=pair_mode)
+    anti = solve_all("remark_antizero", ring, pair_mode=pair_mode)
+    onesided = solve_all("remark_abzero", ring, pair_mode=pair_mode)
     report.counts = {
         "star_module_size": star.size(),
         "anticommuting_module_size": anti.size(),

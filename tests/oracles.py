@@ -175,3 +175,36 @@ def mat2_sub(x, y, m, dual=False):
             for rx, ry in zip(x, y)
         ]
     return [[(a - b) % m for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
+
+
+# ---------------------------------------------------------------------------
+# Conditional pair sets by a full scan of ordered pairs
+# ---------------------------------------------------------------------------
+
+def _mat2_add(x, y, m):
+    return [[(a + b) % m for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
+
+
+_PAIR_TESTS = {
+    "two_sided_zero": lambda ab, ba, m: mat2_is_zero(ab) and mat2_is_zero(ba),
+    "anti_commuting": lambda ab, ba, m: mat2_is_zero(_mat2_add(ab, ba, m)),
+    "left_zero": lambda ab, ba, m: mat2_is_zero(ab),
+}
+
+
+def scan_pairs_mat2(m, condition):
+    """Every ordered pair (a, b) of coordinate tuples of M2(Z/m) that meets
+    the condition, by testing all |R|^2 products entry by entry.
+
+    Elements run in index order (first coordinate most significant), a in
+    the outer loop and b in the inner one.
+    """
+    keep = _PAIR_TESTS[condition]
+    elements = all_vectors(m, 4)
+    mats = [coords_to_mat2(x, m) for x in elements]
+    found = []
+    for xa, am in zip(elements, mats):
+        for xb, bm in zip(elements, mats):
+            if keep(mat2_mul(am, bm, m), mat2_mul(bm, am, m), m):
+                found.append((xa, xb))
+    return found

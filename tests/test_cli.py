@@ -158,6 +158,7 @@ def test_pairs_subcommand(capsys):
 def test_malformed_flags_exit_two(capsys):
     assert run(["solve", "--kind", "bogus", "--base", "zmod:3", "--n", "2"]) == 2
     assert run(["verify", "--base", "nonsense"]) == 2
+    assert run(["verify", "--threads", "4"]) == 2
     assert run(["nonexistent-subcommand"]) == 2
     capsys.readouterr()
 
@@ -178,13 +179,3 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "verified" in proc.stdout
-
-
-def test_thread_flag_solves_identically(capsys):
-    run(["solve", "--kind", "star", "--base", "zmod:3", "--n", "2",
-         "--pairs", "exhaustive", "--json"])
-    solo = json.loads(capsys.readouterr().out)
-    run(["solve", "--kind", "star", "--base", "zmod:3", "--n", "2",
-         "--pairs", "exhaustive", "--json", "--threads", "4"])
-    multi = json.loads(capsys.readouterr().out)
-    assert solo == multi

@@ -6,6 +6,7 @@ from derivlab.errors import EvenModulusError, PreconditionError
 from derivlab.identities import (
     IDENTITY_TERMS,
     IdentitySpec,
+    _constraint_rows,
     check,
     constraint_system,
     decompose_inner_plus_lifted,
@@ -18,11 +19,13 @@ from derivlab.identities import (
     solve_all,
     verify_proof_steps,
 )
-from derivlab.linalg import ResidueMatrix, module_equal
+from derivlab.linalg import ResidueMatrix, module_equal, solve_homogeneous
 from derivlab.maps import AdditiveMap, inner_derivation, lift_map, right_multiplier, zero_map
 from derivlab.rings import (
     Bimodule,
+    RingElement,
     all_elements,
+    annihilator_kernels,
     center_basis,
     dual_numbers,
     matrix_ring,
@@ -31,7 +34,7 @@ from derivlab.rings import (
     trivial_extension,
     zmod,
 )
-from oracles import coords_to_mat2, mat2_mul, mat2_to_coords
+from oracles import coords_to_mat2, mat2_mul, mat2_to_coords, scan_pairs_mat2
 
 M2Z3 = matrix_ring(2, zmod(3))
 REG = Bimodule.regular(M2Z3)
@@ -54,9 +57,12 @@ def test_constraint_shapes_on_rank_four_ring():
     phi = constraint_system("phi", M2Z3)
     assert (phi.matrix.rows, phi.matrix.cols) == (jordan.matrix.rows, jordan.matrix.cols)
 
+    # exhaustive rows come from (a, g) with g over the Howell generators of
+    # a's two-sided annihilator kernel; pair_count is still the full set
     star = constraint_system("star", M2Z3, pair_mode="exhaustive")
-    assert star.pair_count == 225
-    assert star.matrix.rows == 4 * star.pair_count
+    kernels = annihilator_kernels(M2Z3, "two_sided_zero")
+    assert star.pair_count == sum(k.size() for _, k in kernels) == 225
+    assert star.matrix.rows == 4 * sum(k.generators.rows for _, k in kernels)
 
 
 def test_unknown_kind_rejected():
@@ -221,6 +227,44 @@ def test_structured_and_exhaustive_agree_on_small_ring():
         st_mod = solve_all(kind, M2Z3, pair_mode="structured")
         ex_mod = solve_all(kind, M2Z3, pair_mode="exhaustive")
         assert module_equal(st_mod, ex_mod)
+
+
+CONDITIONAL_KINDS = ("star", "star_star", "remark_antizero", "remark_abzero")
+
+
+def _solve_from_pairs(kind, ring, coord_pairs):
+    pairs = [(RingElement(ring, a), RingElement(ring, b)) for a, b in coord_pairs]
+    rows, _ = _constraint_rows(IDENTITY_TERMS[kind], ring, Bimodule.regular(ring), pairs)
+    return solve_homogeneous(ResidueMatrix.from_rows(ring.m, rows))
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_kernel_route_equals_full_pair_scan(m):
+    # exactness of the annihilator-kernel route, against the module solved
+    # from every ordered pair; m = 4 brings non-unit pivots into the kernels
+    ring = matrix_ring(2, zmod(m))
+    scans = {}
+    for kind in CONDITIONAL_KINDS:
+        condition = IDENTITY_TERMS[kind].quantifier
+        if condition not in scans:
+            scans[condition] = scan_pairs_mat2(m, condition)
+        system = constraint_system(kind, ring, pair_mode="exhaustive")
+        assert system.pair_count == len(scans[condition])
+        assert module_equal(
+            solve_homogeneous(system.matrix), _solve_from_pairs(kind, ring, scans[condition])
+        ), kind
+
+
+def test_exhaustive_truths_on_m2_z5():
+    # truths measured by a full scan of all ordered pairs
+    m2z5 = matrix_ring(2, zmod(5))
+    star = constraint_system("star", m2z5, pair_mode="exhaustive")
+    onesided = constraint_system("remark_abzero", m2z5, pair_mode="exhaustive")
+    assert star.pair_count == 1825
+    assert solve_homogeneous(star.matrix).size() == 625
+    assert solve_all("star_star", m2z5, pair_mode="exhaustive").size() == 78125
+    assert onesided.pair_count == 4705
+    assert solve_homogeneous(onesided.matrix).size() == 125
 
 
 def test_even_modulus_solves_are_allowed_for_exploration():

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from derivlab import rings
 from derivlab.errors import GuardError
 from derivlab.rings import (
+    EXHAUSTIVE_ELEMENT_BUDGET,
     Bimodule,
     RingDescriptor,
     RingElement,
@@ -34,7 +36,7 @@ from derivlab.rings import (
     zero_product_pairs,
     zmod,
 )
-from oracles import coords_to_mat2, mat2_is_zero, mat2_mul, mat2_to_coords
+from oracles import coords_to_mat2, mat2_is_zero, mat2_mul, mat2_to_coords, scan_pairs_mat2
 
 M2Z3 = matrix_ring(2, zmod(3))
 M2D3 = matrix_ring(2, dual_numbers(3))
@@ -346,10 +348,16 @@ def test_exhaustive_zero_product_pairs_match_oracle_count():
     assert with_one == [zero]
 
 
-def test_exhaustive_pairs_deterministic_and_thread_invariant():
-    seq = zero_product_pairs(M2Z3, "exhaustive")
-    par = zero_product_pairs(M2Z3, "exhaustive", threads=3)
-    assert seq == par
+def test_exhaustive_pairs_equal_index_order_scan():
+    # the kernel listing must reproduce the full scan list for list: same
+    # pairs, same order, so every enumeration and witness stays the same
+    for condition, enumerate_pairs in (
+        ("two_sided_zero", zero_product_pairs),
+        ("anti_commuting", anti_commuting_pairs),
+        ("left_zero", left_zero_pairs),
+    ):
+        listed = [(a.coords, b.coords) for a, b in enumerate_pairs(M2Z3, "exhaustive")]
+        assert listed == scan_pairs_mat2(3, condition)
 
 
 def test_structured_pairs_are_zero_products():
@@ -387,10 +395,20 @@ def test_left_zero_pairs_one_sided():
     assert one_sided_only > 0
 
 
-def test_pair_budget_guard():
-    big = matrix_ring(2, zmod(101))  # 101^4 elements, squared blows the budget
-    with pytest.raises(GuardError):
-        zero_product_pairs(big, "exhaustive")
+def test_pair_budget_guard(monkeypatch):
+    big = matrix_ring(2, zmod(101))  # 101^4 elements, over the element budget
+
+    def no_kernel(matrix):
+        raise AssertionError("the guard must fire before any kernel is solved")
+
+    monkeypatch.setattr(rings, "solve_homogeneous", no_kernel)
+    message = f"ring size {101 ** 4} is over the {EXHAUSTIVE_ELEMENT_BUDGET}-element budget"
+    for enumerate_pairs in (zero_product_pairs, anti_commuting_pairs, left_zero_pairs):
+        with pytest.raises(GuardError, match=message):
+            enumerate_pairs(big, "exhaustive")
+    monkeypatch.undo()
+    # a ring well inside the budget runs
+    assert len(zero_product_pairs(matrix_ring(2, zmod(7)), "exhaustive")) == 7105
 
 
 def test_element_enumeration_round_trip():
