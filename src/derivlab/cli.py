@@ -13,7 +13,8 @@ Rings are assembled from flags: ``--base zmod:M | dual:M`` picks the base,
 once more into the square-zero extension.  Structured pair mode is the default
 (exhaustive mode solves one annihilator kernel per ring element, so its cost
 grows with ring size).  Exit codes: 0 on success or skip, 1 when a
-verification is falsified or a check fails, 2 on usage errors.
+verification is falsified or ends in error or a check fails, 2 on usage
+errors.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ from .errors import GuardError, InternalVerificationError, PreconditionError
 from .identities import (
     IDENTITY_KINDS,
     check,
-    constraint_system,
     decompose_inner_plus_lifted,
     decompose_theorem21,
     decompose_trivial_extension,
     maps_from_module,
-    solve_all,
+    solve_counted,
     verify_proof_steps,
 )
 from .maps import AdditiveMap
@@ -182,14 +182,13 @@ def _cmd_verify(args):
 
 def _cmd_solve(args):
     ring = _ring_from_args(args)
-    system = constraint_system(ring=ring, kind=args.kind, pair_mode=args.pairs)
-    module = solve_all(args.kind, ring, pair_mode=args.pairs)
+    module, pair_count = solve_counted(args.kind, ring, pair_mode=args.pairs)
     gens = maps_from_module(module, ring, ring)
     payload = {
         "kind": args.kind,
         "ring": ring.to_json(),
         "pair_mode": args.pairs,
-        "pair_count": system.pair_count,
+        "pair_count": pair_count,
         "module": module.to_json(),
         "size": module.size(),
         "maps": [g.to_json() for g in gens],

@@ -13,16 +13,21 @@ flavours:
     products, anticommuting pairs, or one-sided zero products), either taken
     exhaustively or instantiated from the structured schema family.
 
-The identity term tables live in ``IDENTITY_TERMS`` keyed by tag.  Checkers
-evaluate the terms directly pair by pair; constraint assembly turns the same
-terms into rows over the flattened unknowns.  The two routes share the
-definitions but not the evaluation code, and the test suite plays them against
-each other.
+The identity term tables live in ``IDENTITY_TERMS`` keyed by tag.  There is
+one evaluation route: constraint assembly turns the terms of each quantified
+pair into a block of rows over the flattened unknowns, and the solution module
+of those rows is memoised per process, keyed by the identity's value (its
+terms, not its tag), the ring, the bimodule and the pair mode.  ``check`` is
+membership of the flattened map in that module; only a failing map walks the
+pairs again, to find the first pair whose row block does not annihilate it.
+The test suite plays this route against an independent per-pair evaluator
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import GuardError, InternalVerificationError, PreconditionError
 from .linalg import ResidueMatrix, SolutionModule, solve_affine, solve_homogeneous
@@ -30,21 +35,20 @@ from .maps import AdditiveMap, as_bimodule, inner_derivation, lift_map, right_mu
 from .rings import (
     Bimodule,
     RingElement,
-    act_left,
-    act_right,
+    act,
+    action_matrix,
     annihilator_kernels,
     anti_commuting_pairs,
     basis_elements,
     bimodule_center,
     bimodule_rank,
     is_unital,
-    left_action_matrix,
     left_zero_pairs,
     matrix_unit,
     mul_coords,
     one_element,
+    peirce_split,
     require_odd,
-    right_action_matrix,
     ring_rank,
     structure,
     zero_product_pairs,
@@ -152,44 +156,6 @@ def _pair_values(ring, a, b):
     }
 
 
-def _act_vec(mat, vec, m):
-    return tuple(sum(r[j] * vec[j] for j in range(len(vec)) if r[j]) % m for r in mat)
-
-
-class _ActionCache:
-    """Left/right action matrices for the handful of elements of one pair."""
-
-    def __init__(self, bim, values):
-        self.bim = bim
-        self.values = values
-        self.memo = {}
-
-    def get(self, side, name):
-        key = (side, name)
-        if key not in self.memo:
-            coords = self.values[name]
-            if side == "L":
-                self.memo[key] = left_action_matrix(self.bim, coords)
-            else:
-                self.memo[key] = right_action_matrix(self.bim, coords)
-        return self.memo[key]
-
-
-def _residual(spec, fmap, bim, values, cache):
-    m = bim.ring.m
-    rank = bimodule_rank(bim)
-    acc = [0] * rank
-    for coef, lft, arg, rgt in spec.terms:
-        v = fmap.apply(values[arg])
-        if rgt is not None:
-            v = _act_vec(cache.get("R", rgt), v, m)
-        if lft is not None:
-            v = _act_vec(cache.get("L", lft), v, m)
-        for t in range(rank):
-            acc[t] = (acc[t] + coef * v[t]) % m
-    return tuple(acc)
-
-
 # ---------------------------------------------------------------------------
 # Public check / solve surface
 # ---------------------------------------------------------------------------
@@ -221,21 +187,28 @@ class CheckReport:
 
 
 def check(fmap, kind, pair_mode="structured"):
-    """Evaluate the identity directly on every required pair.
+    """Test the map against the identity by membership of its flattened
+    matrix in the memoised solution module (see ``solve_counted``).
 
-    Pairs run in deterministic order (basis-lexicographic, or the enumeration
-    order of the conditional pair set); the first failure is the witness.
+    A failing map gets a witness: the first required pair, in deterministic
+    order (basis-lexicographic, or the enumeration order of the conditional
+    pair set), whose constraint-row block does not annihilate the map; that
+    product is the residual of the identity on the pair.
     """
     spec = _spec_for(kind)
     ring = fmap.domain
     bim = fmap.codomain
+    flat = fmap.to_flat()
+    module, _ = solve_counted(kind, ring, bim, pair_mode)
+    if module.contains(flat):
+        return CheckReport(True)
+    m = ring.m
     for a, b in _pairs_for(spec, ring, pair_mode):
-        values = _pair_values(ring, a, b)
-        cache = _ActionCache(bim, values)
-        res = _residual(spec, fmap, bim, values, cache)
+        rows, _ = _constraint_rows(spec, ring, bim, [(a, b)])
+        res = tuple(sum(x * y for x, y in zip(row, flat)) % m for row in rows)
         if any(res):
             return CheckReport(False, Witness(a, b, res))
-    return CheckReport(True)
+    raise AssertionError("map outside the solution module fails on no pair")
 
 
 @dataclass(frozen=True)
@@ -256,19 +229,23 @@ def _constraint_rows(spec, ring, bim, pairs):
     rows = []
     for a, b in pairs:
         values = _pair_values(ring, a, b)
-        cache = _ActionCache(bim, values)
+        acts = {}
+        for _, lft, _, rgt in spec.terms:
+            for side, name in (("L", lft), ("R", rgt)):
+                if name is not None and (side, name) not in acts:
+                    acts[side, name] = action_matrix(bim, side, values[name])
         block = [[0] * width for _ in range(rank_m)]
         for coef, lft, arg, rgt in spec.terms:
             w = values[arg]
             if lft is None and rgt is None:
                 outer = None
             elif lft is None:
-                outer = cache.get("R", rgt)
+                outer = acts["R", rgt]
             elif rgt is None:
-                outer = cache.get("L", lft)
+                outer = acts["L", lft]
             else:
-                lm = cache.get("L", lft)
-                rm = cache.get("R", rgt)
+                lm = acts["L", lft]
+                rm = acts["R", rgt]
                 outer = [
                     [
                         sum(lm[e][k] * rm[k][u] for k in range(rank_m)) % m
@@ -334,11 +311,33 @@ def constraint_system(kind, ring, bimodule=None, pair_mode="structured"):
     return ConstraintSystem(kind, ring, bim, pair_mode, mat, pair_count)
 
 
+def solve_counted(kind, ring, bimodule=None, pair_mode="structured"):
+    """(module, pair_count): the canonical module of all maps (as flattened
+    matrices) satisfying the identity kind, and the size of its pair set.
+
+    Solved once per process for each (identity terms, ring, bimodule, pair
+    mode); basis-pair kinds ignore the pair mode, so it is not part of their
+    key.
+    """
+    spec = _spec_for(kind)
+    bim = as_bimodule(bimodule if bimodule is not None else ring)
+    if spec.quantifier == "basis_pairs":
+        pair_mode = "structured"
+    return _solved(kind, spec, ring, bim, pair_mode)
+
+
+@lru_cache(maxsize=None)
+def _solved(kind, spec, ring, bim, pair_mode):
+    # ``spec`` is IDENTITY_TERMS[kind] at call time.  It is in the key so that
+    # an entry replaced under the same kind gets its own module.
+    system = constraint_system(kind, ring, bim, pair_mode)
+    return solve_homogeneous(system.matrix), system.pair_count
+
+
 def solve_all(kind, ring, bimodule=None, pair_mode="structured"):
     """Canonical module of all maps (as flattened matrices) satisfying the
     identity kind."""
-    system = constraint_system(kind, ring, bimodule, pair_mode)
-    return solve_homogeneous(system.matrix)
+    return solve_counted(kind, ring, bimodule, pair_mode)[0]
 
 
 def maps_from_module(module, ring, codomain):
@@ -347,30 +346,28 @@ def maps_from_module(module, ring, codomain):
     return [AdditiveMap.from_flat(ring, bim, row) for row in module.generators.to_rows()]
 
 
+def _map_span(codomain, build, gens=None):
+    """Span of the maps build(codomain, g), flattened like every other map
+    space, with g over ``gens`` (default: the unit coordinate vectors of the
+    codomain)."""
+    bim = as_bimodule(codomain)
+    rank_m = bimodule_rank(bim)
+    if gens is None:
+        gens = [tuple(1 if k == j else 0 for k in range(rank_m)) for j in range(rank_m)]
+    rows = [build(bim, tuple(g)).to_flat() for g in gens]
+    return SolutionModule.from_rows(bim.ring.m, rank_m * ring_rank(bim.ring), rows)
+
+
 def right_multiplier_module(codomain, c_module=None):
     """Span of {a |-> a.c} with c running over a coordinate module (default:
     the whole codomain), flattened like every other map space."""
-    bim = as_bimodule(codomain)
-    rank_m = bimodule_rank(bim)
-    width = rank_m * ring_rank(bim.ring)
-    if c_module is None:
-        gens = [tuple(1 if k == j else 0 for k in range(rank_m)) for j in range(rank_m)]
-    else:
-        gens = c_module.generators.to_rows()
-    rows = [right_multiplier(bim, tuple(g)).to_flat() for g in gens]
-    return SolutionModule.from_rows(bim.ring.m, width, rows)
+    gens = None if c_module is None else c_module.generators.to_rows()
+    return _map_span(codomain, right_multiplier, gens)
 
 
 def inner_derivation_module(codomain):
     """Span of all inner derivations into the codomain."""
-    bim = as_bimodule(codomain)
-    rank_m = bimodule_rank(bim)
-    width = rank_m * ring_rank(bim.ring)
-    rows = [
-        inner_derivation(bim, tuple(1 if k == j else 0 for k in range(rank_m))).to_flat()
-        for j in range(rank_m)
-    ]
-    return SolutionModule.from_rows(bim.ring.m, width, rows)
+    return _map_span(codomain, inner_derivation)
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +401,22 @@ class DecompositionTrace:
         }
 
 
-def _corner_element(bim, e, f, d_of_e):
-    """m = e.D(e).f - f.D(e).e in module coordinates."""
-    m = bim.ring.m
-    lhs = act_right(bim, act_left(bim, e.coords, d_of_e), f.coords)
-    rhs = act_right(bim, act_left(bim, f.coords, d_of_e), e.coords)
-    return tuple((x - y) % m for x, y in zip(lhs, rhs))
+def _corner_split(dmap, pair_mode):
+    """E = E11, F = 1 - E and the corner element m = E.D(E).F - F.D(E).E (in
+    module coordinates) of a map that must meet the zero-product condition."""
+    report = check(dmap, "star", pair_mode=pair_mode)
+    if not report.passed:
+        raise PreconditionError(
+            "map does not satisfy the zero-product condition", report
+        )
+    ring = dmap.domain
+    bim = dmap.codomain
+    e = matrix_unit(ring, 1, 1)
+    f = one_element(ring) - e
+    d_of_e = dmap.apply(e)
+    lhs = act(bim, "R", f.coords, act(bim, "L", e.coords, d_of_e))
+    rhs = act(bim, "R", e.coords, act(bim, "L", f.coords, d_of_e))
+    return e, f, tuple((x - y) % ring.m for x, y in zip(lhs, rhs))
 
 
 def decompose_theorem21(dmap, pair_mode="structured"):
@@ -429,14 +436,7 @@ def decompose_theorem21(dmap, pair_mode="structured"):
     require_odd(ring, "the zero-product decomposition")
     if not is_unital(bim):
         raise ValueError("the decomposition needs a unital codomain")
-    report = check(dmap, "star", pair_mode=pair_mode)
-    if not report.passed:
-        raise PreconditionError(
-            "map does not satisfy the zero-product condition", report
-        )
-    e = matrix_unit(ring, 1, 1)
-    f = one_element(ring) - e
-    m_elt = _corner_element(bim, e, f, dmap.apply(e))
+    e, f, m_elt = _corner_split(dmap, pair_mode)
     i_m = inner_derivation(bim, m_elt)
     central = dmap.apply(one_element(ring))
     d = (dmap - i_m) - right_multiplier(bim, central)
@@ -452,7 +452,7 @@ def decompose_theorem21(dmap, pair_mode="structured"):
     for basis in basis_elements(ring):
         lhs = dmap.apply(basis)
         rhs = delta.apply(basis)
-        shift = act_left(bim, basis.coords, central)
+        shift = act(bim, "L", basis.coords, central)
         if any((x - y - z) % m for x, y, z in zip(lhs, rhs, shift)):
             raise InternalVerificationError("recomposition failed", basis)
     return DecompositionTrace(e, f, m_elt, delta, d, central)
@@ -487,6 +487,20 @@ class ProofStepsReport:
         }
 
 
+def _first_failure(ring, arity, fn):
+    """Witness {"a", "b", "residual"} of the first basis element (arity 1,
+    b = None) or ordered basis pair (arity 2) on which fn is nonzero, in basis
+    order; None when fn vanishes on all of them."""
+    basis = basis_elements(ring)
+    cases = [(a,) for a in basis] if arity == 1 else [(a, b) for a in basis for b in basis]
+    for case in cases:
+        res = fn(*case)
+        if any(res):
+            b = case[1].to_json() if arity == 2 else None
+            return {"a": case[0].to_json(), "b": b, "residual": list(res)}
+    return None
+
+
 def verify_proof_steps(dmap, pair_mode="structured"):
     """Check the eight intermediate identities of the corner-peeling argument
     for Delta = D - I_m.
@@ -500,26 +514,19 @@ def verify_proof_steps(dmap, pair_mode="structured"):
     bim = dmap.codomain
     if ring.kind != "matrix":
         raise ValueError("proof steps are defined over a matrix ring domain")
-    report = check(dmap, "star", pair_mode=pair_mode)
-    if not report.passed:
-        raise PreconditionError(
-            "map does not satisfy the zero-product condition", report
-        )
+    e, f, m_elt = _corner_split(dmap, pair_mode)
     m = ring.m
-    e = matrix_unit(ring, 1, 1)
-    f = one_element(ring) - e
     one = one_element(ring)
-    m_elt = _corner_element(bim, e, f, dmap.apply(e))
     delta = dmap - inner_derivation(bim, m_elt)
 
     def dl(x):
         return delta.apply(x)
 
     def lact(x, v):
-        return act_left(bim, x.coords, v)
+        return act(bim, "L", x.coords, v)
 
     def ract(v, x):
-        return act_right(bim, v, x.coords)
+        return act(bim, "R", x.coords, v)
 
     def sandwich(x, v, y):
         return lact(x, ract(v, y))
@@ -657,38 +664,14 @@ def verify_proof_steps(dmap, pair_mode="structured"):
         ],
     }
 
-    basis = basis_elements(ring)
     steps = []
     for step_no in range(1, 9):
         failure = None
         for label, arity, fn in step_parts[step_no]:
+            failure = _first_failure(ring, arity, fn)
             if failure:
+                failure = {"part": label, **failure}
                 break
-            if arity == 1:
-                for a in basis:
-                    res = fn(a)
-                    if any(res):
-                        failure = {
-                            "part": label,
-                            "a": a.to_json(),
-                            "b": None,
-                            "residual": list(res),
-                        }
-                        break
-            else:
-                for a in basis:
-                    if failure:
-                        break
-                    for b in basis:
-                        res = fn(a, b)
-                        if any(res):
-                            failure = {
-                                "part": label,
-                                "a": a.to_json(),
-                                "b": b.to_json(),
-                                "residual": list(res),
-                            }
-                            break
         steps.append(StepResult(step_no, failure is None, failure))
     return ProofStepsReport(tuple(steps))
 
@@ -731,8 +714,8 @@ def decompose_inner_plus_lifted(delta):
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             unit = matrix_unit(ring, i, j)
-            lmat = left_action_matrix(bim, unit.coords)
-            rmat = right_action_matrix(bim, unit.coords)
+            lmat = action_matrix(bim, "L", unit.coords)
+            rmat = action_matrix(bim, "R", unit.coords)
             img = delta.apply(unit)
             for t in range(rank_m):
                 rows.append([(lmat[t][k] - rmat[t][k]) % m for k in range(rank_m)])
@@ -871,70 +854,27 @@ def peirce_component_check(dmap):
     if not rep.passed:
         raise PreconditionError("map does not satisfy the Jordan identity", rep)
     m = ring.m
-    rank = bimodule_rank(bim)
-    one = structure(ring).one
-    lmat = left_action_matrix(bim, one)
-    rmat = right_action_matrix(bim, one)
-    p1 = [
-        [sum(lmat[i][k] * rmat[k][j] for k in range(rank)) % m for j in range(rank)]
-        for i in range(rank)
-    ]
-    p2 = [[(lmat[i][j] - p1[i][j]) % m for j in range(rank)] for i in range(rank)]
-    p3 = [[(rmat[i][j] - p1[i][j]) % m for j in range(rank)] for i in range(rank)]
-    p4 = [
-        [
-            ((1 if i == j else 0) - lmat[i][j] - rmat[i][j] + p1[i][j]) % m
-            for j in range(rank)
-        ]
-        for i in range(rank)
-    ]
+    splits = [peirce_split(bim, dmap.apply(a)) for a in basis_elements(ring)]
 
-    def project(proj):
-        rows = [
-            [
-                sum(proj[t][k] * dmap.matrix.entry(k, v) for k in range(rank)) % m
-                for v in range(ring_rank(ring))
-            ]
-            for t in range(rank)
-        ]
-        return AdditiveMap(ring, bim, ResidueMatrix.from_rows(m, rows))
+    def project(part):
+        cols = [getattr(split, part) for split in splits]
+        return AdditiveMap(ring, bim, ResidueMatrix.from_rows(m, zip(*cols)))
 
-    comps = tuple(project(p) for p in (p1, p2, p3, p4))
+    comps = tuple(project(part) for part in ("m1", "m2", "m3", "m4"))
     d1, d2, d3, d4 = comps
     one_el = one_element(ring)
 
     def lv(x, v):
-        return act_left(bim, x.coords, v)
+        return act(bim, "L", x.coords, v)
 
     def rv(v, x):
-        return act_right(bim, v, x.coords)
+        return act(bim, "R", x.coords, v)
 
     def msub(*vs):
         acc = list(vs[0])
         for v in vs[1:]:
             acc = [(x - y) % m for x, y in zip(acc, v)]
         return tuple(acc)
-
-    def pair_check(name, fn):
-        for a in basis_elements(ring):
-            for b in basis_elements(ring):
-                res = fn(a, b)
-                if any(res):
-                    return ComponentCheck(
-                        name,
-                        False,
-                        {"a": a.to_json(), "b": b.to_json(), "residual": list(res)},
-                    )
-        return ComponentCheck(name, True)
-
-    def single_check(name, fn):
-        for a in basis_elements(ring):
-            res = fn(a)
-            if any(res):
-                return ComponentCheck(
-                    name, False, {"a": a.to_json(), "b": None, "residual": list(res)}
-                )
-        return ComponentCheck(name, True)
 
     def jordan_of(comp):
         def fn(a, b):
@@ -949,32 +889,41 @@ def peirce_component_check(dmap):
 
         return fn
 
-    checks = (
-        pair_check("unital_component_jordan", jordan_of(d1)),
-        pair_check(
+    parts = (
+        ("unital_component_jordan", 2, jordan_of(d1)),
+        (
             "left_degenerate_rule",
+            2,
             lambda a, b: msub(
                 d2.apply((a * b) + (b * a)), lv(a, d2.apply(b)), lv(b, d2.apply(a))
             ),
         ),
-        pair_check(
+        (
             "right_degenerate_rule",
+            2,
             lambda a, b: msub(
                 d3.apply((a * b) + (b * a)), rv(d3.apply(a), b), rv(d3.apply(b), a)
             ),
         ),
-        pair_check(
+        (
             "outer_component_jordan_zero",
+            2,
             lambda a, b: d4.apply((a * b) + (b * a)),
         ),
-        single_check(
+        (
             "left_degenerate_is_multiplier",
+            1,
             lambda a: msub(d2.apply(a), lv(a, d2.apply(one_el))),
         ),
-        single_check(
+        (
             "right_degenerate_is_multiplier",
+            1,
             lambda a: msub(d3.apply(a), rv(d3.apply(one_el), a)),
         ),
-        single_check("outer_component_vanishes", lambda a: d4.apply(a)),
+        ("outer_component_vanishes", 1, lambda a: d4.apply(a)),
     )
-    return PeirceReport(comps, checks)
+    checks = []
+    for name, arity, fn in parts:
+        failure = _first_failure(ring, arity, fn)
+        checks.append(ComponentCheck(name, failure is None, failure))
+    return PeirceReport(comps, tuple(checks))

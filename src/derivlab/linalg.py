@@ -155,7 +155,9 @@ class ResidueMatrix:
 
     @classmethod
     def from_rows(cls, modulus, rows):
-        rows = [list(r) for r in rows]
+        # Rows that are already sequences are read in place: constraint
+        # matrices run to millions of entries, and a copy doubles the peak.
+        rows = [r if isinstance(r, (list, tuple)) else list(r) for r in rows]
         nrows = len(rows)
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
@@ -297,14 +299,6 @@ class SolutionModule:
         )
         return cls(modulus, ambient_rank, gen)
 
-    @classmethod
-    def zero(cls, modulus, ambient_rank):
-        return cls.from_rows(modulus, ambient_rank, [])
-
-    @classmethod
-    def full(cls, modulus, ambient_rank):
-        return cls(modulus, ambient_rank, ResidueMatrix.identity(modulus, ambient_rank))
-
     def contains(self, vec):
         if len(vec) != self.ambient_rank:
             raise ValueError("vector length does not match ambient rank")
@@ -398,30 +392,32 @@ def _dedupe_rows(rows):
     return [list(r) for r in dict.fromkeys(tuple(r) for r in rows)]
 
 
+def _howell_kernel(rows, ncols, n):
+    """Howell form H of the deduplicated ``rows``, the Howell form HH of
+    [H^T | I] built on the first ``ncols`` columns of H, and the right kernel
+    of those columns.
+
+    The kernel is read off the rows of HH whose leading column lies in the
+    identity block; those tails are already canonical.
+    """
+    h = _howell(_dedupe_rows(rows), n)
+    nrows = len(h)
+    aug = [
+        [h[i][j] for i in range(nrows)] + [1 if k == j else 0 for k in range(ncols)]
+        for j in range(ncols)
+    ]
+    hh = _howell(aug, n)
+    kernel = [r[nrows:] for r in hh if not any(r[:nrows])]
+    return h, hh, SolutionModule.from_rows(n, ncols, kernel)
+
+
 def solve_homogeneous(matrix):
     """The solution module {x : matrix @ x = 0 (mod m)}.
 
-    The equations are first deduplicated and compressed to their Howell form H
-    (the kernel only depends on the row span), then the right kernel is read
-    off the rows of the full Howell form of [H^T | I] whose leading column
-    lies in the identity block.  Those tails are already canonical.
+    The equations are first deduplicated and compressed to their Howell form
+    (the kernel only depends on the row span); see ``_howell_kernel``.
     """
-    n = matrix.modulus
-    ncols = matrix.cols
-    if ncols == 0:
-        return SolutionModule.zero(n, 0)
-    h = _howell(_dedupe_rows(matrix.to_rows()), n)
-    if not h:
-        return SolutionModule.full(n, ncols)
-    nrows = len(h)
-    aug = []
-    for j in range(ncols):
-        row = [h[i][j] for i in range(nrows)] + [0] * ncols
-        row[nrows + j] = 1
-        aug.append(row)
-    hh = _howell(aug, n)
-    kernel = [r[nrows:] for r in hh if not any(r[:nrows])]
-    return SolutionModule.from_rows(n, ncols, kernel)
+    return _howell_kernel(matrix.to_rows(), matrix.cols, matrix.modulus)[2]
 
 
 def solve_affine(matrix, rhs):
@@ -433,26 +429,10 @@ def solve_affine(matrix, rhs):
     n = matrix.modulus
     if len(rhs) != matrix.rows:
         raise ValueError("right-hand side length does not match row count")
-    rhs = [v % n for v in rhs]
     ncols = matrix.cols
-    if ncols == 0:
-        part = () if not any(rhs) else None
-        return part, SolutionModule.zero(n, 0)
-    rows_ab = _dedupe_rows(
-        [list(r) + [b] for r, b in zip(matrix.to_rows(), rhs)]
-    )
-    hab = _howell(rows_ab, n)
-    if not hab:
-        return (0,) * ncols, SolutionModule.full(n, ncols)
+    rows_ab = [list(r) + [b % n] for r, b in zip(matrix.to_rows(), rhs)]
+    hab, hh, module = _howell_kernel(rows_ab, ncols, n)
     nrows = len(hab)
-    aug = []
-    for j in range(ncols):
-        row = [hab[i][j] for i in range(nrows)] + [0] * ncols
-        row[nrows + j] = 1
-        aug.append(row)
-    hh = _howell(aug, n)
-    kernel = [r[nrows:] for r in hh if not any(r[:nrows])]
-    module = SolutionModule.from_rows(n, ncols, kernel)
     target = [hab[i][ncols] for i in range(nrows)] + [0] * ncols
     res = _reduce_greedy(hh, target, n)
     if any(res[:nrows]):

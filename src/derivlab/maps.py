@@ -20,8 +20,7 @@ from .rings import (
     Bimodule,
     RingDescriptor,
     RingElement,
-    act_left,
-    act_right,
+    act,
     bimodule_rank,
     matrix_ring,
     ring_rank,
@@ -122,33 +121,34 @@ def compose(f, g):
     return AdditiveMap(g.domain, f.codomain, mat_mul(f.matrix, g.matrix))
 
 
-def inner_derivation(codomain, m_coords):
-    """The derivation a |-> a.m - m.a for a fixed module element m."""
+def _map_from_columns(codomain, column):
+    """The map whose image of the j-th ring basis element is
+    column(codomain, basis_j)."""
     codomain = as_bimodule(codomain)
     ring = codomain.ring
-    n = ring.m
-    cols = []
-    for j in range(ring_rank(ring)):
-        basis = tuple(1 if k == j else 0 for k in range(ring_rank(ring)))
-        am = act_left(codomain, basis, m_coords)
-        ma = act_right(codomain, m_coords, basis)
-        cols.append(tuple((x - y) % n for x, y in zip(am, ma)))
-    rows = [[col[t] for col in cols] for t in range(bimodule_rank(codomain))]
-    return AdditiveMap(ring, codomain, ResidueMatrix.from_rows(n, rows) if rows else ResidueMatrix.zeros(n, 0, 0))
+    rank = ring_rank(ring)
+    cols = [
+        column(codomain, tuple(1 if k == j else 0 for k in range(rank)))
+        for j in range(rank)
+    ]
+    return AdditiveMap(ring, codomain, ResidueMatrix.from_rows(ring.m, zip(*cols)))
+
+
+def inner_derivation(codomain, m_coords):
+    """The derivation a |-> a.m - m.a for a fixed module element m."""
+
+    def column(bim, a):
+        am = act(bim, "L", a, m_coords)
+        ma = act(bim, "R", a, m_coords)
+        return tuple((x - y) % bim.ring.m for x, y in zip(am, ma))
+
+    return _map_from_columns(codomain, column)
 
 
 def right_multiplier(codomain, c_coords):
     """The map a |-> a.c; for central c this satisfies the zero-product
     hypothesis, and for any c it is a generalized derivation."""
-    codomain = as_bimodule(codomain)
-    ring = codomain.ring
-    n = ring.m
-    cols = []
-    for j in range(ring_rank(ring)):
-        basis = tuple(1 if k == j else 0 for k in range(ring_rank(ring)))
-        cols.append(act_left(codomain, basis, c_coords))
-    rows = [[col[t] for col in cols] for t in range(bimodule_rank(codomain))]
-    return AdditiveMap(ring, codomain, ResidueMatrix.from_rows(n, rows) if rows else ResidueMatrix.zeros(n, 0, 0))
+    return _map_from_columns(codomain, lambda bim, a: act(bim, "L", a, c_coords))
 
 
 def lift_map(d, n):

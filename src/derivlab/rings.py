@@ -533,80 +533,38 @@ def bimodule_tables(bim):
     return _BimoduleTables(rank, st.m, left, right)
 
 
-def left_action_matrix(bim, ring_coords):
-    """Matrix of m |-> a.m for the ring element with coordinates ring_coords."""
+def action_matrix(bim, side, ring_coords):
+    """Matrix of m |-> a.m (side "L") or m |-> m.a (side "R") for the ring
+    element a with coordinates ring_coords."""
     tb = bimodule_tables(bim)
     n = tb.m
     out = _zero_mat(tb.rank)
-    for i, c in enumerate(ring_coords):
+    for c, table in zip(ring_coords, tb.left if side == "L" else tb.right):
         if not c:
             continue
-        li = tb.left[i]
-        for t in range(tb.rank):
-            row = li[t]
-            ot = out[t]
-            for j in range(tb.rank):
-                if row[j]:
-                    ot[j] = (ot[j] + c * row[j]) % n
+        for ot, row in zip(out, table):
+            for j, w in enumerate(row):
+                if w:
+                    ot[j] = (ot[j] + c * w) % n
     return out
 
 
-def right_action_matrix(bim, ring_coords):
-    tb = bimodule_tables(bim)
-    n = tb.m
-    out = _zero_mat(tb.rank)
-    for i, c in enumerate(ring_coords):
-        if not c:
-            continue
-        ri = tb.right[i]
-        for t in range(tb.rank):
-            row = ri[t]
-            ot = out[t]
-            for j in range(tb.rank):
-                if row[j]:
-                    ot[j] = (ot[j] + c * row[j]) % n
-    return out
-
-
-def act_left(bim, ring_coords, vec):
-    """a.m with a given by ring coordinates and m by module coordinates."""
-    tb = bimodule_tables(bim)
-    n = tb.m
-    out = [0] * tb.rank
-    for i, c in enumerate(ring_coords):
-        if not c:
-            continue
-        li = tb.left[i]
-        for t in range(tb.rank):
-            row = li[t]
-            s = sum(row[j] * vec[j] for j in range(tb.rank) if row[j])
-            if s:
-                out[t] = (out[t] + c * s) % n
-    return tuple(out)
-
-
-def act_right(bim, vec, ring_coords):
-    tb = bimodule_tables(bim)
-    n = tb.m
-    out = [0] * tb.rank
-    for i, c in enumerate(ring_coords):
-        if not c:
-            continue
-        ri = tb.right[i]
-        for t in range(tb.rank):
-            row = ri[t]
-            s = sum(row[j] * vec[j] for j in range(tb.rank) if row[j])
-            if s:
-                out[t] = (out[t] + c * s) % n
-    return tuple(out)
+def act(bim, side, ring_coords, vec):
+    """a.m (side "L") or m.a (side "R"), with a given by ring coordinates and
+    m by module coordinates."""
+    n = bim.ring.m
+    return tuple(
+        sum(w * v for w, v in zip(row, vec) if w) % n
+        for row in action_matrix(bim, side, ring_coords)
+    )
 
 
 def is_unital(bim):
     """True when the ring identity acts as the identity on both sides."""
-    tb = bimodule_tables(bim)
+    rank = bimodule_rank(bim)
     one = structure(bim.ring).one
-    eye = [[1 if i == j else 0 for j in range(tb.rank)] for i in range(tb.rank)]
-    return left_action_matrix(bim, one) == eye and right_action_matrix(bim, one) == eye
+    eye = [[1 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    return action_matrix(bim, "L", one) == eye and action_matrix(bim, "R", one) == eye
 
 
 @dataclass(frozen=True)
@@ -623,9 +581,9 @@ class PeirceComponents:
 def peirce_split(bim, vec):
     n = bim.ring.m
     one = structure(bim.ring).one
-    lx = act_left(bim, one, vec)
-    xr = act_right(bim, vec, one)
-    lxr = act_right(bim, lx, one)
+    lx = act(bim, "L", one, vec)
+    xr = act(bim, "R", one, vec)
+    lxr = act(bim, "R", one, lx)
     m1 = lxr
     m2 = tuple((a - b) % n for a, b in zip(lx, lxr))
     m3 = tuple((a - b) % n for a, b in zip(xr, lxr))
@@ -689,7 +647,7 @@ def annihilator_kernels(desc, condition):
     out = []
     for elt in all_elements(desc):
         a = elt.coords
-        ops = {"L": left_action_matrix(bim, a), "R": right_action_matrix(bim, a)}
+        ops = {side: action_matrix(bim, side, a) for side in ("L", "R")}
         rows = []
         for block in blocks:
             for parts in zip(*(ops[name] for name in block)):
@@ -698,6 +656,7 @@ def annihilator_kernels(desc, condition):
     return out
 
 
+@lru_cache(maxsize=None)
 def _structured_schemas(desc):
     """The nine pair schemas built from E = E11 and F = 1 - E11 whose two-sided
     products vanish identically; A and B range over the module basis.
@@ -741,7 +700,7 @@ def _structured_schemas(desc):
     for x, y in pairs:
         if x * y != zero or y * x != zero:
             raise AssertionError("structured schema produced a non-zero product")
-    return [(x.coords, y.coords) for x, y in pairs]
+    return tuple((x.coords, y.coords) for x, y in pairs)
 
 
 def _condition_pairs(desc, mode, condition):

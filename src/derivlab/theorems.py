@@ -4,14 +4,19 @@ Each procedure computes full solution modules, compares them as canonical
 Howell forms, exercises the constructive decompositions on every generator,
 and spot-checks sampled module elements by membership.  Generator-level
 verification is complete for the module-identity conclusions because every
-conclusion checked here is linear in the map; sampling just adds an
-independent dual route.
+conclusion checked here is linear in the map; sampling spot-checks the same
+containments, and the decompositions and proof steps, on members that are not
+generators.  Solution modules come from the per-process memo of
+``identities.solve_counted``, which ``check`` reads as well, so no system is
+assembled twice.
 
 Reports are deterministic: identical inputs produce identical JSON except for
 the elapsed-milliseconds field.  Falsification is a first-class outcome - a
 failed module identity or decomposition surfaces as status "falsified" with a
 serialized witness, and the test suite drives that path on purpose with a
-corrupted identity table so it cannot rot.
+corrupted identity table so it cannot rot.  Only guards (``GuardError``,
+``EvenModulusError``) give "skipped"; any other exception gives "error" with
+its type and message, so a bug never passes for a skip.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from dataclasses import dataclass, field
 from .errors import EvenModulusError, GuardError, InternalVerificationError
 from .identities import (
     check,
-    constraint_system,
     decompose_inner_plus_lifted,
     decompose_theorem21,
     decompose_trivial_extension,
@@ -32,9 +36,10 @@ from .identities import (
     peirce_component_check,
     right_multiplier_module,
     solve_all,
+    solve_counted,
     verify_proof_steps,
 )
-from .linalg import module_equal, solve_homogeneous
+from .linalg import module_equal
 from .maps import AdditiveMap, right_multiplier
 from .rings import (
     Bimodule,
@@ -68,7 +73,7 @@ _MODE_COMPARE_SIZE = 128
 class TheoremReport:
     theorem_id: str
     ring: object
-    status: str  # verified | falsified | skipped
+    status: str  # verified | falsified | skipped | error
     counts: dict = field(default_factory=dict)
     counterexample: dict | None = None
     reason: str | None = None
@@ -106,27 +111,27 @@ def _witness_from_check(fmap, kind, pair_mode="structured"):
     return payload
 
 
-def _module_mismatch(s1, s2, name1, name2, ring, codomain, kind1, kind2, pair_mode):
-    """Locate a generator witnessing that two map-space modules differ."""
-    for gen in maps_from_module(s1, ring, codomain):
-        if not s2.contains(gen.to_flat()):
-            detail = _witness_from_check(gen, kind2, pair_mode)
-            detail["found_in"] = name1
-            detail["missing_from"] = name2
+def _containment_witness(sub, sup, sub_name, sup_name, ring, codomain, sup_kind,
+                         pair_mode):
+    """Witness detail for the first generator of ``sub`` outside ``sup``,
+    checked against the identity that defines ``sup``; None when sub is
+    contained in sup."""
+    for gen in maps_from_module(sub, ring, codomain):
+        if not sup.contains(gen.to_flat()):
+            detail = _witness_from_check(gen, sup_kind, pair_mode)
+            detail["found_in"] = sub_name
+            detail["missing_from"] = sup_name
             return detail
-    for gen in maps_from_module(s2, ring, codomain):
-        if not s1.contains(gen.to_flat()):
-            detail = _witness_from_check(gen, kind1, pair_mode)
-            detail["found_in"] = name2
-            detail["missing_from"] = name1
-            return detail
-    return {"found_in": name1, "missing_from": name2}
+    return None
 
 
 def _require_equal(s1, s2, name1, name2, ring, codomain, kind1, kind2, pair_mode="structured"):
+    """Raise with a generator witnessing that two map-space modules differ."""
     if not module_equal(s1, s2):
         raise _Falsified(
-            _module_mismatch(s1, s2, name1, name2, ring, codomain, kind1, kind2, pair_mode)
+            _containment_witness(s1, s2, name1, name2, ring, codomain, kind2, pair_mode)
+            or _containment_witness(s2, s1, name2, name1, ring, codomain, kind1, pair_mode)
+            or {"found_in": name1, "missing_from": name2}
         )
 
 
@@ -143,7 +148,8 @@ def verify_theorem(theorem_id, ring, *, pair_mode="structured", seed=0,
     """Run one verification procedure and return its report.
 
     Guard violations (wrong ring shape, even modulus, pair budget) surface as
-    status "skipped" with the reason attached, never silently.
+    status "skipped" with the reason attached, never silently; any other
+    exception surfaces as status "error".
     """
     if theorem_id not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
@@ -164,9 +170,12 @@ def verify_theorem(theorem_id, ring, *, pair_mode="structured", seed=0,
             "error": str(exc),
             "payload": payload.to_json() if hasattr(payload, "to_json") else repr(payload),
         }
-    except (EvenModulusError, GuardError, ValueError) as exc:
+    except (EvenModulusError, GuardError) as exc:
         report.status = "skipped"
         report.reason = str(exc)
+    except Exception as exc:  # a bug or a broken precondition, never a skip
+        report.status = "error"
+        report.reason = f"{type(exc).__name__}: {exc}"
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report
 
@@ -196,12 +205,7 @@ def _dispatch(theorem_id, ring, report, pair_mode, rng, sample,
 
 def _need_matrix(ring):
     if ring.kind != "matrix":
-        raise ValueError("this verification needs a matrix ring (use --n)")
-
-
-def _solve_counted(kind, ring, pair_mode):
-    system = constraint_system(kind, ring, pair_mode=pair_mode)
-    return solve_homogeneous(system.matrix), system.pair_count
+        raise GuardError("this verification needs a matrix ring (use --n)")
 
 
 def _compare_pair_modes(kind, ring, requested_mode, compare_modes):
@@ -213,10 +217,10 @@ def _compare_pair_modes(kind, ring, requested_mode, compare_modes):
     if compare_modes is None:
         compare_modes = ring_size(ring) <= _MODE_COMPARE_SIZE
     if not compare_modes:
-        module, pairs = _solve_counted(kind, ring, requested_mode)
+        module, pairs = solve_counted(kind, ring, pair_mode=requested_mode)
         return None, module, pairs
-    structured, st_pairs = _solve_counted(kind, ring, "structured")
-    exhaustive, ex_pairs = _solve_counted(kind, ring, "exhaustive")
+    structured, st_pairs = solve_counted(kind, ring, pair_mode="structured")
+    exhaustive, ex_pairs = solve_counted(kind, ring, pair_mode="exhaustive")
     requested, pairs = (
         (structured, st_pairs) if requested_mode == "structured" else (exhaustive, ex_pairs)
     )
@@ -314,34 +318,28 @@ def _verify_nonunital_components(ring, report, *, inflation_rank, **_):
                    ring, bim, "jordan", "derivation")
 
 
-def _verify_jordan_is_derivation(ring, report, *, rng, sample, **_):
+def _verify_collapse(ring, report, kind, target, rng, sample):
+    """The maps satisfying ``kind`` are exactly those satisfying ``target``."""
     _need_matrix(ring)
-    jordan = solve_all("jordan", ring)
-    deriv = solve_all("derivation", ring)
+    source = solve_all(kind, ring)
+    dest = solve_all(target, ring)
     samples = min(sample, DEFAULT_SAMPLE)
     report.counts = {
-        "jordan_module_size": jordan.size(),
-        "derivation_module_size": deriv.size(),
+        f"{kind}_module_size": source.size(),
+        f"{target}_module_size": dest.size(),
         "membership_samples": samples,
     }
-    _require_equal(jordan, deriv, "jordan_maps", "derivations",
-                   ring, ring, "jordan", "derivation")
-    _sample_membership(jordan, deriv, rng, samples, "jordan_maps")
+    _require_equal(source, dest, f"{kind}_maps", f"{target}s", ring, ring, kind, target)
+    _sample_membership(source, dest, rng, samples, f"{kind}_maps")
+
+
+def _verify_jordan_is_derivation(ring, report, *, rng, sample, **_):
+    _verify_collapse(ring, report, "jordan", "derivation", rng, sample)
 
 
 def _verify_generalized_jordan(ring, report, *, rng, sample, **_):
-    _need_matrix(ring)
-    gj = solve_all("generalized_jordan", ring)
-    gd = solve_all("generalized_derivation", ring)
-    samples = min(sample, DEFAULT_SAMPLE)
-    report.counts = {
-        "generalized_jordan_module_size": gj.size(),
-        "generalized_derivation_module_size": gd.size(),
-        "membership_samples": samples,
-    }
-    _require_equal(gj, gd, "generalized_jordan_maps", "generalized_derivations",
-                   ring, ring, "generalized_jordan", "generalized_derivation")
-    _sample_membership(gj, gd, rng, samples, "generalized_jordan_maps")
+    _verify_collapse(ring, report, "generalized_jordan", "generalized_derivation",
+                     rng, sample)
 
 
 def _verify_one_sided_multiplier(ring, report, **_):
@@ -361,7 +359,7 @@ def _verify_one_sided_multiplier(ring, report, **_):
 def _verify_extension_jordan(ring, report, *, rng, sample, **_):
     ext = ring if ring.kind == "trivial_ext" else trivial_extension(ring)
     if ext.base.kind != "matrix":
-        raise ValueError("the extension verification wraps a matrix ring")
+        raise GuardError("the extension verification wraps a matrix ring")
     jordan = solve_all("jordan", ext)
     deriv = solve_all("derivation", ext)
     samples = min(sample, DEFAULT_SAMPLE)
@@ -422,12 +420,10 @@ def _verify_hypothesis_weakenings(ring, report, *, pair_mode, **_):
         ("anticommuting_maps", anti),
         ("one_sided_zero_maps", onesided),
     ):
-        for gen in maps_from_module(module, ring, ring):
-            if not star.contains(gen.to_flat()):
-                detail = _witness_from_check(gen, "star", pair_mode)
-                detail["found_in"] = name
-                detail["missing_from"] = "zero_product_maps"
-                raise _Falsified(detail)
+        detail = _containment_witness(module, star, name, "zero_product_maps",
+                                      ring, ring, "star", pair_mode)
+        if detail:
+            raise _Falsified(detail)
 
 
 def run_all(ring, theorem_ids=THEOREM_IDS, **options):
@@ -435,5 +431,5 @@ def run_all(ring, theorem_ids=THEOREM_IDS, **options):
 
 
 def exit_status(reports):
-    """CLI exit code: 1 when anything falsified, else 0."""
-    return 1 if any(r.status == "falsified" for r in reports) else 0
+    """CLI exit code: 1 when anything falsified or errored, else 0."""
+    return 1 if any(r.status in ("falsified", "error") for r in reports) else 0

@@ -2,8 +2,9 @@
 
 Nothing here goes through the package's Howell machinery or structure-constant
 multiplication: spans are enumerated by closure, matrix products are computed
-entry by entry on explicit 2 x 2 representations, and echelon forms over prime
-fields use a textbook RREF.  These routes stay deliberately separate from the
+entry by entry on explicit 2 x 2 representations (identities are evaluated on
+them pair by pair, term by term), and echelon forms over prime fields use a
+textbook RREF.  These routes stay deliberately separate from the
 code paths they check.
 """
 
@@ -208,3 +209,46 @@ def scan_pairs_mat2(m, condition):
             if keep(mat2_mul(am, bm, m), mat2_mul(bm, am, m), m):
                 found.append((xa, xb))
     return found
+
+
+# ---------------------------------------------------------------------------
+# Direct per-pair evaluation of an identity on M2(Z/m)
+# ---------------------------------------------------------------------------
+
+def identity_residual_mat2(terms, flat, m, extra, a, b):
+    """Residual of an identity on the pair (a, b) of M2(Z/m) coordinate
+    tuples, for the map whose row-major matrix is `flat`.
+
+    The codomain is M2(Z/m) plus a summand (Z/m)^extra on which the ring acts
+    as zero from both sides (extra = 0 is the ring acting on itself); its
+    coordinates are the four matrix cells, then the summand.  A term
+    (coef, left, arg, right) adds coef * left.D(arg).right.
+    """
+    am, bm = coords_to_mat2(a, m), coords_to_mat2(b, m)
+    ab, ba = mat2_mul(am, bm, m), mat2_mul(bm, am, m)
+    args = {"a": am, "b": bm, "one": [[1, 0], [0, 1]], "ab": ab, "ba": ba,
+            "ab+ba": _mat2_add(ab, ba, m)}
+    sides = {"a": am, "b": bm}
+    acc = [0] * (4 + extra)
+    for coef, left, arg, right in terms:
+        x = mat2_to_coords(args[arg], m)
+        image = [sum(flat[u * 4 + v] * x[v] for v in range(4)) % m for u in range(4 + extra)]
+        if left is not None or right is not None:
+            cell = coords_to_mat2(image, m)
+            if left is not None:
+                cell = mat2_mul(sides[left], cell, m)
+            if right is not None:
+                cell = mat2_mul(cell, sides[right], m)
+            image = list(mat2_to_coords(cell, m)) + [0] * extra
+        acc = [(s + coef * v) % m for s, v in zip(acc, image)]
+    return tuple(acc)
+
+
+def first_failing_pair_mat2(terms, flat, m, extra, pairs):
+    """(a, b, residual) for the first pair in `pairs` on which the identity
+    does not vanish, or None when it vanishes on all of them."""
+    for a, b in pairs:
+        res = identity_residual_mat2(terms, flat, m, extra, a, b)
+        if any(res):
+            return a, b, res
+    return None

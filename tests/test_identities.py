@@ -1,9 +1,11 @@
+import functools
 import random
 
 import pytest
 
 from derivlab.errors import EvenModulusError, PreconditionError
 from derivlab.identities import (
+    IDENTITY_KINDS,
     IDENTITY_TERMS,
     IdentitySpec,
     _constraint_rows,
@@ -32,9 +34,17 @@ from derivlab.rings import (
     matrix_unit,
     one_element,
     trivial_extension,
+    zero_product_pairs,
     zmod,
 )
-from oracles import coords_to_mat2, mat2_mul, mat2_to_coords, scan_pairs_mat2
+from derivlab.theorems import verify_theorem
+from oracles import (
+    coords_to_mat2,
+    first_failing_pair_mat2,
+    mat2_mul,
+    mat2_to_coords,
+    scan_pairs_mat2,
+)
 
 M2Z3 = matrix_ring(2, zmod(3))
 REG = Bimodule.regular(M2Z3)
@@ -105,33 +115,75 @@ def test_right_multiplier_passes_generalized_but_not_plain():
         assert check(rmap, "generalized_derivation").passed
 
 
+CONDITIONAL_KINDS = ("star", "star_star", "remark_antizero", "remark_abzero")
+BASIS_PAIRS = [
+    (tuple(int(k == i) for k in range(4)), tuple(int(k == j) for k in range(4)))
+    for i in range(4)
+    for j in range(4)
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_pairs(kind, mode):
+    """The pairs the oracle evaluates, in the order check must report them:
+    basis pairs, the structured schema family, or the full scan."""
+    quantifier = IDENTITY_TERMS[kind].quantifier
+    if quantifier == "basis_pairs":
+        return BASIS_PAIRS
+    if mode == "structured":
+        return [(a.coords, b.coords) for a, b in zero_product_pairs(M2Z3, "structured")]
+    return scan_pairs_mat2(3, quantifier)
+
+
+def _assert_check_matches_oracle(kind, mode, extra, flat):
+    bim = REG if extra == 0 else Bimodule.inflated(REG, extra)
+    report = check(AdditiveMap.from_flat(M2Z3, bim, flat), kind, pair_mode=mode)
+    expected = first_failing_pair_mat2(
+        IDENTITY_TERMS[kind].terms, flat, 3, extra, _oracle_pairs(kind, mode)
+    )
+    if expected is None:
+        assert report.passed, (kind, mode, extra, flat)
+    else:
+        w = report.witness
+        assert not report.passed, (kind, mode, extra, flat)
+        assert (w.a.coords, w.b.coords, w.residual) == expected, (kind, mode, extra)
+
+
 def test_check_matches_constraint_membership():
-    # the direct evaluation route and the assembled-system route agree
+    # membership in the module solved from the kernel generators gives the
+    # verdict the oracle reaches by evaluating every pair of the full scan
     rng = random.Random(0)
     star = solve_all("star", M2Z3, pair_mode="exhaustive")
-    for _ in range(25):
-        flat = tuple(rng.randrange(3) for _ in range(16))
-        fmap = AdditiveMap.from_flat(M2Z3, REG, flat)
-        in_module = star.contains(flat)
-        passed = check(fmap, "star", pair_mode="exhaustive").passed
-        assert in_module == passed
-
-
-@pytest.mark.parametrize(
-    "kind", ["derivation", "jordan", "generalized_derivation", "generalized_jordan", "phi"]
-)
-def test_check_and_solve_agree_on_random_maps(kind):
-    # two independent routes through the same identity: per-pair evaluation
-    # versus membership in the solved module, on random maps plus random
-    # members (members hit the passing side, random maps mostly the failing)
-    rng = random.Random(hash(kind) & 0xFFFF)
-    module = solve_all(kind, M2Z3)
-    width = 16
-    samples = [tuple(rng.randrange(3) for _ in range(width)) for _ in range(15)]
-    samples += [module.random_element(rng) for _ in range(10)]
+    scan = scan_pairs_mat2(3, "two_sided_zero")
+    samples = [tuple(rng.randrange(3) for _ in range(16)) for _ in range(25)]
+    samples += [star.random_element(rng) for _ in range(5)]
     for flat in samples:
-        fmap = AdditiveMap.from_flat(M2Z3, REG, flat)
-        assert module.contains(flat) == check(fmap, kind).passed
+        oracle = first_failing_pair_mat2(IDENTITY_TERMS["star"].terms, flat, 3, 0, scan)
+        assert star.contains(flat) == (oracle is None)
+        _assert_check_matches_oracle("star", "exhaustive", 0, flat)
+
+
+@pytest.mark.parametrize("kind", IDENTITY_KINDS)
+def test_check_and_solve_agree_on_random_maps(kind):
+    # check against the oracle's direct per-pair evaluation: verdict and
+    # first witness (a, b, residual), in every pair mode, into the ring and
+    # into an inflated codomain.  Random maps mostly fail early; members of
+    # the solved module pass; members with one entry bumped fail anywhere.
+    rng = random.Random(hash(kind) & 0xFFFF)
+    modes = ("structured", "exhaustive") if kind in CONDITIONAL_KINDS else ("structured",)
+    for mode in modes:
+        for extra in (0, 4):
+            bim = REG if extra == 0 else Bimodule.inflated(REG, extra)
+            module = solve_all(kind, M2Z3, bimodule=bim, pair_mode=mode)
+            width = 4 * (4 + extra)
+            samples = [tuple(rng.randrange(3) for _ in range(width)) for _ in range(6)]
+            samples += [module.random_element(rng) for _ in range(4)]
+            for _ in range(6):
+                bumped = list(module.random_element(rng))
+                bumped[rng.randrange(width)] += 1
+                samples.append(tuple(v % 3 for v in bumped))
+            for flat in samples:
+                _assert_check_matches_oracle(kind, mode, extra, flat)
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +279,6 @@ def test_structured_and_exhaustive_agree_on_small_ring():
         st_mod = solve_all(kind, M2Z3, pair_mode="structured")
         ex_mod = solve_all(kind, M2Z3, pair_mode="exhaustive")
         assert module_equal(st_mod, ex_mod)
-
-
-CONDITIONAL_KINDS = ("star", "star_star", "remark_antizero", "remark_abzero")
 
 
 def _solve_from_pairs(kind, ring, coord_pairs):
@@ -494,3 +543,47 @@ def test_sign_flipped_jordan_identity_rejects_inner_derivations(monkeypatch):
     report = check(inner, "jordan")
     assert not report.passed
     assert report.witness is not None and any(report.witness.residual)
+
+
+def test_memo_is_keyed_on_identity_terms_not_tag(monkeypatch):
+    # the genuine Jordan module is solved and memoised first; the flipped
+    # table entry under the same tag must get its own module
+    inner = inner_derivation(REG, matrix_unit(M2Z3, 1, 2).coords)
+    assert check(inner, "jordan").passed
+    assert verify_theorem("thm3_2i", M2Z3).status == "verified"
+    spec = IDENTITY_TERMS["jordan"]
+    flipped = spec.terms[:-1] + ((1, "b", "a", None),)
+    monkeypatch.setitem(
+        IDENTITY_TERMS, "jordan", IdentitySpec("jordan", flipped, "basis_pairs")
+    )
+    report = check(inner, "jordan")
+    assert not report.passed and any(report.witness.residual)
+    w = report.witness
+    expected = first_failing_pair_mat2(flipped, inner.to_flat(), 3, 0, BASIS_PAIRS)
+    assert (w.a.coords, w.b.coords, w.residual) == expected
+    assert verify_theorem("thm3_2i", M2Z3).status == "falsified"
+
+
+@pytest.mark.parametrize("kind", CONDITIONAL_KINDS)
+def test_exhaustive_witness_is_first_failing_pair_in_scan_order(kind):
+    # a = 0 and the other early elements annihilate everything, so the first
+    # failure sits deep in the enumeration; the witness must be the oracle's
+    # first failing pair of the full index-order scan
+    scan = scan_pairs_mat2(3, IDENTITY_TERMS[kind].quantifier)
+    maps = [right_multiplier(REG, (0, 1, 0, 0)), right_multiplier(REG, (1, 0, 0, 2))]
+    maps.append(AdditiveMap.from_flat(M2Z3, REG, tuple([1] + [0] * 14 + [2])))
+    rng = random.Random(4)
+    maps.append(AdditiveMap.from_flat(M2Z3, REG, tuple(rng.randrange(3) for _ in range(16))))
+    failing = 0
+    for fmap in maps:
+        expected = first_failing_pair_mat2(
+            IDENTITY_TERMS[kind].terms, fmap.to_flat(), 3, 0, scan
+        )
+        report = check(fmap, kind, pair_mode="exhaustive")
+        if expected is None:
+            assert report.passed
+            continue
+        failing += 1
+        w = report.witness
+        assert (w.a.coords, w.b.coords, w.residual) == expected
+    assert failing >= 1

@@ -12,8 +12,7 @@ from derivlab.rings import (
     Bimodule,
     RingDescriptor,
     RingElement,
-    act_left,
-    act_right,
+    act,
     all_elements,
     anti_commuting_pairs,
     basis_elements,
@@ -233,8 +232,8 @@ def test_regular_bimodule_actions_match_ring_mult():
     for _ in range(30):
         a = element_from_index(M2Z3, rng.randrange(81))
         x = element_from_index(M2Z3, rng.randrange(81))
-        assert act_left(bim, a.coords, x.coords) == (a * x).coords
-        assert act_right(bim, x.coords, a.coords) == (x * a).coords
+        assert act(bim, "L", a.coords, x.coords) == (a * x).coords
+        assert act(bim, "R", a.coords, x.coords) == (x * a).coords
 
 
 def test_matrix_over_regular_base_matches_regular():
@@ -245,8 +244,8 @@ def test_matrix_over_regular_base_matches_regular():
     for _ in range(20):
         a = element_from_index(M2D3, rng.randrange(ring_size(M2D3)))
         x = tuple(rng.randrange(3) for _ in range(8))
-        assert act_left(bim, a.coords, x) == act_left(reg, a.coords, x)
-        assert act_right(bim, x, a.coords) == act_right(reg, x, a.coords)
+        assert act(bim, "L", a.coords, x) == act(reg, "L", a.coords, x)
+        assert act(bim, "R", a.coords, x) == act(reg, "R", a.coords, x)
 
 
 def test_inflated_bimodule_zero_action():
@@ -256,8 +255,8 @@ def test_inflated_bimodule_zero_action():
     assert is_unital(Bimodule.regular(M2Z3))
     v = (0, 0, 0, 0, 1, 2, 0, 1)
     for a in basis_elements(M2Z3):
-        assert act_left(bim, a.coords, v) == (0,) * 8
-        assert act_right(bim, v, a.coords) == (0,) * 8
+        assert act(bim, "L", a.coords, v) == (0,) * 8
+        assert act(bim, "R", a.coords, v) == (0,) * 8
 
 
 def test_bimodule_json_round_trip():
@@ -305,15 +304,15 @@ def test_peirce_reconstruction_and_degeneracies(index):
     assert recomposed == x
     one = one_element(M2Z3).coords
     # component normalizations from the split definition
-    assert act_right(bim, act_left(bim, one, pc.m1), one) == pc.m1
-    assert act_left(bim, one, pc.m2) == pc.m2
-    assert act_right(bim, pc.m3, one) == pc.m3
+    assert act(bim, "R", one, act(bim, "L", one, pc.m1)) == pc.m1
+    assert act(bim, "L", one, pc.m2) == pc.m2
+    assert act(bim, "R", one, pc.m3) == pc.m3
     # degeneracies: m2.a = a.m3 = a.m4 = m4.a = 0 for every ring element a
     for a in basis_elements(M2Z3):
-        assert act_right(bim, pc.m2, a.coords) == (0,) * 8
-        assert act_left(bim, a.coords, pc.m3) == (0,) * 8
-        assert act_left(bim, a.coords, pc.m4) == (0,) * 8
-        assert act_right(bim, pc.m4, a.coords) == (0,) * 8
+        assert act(bim, "R", a.coords, pc.m2) == (0,) * 8
+        assert act(bim, "L", a.coords, pc.m3) == (0,) * 8
+        assert act(bim, "L", a.coords, pc.m4) == (0,) * 8
+        assert act(bim, "R", a.coords, pc.m4) == (0,) * 8
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from derivlab import theorems
+from derivlab.cli import run
 from derivlab.identities import IDENTITY_TERMS, IdentitySpec
 from derivlab.rings import dual_numbers, matrix_ring, trivial_extension, zmod
 from derivlab.theorems import (
@@ -53,6 +55,22 @@ def test_wrong_ring_shape_skips_with_reason():
     rep = verify_theorem("thm2_1", zmod(5))
     assert rep.status == "skipped"
     assert "matrix ring" in rep.reason
+    rep = verify_theorem("thm4_4", zmod(5))
+    assert rep.status == "skipped"
+    assert "wraps a matrix ring" in rep.reason
+
+
+def test_stray_exception_is_an_error_not_a_skip(monkeypatch, capsys):
+    def broken(ring, report, **_):
+        raise ValueError("stray bug")
+
+    monkeypatch.setattr(theorems, "_verify_jordan_is_derivation", broken)
+    rep = verify_theorem("thm3_2i", M2Z3)
+    assert rep.status == "error"
+    assert rep.reason == "ValueError: stray bug"
+    assert exit_status([rep]) == 1
+    assert run(["verify", "--theorem", "thm3_2i", "--base", "zmod:3", "--n", "2"]) == 1
+    assert "error (ValueError: stray bug)" in capsys.readouterr().out
 
 
 def test_extension_theorem_wraps_matrix_ring():
