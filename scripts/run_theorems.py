@@ -2,9 +2,10 @@
 """Run the whole verification battery over the standard desk rings.
 
 Usage:
-    python scripts/run_theorems.py [--json out.json] [--pairs exhaustive]
+    python scripts/run_theorems.py [--json out.json] [--pairs exhaustive] [--sample N]
 
-Prints one line per (ring, result) pair and exits 1 if anything is falsified.
+Prints one line per (ring, result) pair and exits 1 if anything is falsified or
+errors.
 """
 
 from __future__ import annotations

@@ -108,8 +108,6 @@ def build_parser():
                           help="membership spot-check sample size")
     p_verify.add_argument("--inflation-rank", type=int, default=0,
                           help="zero-action summand rank for the non-unital check")
-    p_verify.add_argument("--compare-modes", action="store_true",
-                          help="force the structured/exhaustive comparison")
 
     p_solve = sub.add_parser("solve", help="solve for a full map space")
     _add_ring_flags(p_solve)
@@ -161,7 +159,6 @@ def _cmd_verify(args):
         seed=args.seed,
         sample=args.sample,
         inflation_rank=args.inflation_rank or None,
-        compare_modes=True if args.compare_modes else None,
     )
     if args.theorem == "all":
         reports = run_all(ring, **options)

@@ -2,31 +2,38 @@
 solution spaces, and the constructive decompositions that witness why the
 solution spaces collapse the way they do.
 
-Every supported identity is linear in the unknown map D (the correction terms
-built from D(1) included), so the maps satisfying it form a submodule of the
-flattened map-coordinate space.  Identities come in two quantification
-flavours:
+An identity is a table of terms (coef, left, arg, right), each standing for
+coef * left.D(arg).right.  ``left``, ``arg`` and ``right`` are words over the
+letters a, b, 1, e and f (or None for no factor); a word's value is the
+product of its letters, with e = E11 and f = 1 - E11 (matrix rings only).
+Every term is linear in the unknown map D, so the maps satisfying an identity
+form a submodule of the flattened map-coordinate space.  The quantifier says
+where the identity must vanish:
 
-  * unconditional kinds quantify over all ordered pairs of module basis
-    elements - enough, since every term is bilinear in the pair;
-  * conditional kinds quantify over concrete pair sets (two-sided zero
-    products, anticommuting pairs, or one-sided zero products), either taken
-    exhaustively or instantiated from the structured schema family.
+  * ``basis`` - every module basis element a (b does not occur);
+  * ``basis_pairs`` - every ordered pair of module basis elements, enough
+    since every term is bilinear in the pair;
+  * ``two_sided_zero``, ``anti_commuting``, ``left_zero`` - the conditional
+    pair sets (ab = ba = 0, ab + ba = 0, ab = 0), either taken exhaustively
+    or instantiated from the structured schema family.
 
-The identity term tables live in ``IDENTITY_TERMS`` keyed by tag.  There is
-one evaluation route: constraint assembly turns the terms of each quantified
-pair into a block of rows over the flattened unknowns, and the solution module
-of those rows is memoised per process, keyed by the identity's value (its
-terms, not its tag), the ring, the bimodule and the pair mode.  ``check`` is
-membership of the flattened map in that module; only a failing map walks the
-pairs again, to find the first pair whose row block does not annihilate it.
-The test suite plays this route against an independent per-pair evaluator
-(``tests/oracles.py``).
+The catalogue ``IDENTITY_TERMS`` holds the identities keyed by tag; the steps
+of the corner-peeling argument and the Peirce component checks are term
+tables of the same kind.  There is one evaluation route: constraint assembly
+turns the terms of each quantified pair into a block of rows over the
+flattened unknowns, and the solution module of those rows is memoised per
+process, keyed by the identity's value (its terms and quantifier, not its
+tag), the ring, the bimodule and the pair mode.  ``check`` is membership of
+the flattened map in that module; only a failing map walks the pairs again,
+to find the first pair whose row block does not annihilate it.  The test
+suite plays this route against independent evaluators on explicit 2 x 2
+matrices (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import GuardError, InternalVerificationError, PreconditionError
@@ -57,10 +64,10 @@ from .rings import (
 # ---------------------------------------------------------------------------
 # Identity catalogue
 # ---------------------------------------------------------------------------
-# A term (coef, left, arg, right) stands for coef * left.D(arg).right, with
-# left/right in {"a", "b", None} and arg in {"a", "b", "one", "ab", "ba",
-# "ab+ba"}.  An identity asserts that its term sum vanishes on every
-# quantified pair.
+# A term (coef, left, arg, right) stands for coef * left.D(arg).right; each of
+# left, arg and right is a word over {a, b, 1, e, f} (None: no factor) whose
+# value is the product of its letters.  An identity asserts that its term sum
+# vanishes on every quantified element or pair.
 
 _DERIVATION = (
     (1, None, "ab", None),
@@ -68,7 +75,8 @@ _DERIVATION = (
     (-1, "a", "b", None),
 )
 _JORDAN = (
-    (1, None, "ab+ba", None),
+    (1, None, "ab", None),
+    (1, None, "ba", None),
     (-1, None, "a", "b"),
     (-1, "a", "b", None),
     (-1, None, "b", "a"),
@@ -84,45 +92,56 @@ _STAR = (
 
 @dataclass(frozen=True)
 class IdentitySpec:
-    tag: str
+    tag: str = field(compare=False)  # a label; specs compare by value
     terms: tuple
-    quantifier: str  # basis_pairs | two_sided_zero | anti_commuting | left_zero
+    quantifier: str  # basis | basis_pairs | two_sided_zero | anti_commuting | left_zero
 
 
 IDENTITY_TERMS = {
     "derivation": IdentitySpec("derivation", _DERIVATION, "basis_pairs"),
     "generalized_derivation": IdentitySpec(
-        "generalized_derivation", _DERIVATION + ((1, "a", "one", "b"),), "basis_pairs"
+        "generalized_derivation", _DERIVATION + ((1, "a", "1", "b"),), "basis_pairs"
     ),
     "jordan": IdentitySpec("jordan", _JORDAN, "basis_pairs"),
     "generalized_jordan": IdentitySpec(
         "generalized_jordan",
-        _JORDAN + ((1, "a", "one", "b"), (1, "b", "one", "a")),
+        _JORDAN + ((1, "a", "1", "b"), (1, "b", "1", "a")),
         "basis_pairs",
     ),
     "star": IdentitySpec("star", _STAR, "two_sided_zero"),
     "star_star": IdentitySpec(
         "star_star",
-        _STAR + ((-1, "a", "one", "b"), (-1, "b", "one", "a")),
+        _STAR + ((-1, "a", "1", "b"), (-1, "b", "1", "a")),
         "two_sided_zero",
     ),
     "phi": IdentitySpec(
         "phi",
-        ((1, None, "ab+ba", None), (-1, "a", "b", None), (-1, None, "b", "a")),
+        (
+            (1, None, "ab", None),
+            (1, None, "ba", None),
+            (-1, "a", "b", None),
+            (-1, None, "b", "a"),
+        ),
         "basis_pairs",
     ),
     "remark_antizero": IdentitySpec("remark_antizero", _STAR, "anti_commuting"),
     # The hypothesis is one-sided (ab = 0 only); the companion ba = 0 is
     # deliberately not imposed.
     "remark_abzero": IdentitySpec(
-        "remark_abzero", _STAR + ((-1, None, "ab+ba", None),), "left_zero"
+        "remark_abzero",
+        _STAR + ((-1, None, "ab", None), (-1, None, "ba", None)),
+        "left_zero",
     ),
 }
 
 IDENTITY_KINDS = tuple(IDENTITY_TERMS)
+_UNCONDITIONAL = ("basis", "basis_pairs")
 
 
 def _spec_for(kind):
+    """The spec of a catalogue tag; an ``IdentitySpec`` stands for itself."""
+    if isinstance(kind, IdentitySpec):
+        return kind
     try:
         return IDENTITY_TERMS[kind]
     except KeyError:
@@ -130,6 +149,8 @@ def _spec_for(kind):
 
 
 def _pairs_for(spec, ring, pair_mode):
+    if spec.quantifier == "basis":
+        return [(a, None) for a in basis_elements(ring)]
     if spec.quantifier == "basis_pairs":
         basis = basis_elements(ring)
         return [(a, b) for a in basis for b in basis]
@@ -142,18 +163,34 @@ def _pairs_for(spec, ring, pair_mode):
     raise ValueError(f"unknown quantifier {spec.quantifier!r}")
 
 
-def _pair_values(ring, a, b):
-    m = ring.m
-    ab = mul_coords(ring, a.coords, b.coords)
-    ba = mul_coords(ring, b.coords, a.coords)
-    return {
-        "a": a.coords,
-        "b": b.coords,
-        "one": structure(ring).one,
-        "ab": ab,
-        "ba": ba,
-        "ab+ba": tuple((x + y) % m for x, y in zip(ab, ba)),
-    }
+@lru_cache(maxsize=None)
+def _constant_letters(ring):
+    letters = {"1": structure(ring).one}
+    if ring.kind == "matrix":
+        e = matrix_unit(ring, 1, 1)
+        letters["e"] = e.coords
+        letters["f"] = (one_element(ring) - e).coords
+    return letters
+
+
+def _word_values(ring, a, b):
+    """Evaluator of words on the pair (a, b) (b is None under the ``basis``
+    quantifier): a word's value is the product of its letters, memoised with
+    its prefixes."""
+    values = dict(_constant_letters(ring), a=a.coords)
+    if b is not None:
+        values["b"] = b.coords
+
+    def value(word):
+        if word not in values:
+            if len(word) == 1:
+                if word in "ef":
+                    raise GuardError("letters e and f (E11, 1 - E11) need a matrix ring")
+                raise ValueError(f"letter {word!r} has no value here")
+            values[word] = mul_coords(ring, value(word[:-1]), value(word[-1]))
+        return values[word]
+
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +200,13 @@ def _pair_values(ring, a, b):
 @dataclass(frozen=True)
 class Witness:
     a: RingElement
-    b: RingElement
+    b: RingElement | None  # None under the ``basis`` quantifier
     residual: tuple
 
     def to_json(self):
         return {
             "a": self.a.to_json(),
-            "b": self.b.to_json(),
+            "b": self.b.to_json() if self.b is not None else None,
             "residual": list(self.residual),
         }
 
@@ -187,19 +224,20 @@ class CheckReport:
 
 
 def check(fmap, kind, pair_mode="structured"):
-    """Test the map against the identity by membership of its flattened
-    matrix in the memoised solution module (see ``solve_counted``).
+    """Test the map against the identity (a catalogue tag or an
+    ``IdentitySpec``) by membership of its flattened matrix in the memoised
+    solution module (see ``solve_counted``).
 
-    A failing map gets a witness: the first required pair, in deterministic
-    order (basis-lexicographic, or the enumeration order of the conditional
-    pair set), whose constraint-row block does not annihilate the map; that
-    product is the residual of the identity on the pair.
+    A failing map gets a witness: the first required element or pair, in
+    deterministic order (basis order, basis-lexicographic, or the enumeration
+    order of the conditional pair set), whose constraint-row block does not
+    annihilate the map; that product is the residual of the identity there.
     """
     spec = _spec_for(kind)
     ring = fmap.domain
     bim = fmap.codomain
     flat = fmap.to_flat()
-    module, _ = solve_counted(kind, ring, bim, pair_mode)
+    module, _ = solve_counted(spec, ring, bim, pair_mode)
     if module.contains(flat):
         return CheckReport(True)
     m = ring.m
@@ -228,15 +266,15 @@ def _constraint_rows(spec, ring, bim, pairs):
     m = ring.m
     rows = []
     for a, b in pairs:
-        values = _pair_values(ring, a, b)
+        value = _word_values(ring, a, b)
         acts = {}
         for _, lft, _, rgt in spec.terms:
-            for side, name in (("L", lft), ("R", rgt)):
-                if name is not None and (side, name) not in acts:
-                    acts[side, name] = action_matrix(bim, side, values[name])
+            for side, word in (("L", lft), ("R", rgt)):
+                if word is not None and (side, word) not in acts:
+                    acts[side, word] = action_matrix(bim, side, value(word))
         block = [[0] * width for _ in range(rank_m)]
         for coef, lft, arg, rgt in spec.terms:
-            w = values[arg]
+            w = value(arg)
             if lft is None and rgt is None:
                 outer = None
             elif lft is None:
@@ -284,6 +322,7 @@ def constraint_system(kind, ring, bimodule=None, pair_mode="structured"):
     matching combination of the blocks of (a, g): these rows span the same
     constraints as the full pair set, and the solution module is identical.
     ``pair_count`` is still the size of the full set, the sum of |K_a|.
+    ``kind`` is a catalogue tag or an ``IdentitySpec``.
     """
     spec = _spec_for(kind)
     bim = as_bimodule(bimodule if bimodule is not None else ring)
@@ -291,7 +330,7 @@ def constraint_system(kind, ring, bimodule=None, pair_mode="structured"):
         raise ValueError("bimodule is not over the given ring")
     if ring_rank(ring) == 0:
         raise GuardError("degenerate rank-0 ring")
-    if pair_mode == "exhaustive" and spec.quantifier != "basis_pairs":
+    if pair_mode == "exhaustive" and spec.quantifier not in _UNCONDITIONAL:
         kernels = annihilator_kernels(ring, spec.quantifier)
         pair_count = sum(kernel.size() for _, kernel in kernels)
         pairs = [
@@ -308,29 +347,29 @@ def constraint_system(kind, ring, bimodule=None, pair_mode="structured"):
         if rows
         else ResidueMatrix.zeros(ring.m, 0, width)
     )
-    return ConstraintSystem(kind, ring, bim, pair_mode, mat, pair_count)
+    return ConstraintSystem(spec.tag, ring, bim, pair_mode, mat, pair_count)
 
 
 def solve_counted(kind, ring, bimodule=None, pair_mode="structured"):
     """(module, pair_count): the canonical module of all maps (as flattened
     matrices) satisfying the identity kind, and the size of its pair set.
 
-    Solved once per process for each (identity terms, ring, bimodule, pair
-    mode); basis-pair kinds ignore the pair mode, so it is not part of their
-    key.
+    Solved once per process for each (identity terms and quantifier, ring,
+    bimodule, pair mode); unconditional quantifiers ignore the pair mode, so
+    it is not part of their key.
     """
     spec = _spec_for(kind)
     bim = as_bimodule(bimodule if bimodule is not None else ring)
-    if spec.quantifier == "basis_pairs":
+    if spec.quantifier in _UNCONDITIONAL:
         pair_mode = "structured"
-    return _solved(kind, spec, ring, bim, pair_mode)
+    return _solved(spec, ring, bim, pair_mode)
 
 
 @lru_cache(maxsize=None)
-def _solved(kind, spec, ring, bim, pair_mode):
-    # ``spec`` is IDENTITY_TERMS[kind] at call time.  It is in the key so that
-    # an entry replaced under the same kind gets its own module.
-    system = constraint_system(kind, ring, bim, pair_mode)
+def _solved(spec, ring, bim, pair_mode):
+    # Keyed on the spec's value, so a catalogue entry replaced under the same
+    # tag gets its own module.
+    system = constraint_system(spec, ring, bim, pair_mode)
     return solve_homogeneous(system.matrix), system.pair_count
 
 
@@ -487,190 +526,82 @@ class ProofStepsReport:
         }
 
 
-def _first_failure(ring, arity, fn):
-    """Witness {"a", "b", "residual"} of the first basis element (arity 1,
-    b = None) or ordered basis pair (arity 2) on which fn is nonzero, in basis
-    order; None when fn vanishes on all of them."""
-    basis = basis_elements(ring)
-    cases = [(a,) for a in basis] if arity == 1 else [(a, b) for a in basis for b in basis]
-    for case in cases:
-        res = fn(*case)
-        if any(res):
-            b = case[1].to_json() if arity == 2 else None
-            return {"a": case[0].to_json(), "b": b, "residual": list(res)}
-    return None
+def _corner_identity(x, y):
+    """corner_xy: Delta(x a y) = x.Delta(x a y).y, over basis elements a."""
+    word = f"{x}a{y}"
+    return IdentitySpec(f"corner_{x}{y}", ((1, None, word, None), (-1, x, word, y)), "basis")
+
+
+def _corner_rule(tag, out_l, out_r, p, q, corr):
+    """out_l.Delta(pq).out_r = out_l.Delta(p).q + p.Delta(q).out_r
+    - cx.Delta(cy).cz with corr = (cx, cy, cz), over basis pairs (a, b)."""
+    terms = ((1, out_l, p + q, out_r), (-1, out_l, p, q), (-1, p, q, out_r), (1, *corr))
+    return IdentitySpec(tag, terms, "basis_pairs")
+
+
+# (step, spec) in report order; the spec's tag names the part.
+_PROOF_STEPS = (
+    (1, _corner_identity("e", "e")),
+    (1, _corner_identity("f", "f")),
+    (2, _corner_identity("e", "f")),
+    (3, _corner_identity("f", "e")),
+    (4, _corner_rule("rule_ee_ef", "e", "f", "eae", "ebf", ("eaeebf", "f", "f"))),
+    (4, _corner_rule("rule_ef_ff", "e", "f", "eaf", "fbf", ("eaf", "f", "fbf"))),
+    (5, _corner_rule("rule_fe_ee", "f", "e", "fae", "ebe", ("f", "f", "faeebe"))),
+    (5, _corner_rule("rule_ff_fe", "f", "e", "faf", "fbe", ("faf", "f", "fbe"))),
+    (6, _corner_rule("rule_ee_ee", "e", "e", "eae", "ebe", ("eae", "e", "ebe"))),
+    (6, _corner_rule("rule_ff_ff", "f", "f", "faf", "fbf", ("faf", "f", "fbf"))),
+    (7, IdentitySpec(
+        "central_image_of_one", ((1, "a", "1", None), (-1, None, "1", "a")), "basis"
+    )),
+    (8, _corner_rule("rule_ef_fe", "e", "e", "eaf", "fbe", ("eaffbe", "e", "e"))),
+    (8, _corner_rule("rule_fe_ef", "f", "f", "fbe", "eaf", ("f", "f", "fbeeaf"))),
+)
 
 
 def verify_proof_steps(dmap, pair_mode="structured"):
     """Check the eight intermediate identities of the corner-peeling argument
-    for Delta = D - I_m.
+    for Delta = D - I_m, with E = E11 and F = 1 - E:
 
-    Steps 1-3 localize Delta on the four corners cut out by E = E11 and
-    F = 1 - E; steps 4-6 and 8 are corner-weighted product rules; step 7 says
-    Delta(1) is central.  Single-element identities run over the module basis,
-    bilinear ones over ordered basis pairs.
+      1. corner_ee: Delta(EaE) = E.Delta(EaE).E;
+         corner_ff: Delta(FaF) = F.Delta(FaF).F;
+      2. corner_ef: Delta(EaF) = E.Delta(EaF).F;
+      3. corner_fe: Delta(FaE) = F.Delta(FaE).E;
+      4. rule_ee_ef (P = EaE, Q = EbF):
+           E.Delta(PQ).F = E.Delta(P).Q + P.Delta(Q).F - PQ.Delta(F).F;
+         rule_ef_ff (P = EaF, Q = FbF):
+           E.Delta(PQ).F = E.Delta(P).Q + P.Delta(Q).F - P.Delta(F).Q;
+      5. rule_fe_ee (P = FaE, Q = EbE):
+           F.Delta(PQ).E = F.Delta(P).Q + P.Delta(Q).E - F.Delta(F).PQ;
+         rule_ff_fe (P = FaF, Q = FbE):
+           F.Delta(PQ).E = F.Delta(P).Q + P.Delta(Q).E - P.Delta(F).Q;
+      6. rule_ee_ee (P = EaE, Q = EbE):
+           E.Delta(PQ).E = E.Delta(P).Q + P.Delta(Q).E - P.Delta(E).Q;
+         rule_ff_ff (P = FaF, Q = FbF):
+           F.Delta(PQ).F = F.Delta(P).Q + P.Delta(Q).F - P.Delta(F).Q;
+      7. central_image_of_one: a.Delta(1) = Delta(1).a;
+      8. rule_ef_fe (P = EaF, Q = FbE):
+           E.Delta(PQ).E = E.Delta(P).Q + P.Delta(Q).E - PQ.Delta(E).E;
+         rule_fe_ef (P = FbE, Q = EaF):
+           F.Delta(PQ).F = F.Delta(P).Q + P.Delta(Q).F - F.Delta(F).PQ.
+
+    Steps 1-3 and 7 run over basis elements a, the rest over ordered basis
+    pairs (a, b).  Each part is the term table in ``_PROOF_STEPS``, checked
+    like any identity; a step's witness is the first failing part's.
     """
     ring = dmap.domain
     bim = dmap.codomain
     if ring.kind != "matrix":
         raise ValueError("proof steps are defined over a matrix ring domain")
-    e, f, m_elt = _corner_split(dmap, pair_mode)
-    m = ring.m
-    one = one_element(ring)
+    _, _, m_elt = _corner_split(dmap, pair_mode)
     delta = dmap - inner_derivation(bim, m_elt)
-
-    def dl(x):
-        return delta.apply(x)
-
-    def lact(x, v):
-        return act(bim, "L", x.coords, v)
-
-    def ract(v, x):
-        return act(bim, "R", x.coords, v)
-
-    def sandwich(x, v, y):
-        return lact(x, ract(v, y))
-
-    def combine(lhs, ta, tb, corr):
-        return tuple(
-            (w - x - y + z) % m for w, x, y, z in zip(lhs, ta, tb, corr)
-        )
-
-    def corner_identity(x, y):
-        # Delta(x a y) lands in the (x, y) corner.
-        def fn(a, _b=None):
-            w = x * a * y
-            img = dl(w)
-            return tuple(
-                (u - v) % m for u, v in zip(img, sandwich(x, img, y))
-            )
-
-        return fn
-
-    def corner_rule(out_l, out_r, mk_p, mk_q, mk_corr):
-        # out_l Delta(p q) out_r = out_l Delta(p) q + p Delta(q) out_r - corr
-        # with corr = cx Delta(cy) cz.
-        def fn(a, b):
-            p = mk_p(a, b)
-            q = mk_q(a, b)
-            lhs = sandwich(out_l, dl(p * q), out_r)
-            ta = lact(out_l, ract(dl(p), q))
-            tb = lact(p, ract(dl(q), out_r))
-            cx, cy, cz = mk_corr(p, q)
-            corr = lact(cx, ract(dl(cy), cz))
-            return combine(lhs, ta, tb, corr)
-
-        return fn
-
-    def central_identity(a, _b=None):
-        img = dl(one)
-        return tuple((x - y) % m for x, y in zip(lact(a, img), ract(img, a)))
-
-    step_parts = {
-        1: [
-            ("corner_ee", 1, corner_identity(e, e)),
-            ("corner_ff", 1, corner_identity(f, f)),
-        ],
-        2: [("corner_ef", 1, corner_identity(e, f))],
-        3: [("corner_fe", 1, corner_identity(f, e))],
-        4: [
-            (
-                "rule_ee_ef",
-                2,
-                corner_rule(
-                    e, f,
-                    lambda a, b: e * a * e,
-                    lambda a, b: e * b * f,
-                    lambda p, q: (p * q, f, f),
-                ),
-            ),
-            (
-                "rule_ef_ff",
-                2,
-                corner_rule(
-                    e, f,
-                    lambda a, b: e * a * f,
-                    lambda a, b: f * b * f,
-                    lambda p, q: (p, f, q),
-                ),
-            ),
-        ],
-        5: [
-            (
-                "rule_fe_ee",
-                2,
-                corner_rule(
-                    f, e,
-                    lambda a, b: f * a * e,
-                    lambda a, b: e * b * e,
-                    lambda p, q: (f, f, p * q),
-                ),
-            ),
-            (
-                "rule_ff_fe",
-                2,
-                corner_rule(
-                    f, e,
-                    lambda a, b: f * a * f,
-                    lambda a, b: f * b * e,
-                    lambda p, q: (p, f, q),
-                ),
-            ),
-        ],
-        6: [
-            (
-                "rule_ee_ee",
-                2,
-                corner_rule(
-                    e, e,
-                    lambda a, b: e * a * e,
-                    lambda a, b: e * b * e,
-                    lambda p, q: (p, e, q),
-                ),
-            ),
-            (
-                "rule_ff_ff",
-                2,
-                corner_rule(
-                    f, f,
-                    lambda a, b: f * a * f,
-                    lambda a, b: f * b * f,
-                    lambda p, q: (p, f, q),
-                ),
-            ),
-        ],
-        7: [("central_image_of_one", 1, central_identity)],
-        8: [
-            (
-                "rule_ef_fe",
-                2,
-                corner_rule(
-                    e, e,
-                    lambda a, b: e * a * f,
-                    lambda a, b: f * b * e,
-                    lambda p, q: (p * q, e, e),
-                ),
-            ),
-            (
-                "rule_fe_ef",
-                2,
-                corner_rule(
-                    f, f,
-                    lambda a, b: f * b * e,
-                    lambda a, b: e * a * f,
-                    lambda p, q: (f, f, p * q),
-                ),
-            ),
-        ],
-    }
-
     steps = []
-    for step_no in range(1, 9):
+    for step_no, parts in itertools.groupby(_PROOF_STEPS, key=lambda part: part[0]):
         failure = None
-        for label, arity, fn in step_parts[step_no]:
-            failure = _first_failure(ring, arity, fn)
-            if failure:
-                failure = {"part": label, **failure}
+        for _, spec in parts:
+            report = check(delta, spec)
+            if not report.passed:
+                failure = {"part": spec.tag, **report.witness.to_json()}
                 break
         steps.append(StepResult(step_no, failure is None, failure))
     return ProofStepsReport(tuple(steps))
@@ -839,12 +770,49 @@ class PeirceReport:
         }
 
 
+# (component index, spec) in report order; the spec's tag names the check.
+_PEIRCE_CHECKS = (
+    (0, IdentitySpec("unital_component_jordan", _JORDAN, "basis_pairs")),
+    (1, IdentitySpec(
+        "left_degenerate_rule",
+        ((1, None, "ab", None), (1, None, "ba", None), (-1, "a", "b", None), (-1, "b", "a", None)),
+        "basis_pairs",
+    )),
+    (2, IdentitySpec(
+        "right_degenerate_rule",
+        ((1, None, "ab", None), (1, None, "ba", None), (-1, None, "a", "b"), (-1, None, "b", "a")),
+        "basis_pairs",
+    )),
+    (3, IdentitySpec(
+        "outer_component_jordan_zero", ((1, None, "ab", None), (1, None, "ba", None)), "basis_pairs"
+    )),
+    (1, IdentitySpec(
+        "left_degenerate_is_multiplier", ((1, None, "a", None), (-1, "a", "1", None)), "basis"
+    )),
+    (2, IdentitySpec(
+        "right_degenerate_is_multiplier", ((1, None, "a", None), (-1, None, "1", "a")), "basis"
+    )),
+    (3, IdentitySpec("outer_component_vanishes", ((1, None, "a", None),), "basis")),
+)
+
+
 def peirce_component_check(dmap):
     """Split a Jordan map into a non-unital codomain along the two-sided
-    identity action and check the component identities and their b = 1
-    conclusions: the two one-sided components are multiplications by the
-    images of 1 and the doubly-degenerate component vanishes (this is where
-    2-torsion freeness is used, so even moduli are rejected)."""
+    identity action into D1 = 1.D.1, D2 = 1.D - D1, D3 = D.1 - D1 and D4 = the
+    rest, and check the component identities and their b = 1 conclusions:
+
+      unital_component_jordan: D1(ab + ba) = D1(a)b + aD1(b) + D1(b)a + bD1(a);
+      left_degenerate_rule: D2(ab + ba) = aD2(b) + bD2(a);
+      right_degenerate_rule: D3(ab + ba) = D3(a)b + D3(b)a;
+      outer_component_jordan_zero: D4(ab + ba) = 0;
+      left_degenerate_is_multiplier: D2(a) = aD2(1);
+      right_degenerate_is_multiplier: D3(a) = D3(1)a;
+      outer_component_vanishes: D4(a) = 0.
+
+    The first four run over ordered basis pairs, the rest over basis elements;
+    each is the term table in ``_PEIRCE_CHECKS``, checked like any identity.
+    That the doubly-degenerate component vanishes is where 2-torsion freeness
+    is used, so even moduli are rejected."""
     ring = dmap.domain
     bim = dmap.codomain
     if bim.kind != "inflated":
@@ -853,77 +821,16 @@ def peirce_component_check(dmap):
     rep = check(dmap, "jordan")
     if not rep.passed:
         raise PreconditionError("map does not satisfy the Jordan identity", rep)
-    m = ring.m
     splits = [peirce_split(bim, dmap.apply(a)) for a in basis_elements(ring)]
 
     def project(part):
         cols = [getattr(split, part) for split in splits]
-        return AdditiveMap(ring, bim, ResidueMatrix.from_rows(m, zip(*cols)))
+        return AdditiveMap(ring, bim, ResidueMatrix.from_rows(ring.m, zip(*cols)))
 
     comps = tuple(project(part) for part in ("m1", "m2", "m3", "m4"))
-    d1, d2, d3, d4 = comps
-    one_el = one_element(ring)
-
-    def lv(x, v):
-        return act(bim, "L", x.coords, v)
-
-    def rv(v, x):
-        return act(bim, "R", x.coords, v)
-
-    def msub(*vs):
-        acc = list(vs[0])
-        for v in vs[1:]:
-            acc = [(x - y) % m for x, y in zip(acc, v)]
-        return tuple(acc)
-
-    def jordan_of(comp):
-        def fn(a, b):
-            s = (a * b) + (b * a)
-            return msub(
-                comp.apply(s),
-                rv(comp.apply(a), b),
-                lv(a, comp.apply(b)),
-                rv(comp.apply(b), a),
-                lv(b, comp.apply(a)),
-            )
-
-        return fn
-
-    parts = (
-        ("unital_component_jordan", 2, jordan_of(d1)),
-        (
-            "left_degenerate_rule",
-            2,
-            lambda a, b: msub(
-                d2.apply((a * b) + (b * a)), lv(a, d2.apply(b)), lv(b, d2.apply(a))
-            ),
-        ),
-        (
-            "right_degenerate_rule",
-            2,
-            lambda a, b: msub(
-                d3.apply((a * b) + (b * a)), rv(d3.apply(a), b), rv(d3.apply(b), a)
-            ),
-        ),
-        (
-            "outer_component_jordan_zero",
-            2,
-            lambda a, b: d4.apply((a * b) + (b * a)),
-        ),
-        (
-            "left_degenerate_is_multiplier",
-            1,
-            lambda a: msub(d2.apply(a), lv(a, d2.apply(one_el))),
-        ),
-        (
-            "right_degenerate_is_multiplier",
-            1,
-            lambda a: msub(d3.apply(a), rv(d3.apply(one_el), a)),
-        ),
-        ("outer_component_vanishes", 1, lambda a: d4.apply(a)),
-    )
     checks = []
-    for name, arity, fn in parts:
-        failure = _first_failure(ring, arity, fn)
-        checks.append(ComponentCheck(name, failure is None, failure))
+    for index, spec in _PEIRCE_CHECKS:
+        report = check(comps[index], spec)
+        witness = None if report.passed else report.witness.to_json()
+        checks.append(ComponentCheck(spec.tag, report.passed, witness))
     return PeirceReport(comps, tuple(checks))

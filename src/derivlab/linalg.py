@@ -236,11 +236,6 @@ def mat_add(a, b, coef=1):
     return ResidueMatrix(n, a.rows, a.cols, ent)
 
 
-def mat_scale(a, coef):
-    n = a.modulus
-    return ResidueMatrix(n, a.rows, a.cols, tuple((coef * x) % n for x in a.entries))
-
-
 def howell_form(matrix):
     """Canonical Howell form of the row span of `matrix`.
 
@@ -378,14 +373,6 @@ def module_equal(s1, s2):
     """Equality of submodules; sound because generators are canonical."""
     _compatible(s1, s2)
     return s1.generators == s2.generators
-
-
-def membership(module, vec):
-    return module.contains(vec)
-
-
-def module_sum(s1, s2):
-    return s1.sum_with(s2)
 
 
 def _dedupe_rows(rows):

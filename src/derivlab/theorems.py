@@ -143,8 +143,7 @@ def _sample_membership(source, target, rng, sample, label):
 
 
 def verify_theorem(theorem_id, ring, *, pair_mode="structured", seed=0,
-                   sample=DEFAULT_SAMPLE, inflation_rank=None,
-                   compare_modes=None):
+                   sample=DEFAULT_SAMPLE, inflation_rank=None):
     """Run one verification procedure and return its report.
 
     Guard violations (wrong ring shape, even modulus, pair budget) surface as
@@ -157,8 +156,7 @@ def verify_theorem(theorem_id, ring, *, pair_mode="structured", seed=0,
     report = TheoremReport(theorem_id, ring, "skipped", seed=seed)
     rng = random.Random(seed)
     try:
-        _dispatch(theorem_id, ring, report, pair_mode, rng, sample,
-                  inflation_rank, compare_modes)
+        _dispatch(theorem_id, ring, report, pair_mode, rng, sample, inflation_rank)
         report.status = "verified"
     except _Falsified as exc:
         report.status = "falsified"
@@ -180,8 +178,7 @@ def verify_theorem(theorem_id, ring, *, pair_mode="structured", seed=0,
     return report
 
 
-def _dispatch(theorem_id, ring, report, pair_mode, rng, sample,
-              inflation_rank, compare_modes):
+def _dispatch(theorem_id, ring, report, pair_mode, rng, sample, inflation_rank):
     if ring.m % 2 == 0:
         raise EvenModulusError(
             f"modulus not 2-torsion free (m={ring.m}); construct the ring for "
@@ -200,7 +197,7 @@ def _dispatch(theorem_id, ring, report, pair_mode, rng, sample,
         "remark1_2": _verify_hypothesis_weakenings,
     }[theorem_id]
     handler(ring, report, pair_mode=pair_mode, rng=rng, sample=sample,
-            inflation_rank=inflation_rank, compare_modes=compare_modes)
+            inflation_rank=inflation_rank)
 
 
 def _need_matrix(ring):
@@ -208,15 +205,15 @@ def _need_matrix(ring):
         raise GuardError("this verification needs a matrix ring (use --n)")
 
 
-def _compare_pair_modes(kind, ring, requested_mode, compare_modes):
+def _compare_pair_modes(kind, ring, requested_mode):
     """Empirically compare structured and exhaustive solution modules.
 
     Equality of the two is measured, not assumed; the result lands in the
-    counts as a 0/1 flag when the comparison runs.
+    counts as a 0/1 flag when the comparison runs, which it does on rings of
+    at most ``_MODE_COMPARE_SIZE`` elements (``scripts/compare_pair_modes.py``
+    measures larger ones).
     """
-    if compare_modes is None:
-        compare_modes = ring_size(ring) <= _MODE_COMPARE_SIZE
-    if not compare_modes:
+    if ring_size(ring) > _MODE_COMPARE_SIZE:
         module, pairs = solve_counted(kind, ring, pair_mode=requested_mode)
         return None, module, pairs
     structured, st_pairs = solve_counted(kind, ring, pair_mode="structured")
@@ -227,11 +224,9 @@ def _compare_pair_modes(kind, ring, requested_mode, compare_modes):
     return int(module_equal(structured, exhaustive)), requested, pairs
 
 
-def _verify_zero_product_decomposition(ring, report, *, pair_mode, rng, sample,
-                                        compare_modes, **_):
+def _verify_zero_product_decomposition(ring, report, *, pair_mode, rng, sample, **_):
     _need_matrix(ring)
-    modes_equal, star, pairs = _compare_pair_modes("star", ring, pair_mode,
-                                                   compare_modes)
+    modes_equal, star, pairs = _compare_pair_modes("star", ring, pair_mode)
     deriv = solve_all("derivation", ring)
     center = center_basis(ring)
     shifted = deriv.sum_with(right_multiplier_module(ring, center))
@@ -260,11 +255,9 @@ def _verify_zero_product_decomposition(ring, report, *, pair_mode, rng, sample,
     _sample_membership(star, shifted, rng, samples, "zero_product_maps")
 
 
-def _verify_corrected_zero_product(ring, report, *, pair_mode, rng, sample,
-                                   compare_modes, **_):
+def _verify_corrected_zero_product(ring, report, *, pair_mode, rng, sample, **_):
     _need_matrix(ring)
-    modes_equal, starstar, pairs = _compare_pair_modes("star_star", ring, pair_mode,
-                                                       compare_modes)
+    modes_equal, starstar, pairs = _compare_pair_modes("star_star", ring, pair_mode)
     deriv = solve_all("derivation", ring)
     shifted = deriv.sum_with(right_multiplier_module(ring))
     samples = min(sample, DEFAULT_SAMPLE)

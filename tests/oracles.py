@@ -215,30 +215,43 @@ def scan_pairs_mat2(m, condition):
 # Direct per-pair evaluation of an identity on M2(Z/m)
 # ---------------------------------------------------------------------------
 
+_E11 = [[1, 0], [0, 0]]
+_F = [[0, 0], [0, 1]]
+_ONE = [[1, 0], [0, 1]]
+
+
+def _word_mat2(word, am, bm, m):
+    """Product of the word's letters: a, b, 1, e = E11, f = 1 - E11."""
+    letters = {"a": am, "b": bm, "1": _ONE, "e": _E11, "f": _F}
+    out = letters[word[0]]
+    for letter in word[1:]:
+        out = mat2_mul(out, letters[letter], m)
+    return out
+
+
 def identity_residual_mat2(terms, flat, m, extra, a, b):
     """Residual of an identity on the pair (a, b) of M2(Z/m) coordinate
-    tuples, for the map whose row-major matrix is `flat`.
+    tuples (b is None for single-element identities), for the map whose
+    row-major matrix is `flat`.
 
     The codomain is M2(Z/m) plus a summand (Z/m)^extra on which the ring acts
     as zero from both sides (extra = 0 is the ring acting on itself); its
     coordinates are the four matrix cells, then the summand.  A term
-    (coef, left, arg, right) adds coef * left.D(arg).right.
+    (coef, left, arg, right) adds coef * left.D(arg).right, each of left, arg
+    and right being a word over a, b, 1, e, f (or None).
     """
-    am, bm = coords_to_mat2(a, m), coords_to_mat2(b, m)
-    ab, ba = mat2_mul(am, bm, m), mat2_mul(bm, am, m)
-    args = {"a": am, "b": bm, "one": [[1, 0], [0, 1]], "ab": ab, "ba": ba,
-            "ab+ba": _mat2_add(ab, ba, m)}
-    sides = {"a": am, "b": bm}
+    am = coords_to_mat2(a, m)
+    bm = coords_to_mat2(b, m) if b is not None else None
     acc = [0] * (4 + extra)
     for coef, left, arg, right in terms:
-        x = mat2_to_coords(args[arg], m)
+        x = mat2_to_coords(_word_mat2(arg, am, bm, m), m)
         image = [sum(flat[u * 4 + v] * x[v] for v in range(4)) % m for u in range(4 + extra)]
         if left is not None or right is not None:
             cell = coords_to_mat2(image, m)
             if left is not None:
-                cell = mat2_mul(sides[left], cell, m)
+                cell = mat2_mul(_word_mat2(left, am, bm, m), cell, m)
             if right is not None:
-                cell = mat2_mul(cell, sides[right], m)
+                cell = mat2_mul(cell, _word_mat2(right, am, bm, m), m)
             image = list(mat2_to_coords(cell, m)) + [0] * extra
         acc = [(s + coef * v) % m for s, v in zip(acc, image)]
     return tuple(acc)
@@ -249,6 +262,231 @@ def first_failing_pair_mat2(terms, flat, m, extra, pairs):
     does not vanish, or None when it vanishes on all of them."""
     for a, b in pairs:
         res = identity_residual_mat2(terms, flat, m, extra, a, b)
+        if any(res):
+            return a, b, res
+    return None
+
+
+# ---------------------------------------------------------------------------
+# The proof-step and Peirce component statements, one evaluator each
+# ---------------------------------------------------------------------------
+
+class _Mat2Map:
+    """A map M2(B) -> M2(B) + (Z/m)^extra given by its row-major matrix, for
+    B = Z/m or (dual) Z/m[eps], with the ring acting by explicit 2 x 2
+    products on the matrix cells and as zero on the summand."""
+
+    def __init__(self, flat, m, extra, dual=False):
+        self.flat, self.m, self.extra, self.dual = flat, m, extra, dual
+        self.rank = 8 if dual else 4
+        zero, unit = ((0, 0), (1, 0)) if dual else (0, 1)
+        self.e = [[unit, zero], [zero, zero]]
+        self.f = [[zero, zero], [zero, unit]]
+        self.one = [[unit, zero], [zero, unit]]
+
+    def __call__(self, x):
+        """D(x) for a 2 x 2 matrix x, as codomain coordinates."""
+        xc = mat2_to_coords(x, self.m, self.dual)
+        r = self.rank
+        return [
+            sum(self.flat[u * r + v] * xc[v] for v in range(r)) % self.m
+            for u in range(r + self.extra)
+        ]
+
+    def side(self, x, vec, y):
+        """x.vec.y; x or y None means no factor on that side."""
+        cell = coords_to_mat2(vec, self.m, self.dual)
+        if x is not None:
+            cell = mat2_mul(x, cell, self.m, self.dual)
+        if y is not None:
+            cell = mat2_mul(cell, y, self.m, self.dual)
+        return list(mat2_to_coords(cell, self.m, self.dual)) + [0] * self.extra
+
+    def mul(self, *mats):
+        out = mats[0]
+        for x in mats[1:]:
+            out = mat2_mul(out, x, self.m, self.dual)
+        return out
+
+    def add(self, x, y):
+        return [
+            [_entry_add(u, v, self.m, self.dual) for u, v in zip(rx, ry)]
+            for rx, ry in zip(x, y)
+        ]
+
+    def residual(self, lhs, *rhs):
+        """lhs minus the sum of the (sign, vector) pairs in rhs."""
+        out = list(lhs)
+        for sign, vec in rhs:
+            out = [(u - sign * v) % self.m for u, v in zip(out, vec)]
+        return tuple(out)
+
+
+def _corner_ee(d, a, b):
+    w = d.mul(d.e, a, d.e)
+    return d.residual(d(w), (1, d.side(d.e, d(w), d.e)))
+
+
+def _corner_ff(d, a, b):
+    w = d.mul(d.f, a, d.f)
+    return d.residual(d(w), (1, d.side(d.f, d(w), d.f)))
+
+
+def _corner_ef(d, a, b):
+    w = d.mul(d.e, a, d.f)
+    return d.residual(d(w), (1, d.side(d.e, d(w), d.f)))
+
+
+def _corner_fe(d, a, b):
+    w = d.mul(d.f, a, d.e)
+    return d.residual(d(w), (1, d.side(d.f, d(w), d.e)))
+
+
+def _rule_ee_ef(d, a, b):
+    p, q = d.mul(d.e, a, d.e), d.mul(d.e, b, d.f)
+    pq = d.mul(p, q)
+    return d.residual(
+        d.side(d.e, d(pq), d.f),
+        (1, d.side(d.e, d(p), q)), (1, d.side(p, d(q), d.f)), (-1, d.side(pq, d(d.f), d.f)),
+    )
+
+
+def _rule_ef_ff(d, a, b):
+    p, q = d.mul(d.e, a, d.f), d.mul(d.f, b, d.f)
+    return d.residual(
+        d.side(d.e, d(d.mul(p, q)), d.f),
+        (1, d.side(d.e, d(p), q)), (1, d.side(p, d(q), d.f)), (-1, d.side(p, d(d.f), q)),
+    )
+
+
+def _rule_fe_ee(d, a, b):
+    p, q = d.mul(d.f, a, d.e), d.mul(d.e, b, d.e)
+    pq = d.mul(p, q)
+    return d.residual(
+        d.side(d.f, d(pq), d.e),
+        (1, d.side(d.f, d(p), q)), (1, d.side(p, d(q), d.e)), (-1, d.side(d.f, d(d.f), pq)),
+    )
+
+
+def _rule_ff_fe(d, a, b):
+    p, q = d.mul(d.f, a, d.f), d.mul(d.f, b, d.e)
+    return d.residual(
+        d.side(d.f, d(d.mul(p, q)), d.e),
+        (1, d.side(d.f, d(p), q)), (1, d.side(p, d(q), d.e)), (-1, d.side(p, d(d.f), q)),
+    )
+
+
+def _rule_ee_ee(d, a, b):
+    p, q = d.mul(d.e, a, d.e), d.mul(d.e, b, d.e)
+    return d.residual(
+        d.side(d.e, d(d.mul(p, q)), d.e),
+        (1, d.side(d.e, d(p), q)), (1, d.side(p, d(q), d.e)), (-1, d.side(p, d(d.e), q)),
+    )
+
+
+def _rule_ff_ff(d, a, b):
+    p, q = d.mul(d.f, a, d.f), d.mul(d.f, b, d.f)
+    return d.residual(
+        d.side(d.f, d(d.mul(p, q)), d.f),
+        (1, d.side(d.f, d(p), q)), (1, d.side(p, d(q), d.f)), (-1, d.side(p, d(d.f), q)),
+    )
+
+
+def _central_image_of_one(d, a, b):
+    return d.residual(d.side(a, d(d.one), None), (1, d.side(None, d(d.one), a)))
+
+
+def _rule_ef_fe(d, a, b):
+    p, q = d.mul(d.e, a, d.f), d.mul(d.f, b, d.e)
+    pq = d.mul(p, q)
+    return d.residual(
+        d.side(d.e, d(pq), d.e),
+        (1, d.side(d.e, d(p), q)), (1, d.side(p, d(q), d.e)), (-1, d.side(pq, d(d.e), d.e)),
+    )
+
+
+def _rule_fe_ef(d, a, b):
+    p, q = d.mul(d.f, b, d.e), d.mul(d.e, a, d.f)
+    pq = d.mul(p, q)
+    return d.residual(
+        d.side(d.f, d(pq), d.f),
+        (1, d.side(d.f, d(p), q)), (1, d.side(p, d(q), d.f)), (-1, d.side(d.f, d(d.f), pq)),
+    )
+
+
+def _unital_component_jordan(d, a, b):
+    s = d.add(d.mul(a, b), d.mul(b, a))
+    return d.residual(
+        d(s),
+        (1, d.side(None, d(a), b)), (1, d.side(a, d(b), None)),
+        (1, d.side(None, d(b), a)), (1, d.side(b, d(a), None)),
+    )
+
+
+def _left_degenerate_rule(d, a, b):
+    s = d.add(d.mul(a, b), d.mul(b, a))
+    return d.residual(d(s), (1, d.side(a, d(b), None)), (1, d.side(b, d(a), None)))
+
+
+def _right_degenerate_rule(d, a, b):
+    s = d.add(d.mul(a, b), d.mul(b, a))
+    return d.residual(d(s), (1, d.side(None, d(a), b)), (1, d.side(None, d(b), a)))
+
+
+def _outer_component_jordan_zero(d, a, b):
+    return d.residual(d(d.add(d.mul(a, b), d.mul(b, a))))
+
+
+def _left_degenerate_is_multiplier(d, a, b):
+    return d.residual(d(a), (1, d.side(a, d(d.one), None)))
+
+
+def _right_degenerate_is_multiplier(d, a, b):
+    return d.residual(d(a), (1, d.side(None, d(d.one), a)))
+
+
+def _outer_component_vanishes(d, a, b):
+    return d.residual(d(a))
+
+
+# name -> (evaluator, arity): arity 1 statements quantify over basis
+# elements a, arity 2 over ordered basis pairs (a, b).
+PART_STATEMENTS_MAT2 = {
+    "corner_ee": (_corner_ee, 1),
+    "corner_ff": (_corner_ff, 1),
+    "corner_ef": (_corner_ef, 1),
+    "corner_fe": (_corner_fe, 1),
+    "rule_ee_ef": (_rule_ee_ef, 2),
+    "rule_ef_ff": (_rule_ef_ff, 2),
+    "rule_fe_ee": (_rule_fe_ee, 2),
+    "rule_ff_fe": (_rule_ff_fe, 2),
+    "rule_ee_ee": (_rule_ee_ee, 2),
+    "rule_ff_ff": (_rule_ff_ff, 2),
+    "central_image_of_one": (_central_image_of_one, 1),
+    "rule_ef_fe": (_rule_ef_fe, 2),
+    "rule_fe_ef": (_rule_fe_ef, 2),
+    "unital_component_jordan": (_unital_component_jordan, 2),
+    "left_degenerate_rule": (_left_degenerate_rule, 2),
+    "right_degenerate_rule": (_right_degenerate_rule, 2),
+    "outer_component_jordan_zero": (_outer_component_jordan_zero, 2),
+    "left_degenerate_is_multiplier": (_left_degenerate_is_multiplier, 1),
+    "right_degenerate_is_multiplier": (_right_degenerate_is_multiplier, 1),
+    "outer_component_vanishes": (_outer_component_vanishes, 1),
+}
+
+
+def first_failing_part_mat2(name, flat, m, extra, dual=False):
+    """(a, b, residual) of the first basis element (b None) or ordered basis
+    pair, in basis order, on which the named statement fails for the map
+    `flat` into M2(B) + (Z/m)^extra, B = Z/m or (dual) Z/m[eps]; None when it
+    holds everywhere."""
+    fn, arity = PART_STATEMENTS_MAT2[name]
+    d = _Mat2Map(flat, m, extra, dual)
+    basis = [tuple(int(k == i) for k in range(d.rank)) for i in range(d.rank)]
+    cases = [(a, None) for a in basis] if arity == 1 else [(a, b) for a in basis for b in basis]
+    for a, b in cases:
+        bm = coords_to_mat2(b, m, dual) if b is not None else None
+        res = fn(d, coords_to_mat2(a, m, dual), bm)
         if any(res):
             return a, b, res
     return None

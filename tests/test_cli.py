@@ -159,6 +159,7 @@ def test_malformed_flags_exit_two(capsys):
     assert run(["solve", "--kind", "bogus", "--base", "zmod:3", "--n", "2"]) == 2
     assert run(["verify", "--base", "nonsense"]) == 2
     assert run(["verify", "--threads", "4"]) == 2
+    assert run(["verify", "--compare-modes"]) == 2
     assert run(["nonexistent-subcommand"]) == 2
     capsys.readouterr()
 

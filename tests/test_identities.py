@@ -3,8 +3,11 @@ import random
 
 import pytest
 
-from derivlab.errors import EvenModulusError, PreconditionError
+from derivlab import identities
+from derivlab.errors import EvenModulusError, GuardError, PreconditionError
 from derivlab.identities import (
+    _PEIRCE_CHECKS,
+    _PROOF_STEPS,
     IDENTITY_KINDS,
     IDENTITY_TERMS,
     IdentitySpec,
@@ -41,6 +44,7 @@ from derivlab.theorems import verify_theorem
 from oracles import (
     coords_to_mat2,
     first_failing_pair_mat2,
+    first_failing_part_mat2,
     mat2_mul,
     mat2_to_coords,
     scan_pairs_mat2,
@@ -394,6 +398,146 @@ def test_proof_steps_on_sampled_star_members():
     for _ in range(10):
         fmap = AdditiveMap.from_flat(M2Z3, REG, star.random_element(rng))
         assert verify_proof_steps(fmap).all_passed
+
+
+# The steps' grouping into parts, in report order, as the docstring states it.
+STEP_PARTS = {
+    1: ("corner_ee", "corner_ff"),
+    2: ("corner_ef",),
+    3: ("corner_fe",),
+    4: ("rule_ee_ef", "rule_ef_ff"),
+    5: ("rule_fe_ee", "rule_ff_fe"),
+    6: ("rule_ee_ee", "rule_ff_ff"),
+    7: ("central_image_of_one",),
+    8: ("rule_ef_fe", "rule_fe_ef"),
+}
+PARTS = [(spec, 0) for _, spec in _PROOF_STEPS] + [(spec, 4) for _, spec in _PEIRCE_CHECKS]
+
+
+def _witness_tuple(w):
+    return w.a.coords, (w.b.coords if w.b is not None else None), w.residual
+
+
+@pytest.mark.parametrize("spec, extra", PARTS, ids=[spec.tag for spec, _ in PARTS])
+def test_proof_and_peirce_parts_match_their_statements(spec, extra):
+    # each part's term table, checked by membership, against the oracle's
+    # evaluator written from the stated identity: verdict and first witness
+    # (a, b, residual).  Proof steps map into the ring, Peirce checks into an
+    # inflated codomain; an arbitrary map stands in for Delta or a component.
+    # Four corner rules hold for every additive map on M2(Z/3) (its corners
+    # are Z/3), so the steps also run on M2(Z/3[eps]), where every part can
+    # fail.
+    rng = random.Random(spec.tag)
+    rings = [(M2Z3, 4, False)] + ([(M2D3, 8, True)] if extra == 0 else [])
+    failing = 0
+    for ring, rank, dual in rings:
+        reg = Bimodule.regular(ring)
+        bim = reg if extra == 0 else Bimodule.inflated(reg, extra)
+        module = solve_all(spec, ring, bimodule=bim)
+        width = rank * (rank + extra)
+        samples = [tuple(rng.randrange(3) for _ in range(width)) for _ in range(5)]
+        samples += [module.random_element(rng) for _ in range(2)]
+        for _ in range(5):
+            bumped = list(module.random_element(rng))
+            bumped[rng.randrange(width)] += 1
+            samples.append(tuple(v % 3 for v in bumped))
+        for flat in samples:
+            report = check(AdditiveMap.from_flat(ring, bim, flat), spec)
+            expected = first_failing_part_mat2(spec.tag, flat, 3, extra, dual)
+            if expected is None:
+                assert report.passed, (ring, flat)
+            else:
+                failing += 1
+                assert not report.passed, (ring, flat)
+                assert _witness_tuple(report.witness) == expected, (ring, flat)
+    assert failing >= 1
+
+
+def test_failing_proof_steps_report_first_failing_part(monkeypatch):
+    # with a zero corner element, Delta is the map itself, so arbitrary maps
+    # reach the steps; each step reports its first failing part's witness.
+    # M2(Z/3[eps]) because every step can fail there.
+    def zero_corner(dmap, pair_mode):
+        e = matrix_unit(M2D3, 1, 1)
+        return e, one_element(M2D3) - e, (0,) * 8
+
+    monkeypatch.setattr(identities, "_corner_split", zero_corner)
+    table = [(step, spec.tag) for step, spec in _PROOF_STEPS]
+    assert table == [(step, part) for step, parts in STEP_PARTS.items() for part in parts]
+    rng = random.Random(9)
+    failed_steps = set()
+    for _ in range(3):
+        flat = tuple(rng.randrange(3) for _ in range(64))
+        report = verify_proof_steps(AdditiveMap.from_flat(M2D3, Bimodule.regular(M2D3), flat))
+        assert [s.step for s in report.steps] == list(STEP_PARTS)
+        for result in report.steps:
+            expected = None
+            for part in STEP_PARTS[result.step]:
+                found = first_failing_part_mat2(part, flat, 3, 0, dual=True)
+                if found:
+                    a, b, res = found
+                    expected = {"part": part, "a": list(a), "b": b and list(b),
+                                "residual": list(res)}
+                    break
+            got = result.witness
+            if got is not None:
+                got = dict(got, a=got["a"]["coords"], b=got["b"] and got["b"]["coords"])
+                failed_steps.add(result.step)
+            assert result.passed == (expected is None)
+            assert got == expected
+    assert failed_steps == set(STEP_PARTS)
+
+
+PEIRCE_PARTS = (
+    "unital_component_jordan",
+    "left_degenerate_rule",
+    "right_degenerate_rule",
+    "outer_component_jordan_zero",
+    "left_degenerate_is_multiplier",
+    "right_degenerate_is_multiplier",
+    "outer_component_vanishes",
+)
+
+
+def test_failing_peirce_report_checks_each_component(monkeypatch):
+    # with the Jordan precondition waived, an arbitrary map into the inflated
+    # codomain splits into D1 (the matrix cells), D2 = D3 = 0 and D4 (the
+    # zero-action summand); each check reports its statement on its component
+    real_check = identities.check
+
+    def waive_jordan(fmap, kind, pair_mode="structured"):
+        if kind == "jordan":
+            return identities.CheckReport(True)
+        return real_check(fmap, kind, pair_mode)
+
+    monkeypatch.setattr(identities, "check", waive_jordan)
+    bim = Bimodule.inflated(REG, 4)
+    rng = random.Random(10)
+    for _ in range(3):
+        flat = tuple(rng.randrange(3) for _ in range(32))
+        cells = flat[:16] + (0,) * 16
+        summand = (0,) * 16 + flat[16:]
+        comps = (cells, (0,) * 32, (0,) * 32, summand)
+        report = peirce_component_check(AdditiveMap.from_flat(M2Z3, bim, flat))
+        assert [c.to_flat() for c in report.components] == list(comps)
+        assert [c.name for c in report.checks] == list(PEIRCE_PARTS)
+        for result, comp in zip(report.checks, (0, 1, 2, 3, 1, 2, 3)):
+            expected = first_failing_part_mat2(result.name, comps[comp], 3, 4)
+            assert result.passed == (expected is None)
+            if expected is not None:
+                a, b, res = expected
+                got = result.witness
+                assert got["a"]["coords"] == list(a)
+                assert (got["b"] and got["b"]["coords"]) == (b and list(b))
+                assert got["residual"] == list(res)
+        assert not report.all_passed
+
+
+def test_corner_letters_need_a_matrix_ring():
+    spec = IdentitySpec("corner", ((1, None, "eae", None),), "basis")
+    with pytest.raises(GuardError):
+        constraint_system(spec, zmod(3))
+    assert constraint_system(spec, M2Z3).matrix.rows == 4 * 4
 
 
 def test_proof_steps_reject_non_star_input():
