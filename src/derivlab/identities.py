@@ -37,13 +37,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import GuardError, InternalVerificationError, PreconditionError
-from .linalg import ResidueMatrix, SolutionModule, solve_affine, solve_homogeneous
+from .linalg import ResidueMatrix, SolutionModule, solve_affine, solve_homogeneous_rows
 from .maps import AdditiveMap, as_bimodule, inner_derivation, lift_map, right_multiplier
 from .rings import (
     Bimodule,
     RingElement,
     act,
-    action_matrix,
+    action_rows,
     annihilator_kernels,
     anti_commuting_pairs,
     basis_elements,
@@ -243,7 +243,7 @@ def check(fmap, kind, pair_mode="structured"):
     m = ring.m
     for a, b in _pairs_for(spec, ring, pair_mode):
         rows, _ = _constraint_rows(spec, ring, bim, [(a, b)])
-        res = tuple(sum(x * y for x, y in zip(row, flat)) % m for row in rows)
+        res = tuple(sum(v * flat[k] for k, v in row.items()) % m for row in rows)
         if any(res):
             return CheckReport(False, Witness(a, b, res))
     raise AssertionError("map outside the solution module fails on no pair")
@@ -260,61 +260,60 @@ class ConstraintSystem:
 
 
 def _constraint_rows(spec, ring, bim, pairs):
+    """(rows, width): a lazy stream of {column: residue} rows, rank(M) per
+    pair in pair order (zero rows included), and the width rank(M) * rank(A).
+    Column u * rank(A) + v holds D[u][v]; a term coef * x.D(w).y adds
+    coef * (x.-.y)[e][u] * w[v] to row e of its pair's block."""
     rank_m = bimodule_rank(bim)
     rank_a = ring_rank(ring)
-    width = rank_m * rank_a
     m = ring.m
-    rows = []
-    for a, b in pairs:
-        value = _word_values(ring, a, b)
-        acts = {}
-        for _, lft, _, rgt in spec.terms:
-            for side, word in (("L", lft), ("R", rgt)):
-                if word is not None and (side, word) not in acts:
-                    acts[side, word] = action_matrix(bim, side, value(word))
-        block = [[0] * width for _ in range(rank_m)]
-        for coef, lft, arg, rgt in spec.terms:
-            w = value(arg)
-            if lft is None and rgt is None:
-                outer = None
-            elif lft is None:
-                outer = acts["R", rgt]
-            elif rgt is None:
-                outer = acts["L", lft]
-            else:
-                lm = acts["L", lft]
-                rm = acts["R", rgt]
-                outer = [
-                    [
-                        sum(lm[e][k] * rm[k][u] for k in range(rank_m)) % m
-                        for u in range(rank_m)
-                    ]
-                    for e in range(rank_m)
-                ]
-            for e in range(rank_m):
-                row = block[e]
-                if outer is None:
-                    off = e * rank_a
-                    for v, wv in enumerate(w):
-                        if wv:
-                            row[off + v] = (row[off + v] + coef * wv) % m
-                else:
-                    pe = outer[e]
-                    for u in range(rank_m):
-                        pu = pe[u]
-                        if pu:
-                            cc = coef * pu
-                            off = u * rank_a
-                            for v, wv in enumerate(w):
-                                if wv:
-                                    row[off + v] = (row[off + v] + cc * wv) % m
-        rows.extend(block)
-    return rows, width
+
+    def rows():
+        for a, b in pairs:
+            value = _word_values(ring, a, b)
+            ops = {}
+            block = [{} for _ in range(rank_m)]
+            for coef, lft, arg, rgt in spec.terms:
+                w = [(v, x) for v, x in enumerate(value(arg)) if x]
+                if (lft, rgt) not in ops:
+                    ops[lft, rgt] = _sandwich(bim, value, lft, rgt)
+                op = ops[lft, rgt]
+                for e, row in enumerate(block):
+                    for u, pu in op[e].items() if op is not None else ((e, 1),):
+                        cc = coef * pu
+                        off = u * rank_a
+                        for v, x in w:
+                            row[off + v] = row.get(off + v, 0) + cc * x
+            for row in block:
+                yield {k: v % m for k, v in row.items() if v % m}
+
+    return rows(), rank_m * rank_a
 
 
-def constraint_system(kind, ring, bimodule=None, pair_mode="structured"):
-    """Homogeneous system over the flattened map matrix whose solution set is
-    exactly the maps satisfying the identity.
+def _sandwich(bim, value, lft, rgt):
+    """Sparse rows of m |-> x.m.y for the words x = lft and y = rgt (None: no
+    factor); None when both are absent."""
+    if lft is None and rgt is None:
+        return None
+    if lft is None:
+        return action_rows(bim, "R", value(rgt))
+    left = action_rows(bim, "L", value(lft))
+    if rgt is None:
+        return left
+    right = action_rows(bim, "R", value(rgt))
+    m = bim.ring.m
+    out = []
+    for lrow in left:
+        acc = {}
+        for k, lv in lrow.items():
+            for u, rv in right[k].items():
+                acc[u] = acc.get(u, 0) + lv * rv
+        out.append({u: v % m for u, v in acc.items() if v % m})
+    return out
+
+
+def _system_pairs(spec, ring, bim, pair_mode):
+    """(pairs, pair_count) of an identity's constraint system.
 
     Exhaustive conditional kinds take rows only from the pairs (a, g), with g
     running over the Howell generators of a's annihilator kernel K_a.  With a
@@ -322,10 +321,7 @@ def constraint_system(kind, ring, bimodule=None, pair_mode="structured"):
     matching combination of the blocks of (a, g): these rows span the same
     constraints as the full pair set, and the solution module is identical.
     ``pair_count`` is still the size of the full set, the sum of |K_a|.
-    ``kind`` is a catalogue tag or an ``IdentitySpec``.
     """
-    spec = _spec_for(kind)
-    bim = as_bimodule(bimodule if bimodule is not None else ring)
     if bim.ring != ring:
         raise ValueError("bimodule is not over the given ring")
     if ring_rank(ring) == 0:
@@ -338,15 +334,22 @@ def constraint_system(kind, ring, bimodule=None, pair_mode="structured"):
             for a, kernel in kernels
             for g in kernel.generators.to_rows()
         ]
-    else:
-        pairs = _pairs_for(spec, ring, pair_mode)
-        pair_count = len(pairs)
+        return pairs, pair_count
+    pairs = _pairs_for(spec, ring, pair_mode)
+    return pairs, len(pairs)
+
+
+def constraint_system(kind, ring, bimodule=None, pair_mode="structured"):
+    """Homogeneous system over the flattened map matrix whose solution set is
+    exactly the maps satisfying the identity, as a dense matrix (the rows of
+    ``_system_pairs``' pairs).  ``kind`` is a catalogue tag or an
+    ``IdentitySpec``.  Solving does not build this matrix; see ``_solved``.
+    """
+    spec = _spec_for(kind)
+    bim = as_bimodule(bimodule if bimodule is not None else ring)
+    pairs, pair_count = _system_pairs(spec, ring, bim, pair_mode)
     rows, width = _constraint_rows(spec, ring, bim, pairs)
-    mat = (
-        ResidueMatrix.from_rows(ring.m, rows)
-        if rows
-        else ResidueMatrix.zeros(ring.m, 0, width)
-    )
+    mat = ResidueMatrix.from_sparse(ring.m, width, rows)
     return ConstraintSystem(spec.tag, ring, bim, pair_mode, mat, pair_count)
 
 
@@ -368,9 +371,11 @@ def solve_counted(kind, ring, bimodule=None, pair_mode="structured"):
 @lru_cache(maxsize=None)
 def _solved(spec, ring, bim, pair_mode):
     # Keyed on the spec's value, so a catalogue entry replaced under the same
-    # tag gets its own module.
-    system = constraint_system(spec, ring, bim, pair_mode)
-    return solve_homogeneous(system.matrix), system.pair_count
+    # tag gets its own module.  The rows stream straight into the solve, which
+    # drops repeats as they arrive; no dense matrix is built.
+    pairs, pair_count = _system_pairs(spec, ring, bim, pair_mode)
+    rows, width = _constraint_rows(spec, ring, bim, pairs)
+    return solve_homogeneous_rows(ring.m, width, rows), pair_count
 
 
 def solve_all(kind, ring, bimodule=None, pair_mode="structured"):
@@ -539,7 +544,10 @@ def _corner_rule(tag, out_l, out_r, p, q, corr):
     return IdentitySpec(tag, terms, "basis_pairs")
 
 
-# (step, spec) in report order; the spec's tag names the part.
+# (step, spec) in report order; the spec's tag names the part.  rule_ef_ff,
+# rule_ff_fe, rule_ee_ee and rule_ff_ff hold for every additive map when the
+# corners they multiply are Z/m times one matrix unit (M2(Z/m) for every m);
+# they can fail only on rings with larger corners, such as M2(Z/3[eps]).
 _PROOF_STEPS = (
     (1, _corner_identity("e", "e")),
     (1, _corner_identity("f", "f")),
@@ -645,11 +653,11 @@ def decompose_inner_plus_lifted(delta):
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             unit = matrix_unit(ring, i, j)
-            lmat = action_matrix(bim, "L", unit.coords)
-            rmat = action_matrix(bim, "R", unit.coords)
+            lmat = action_rows(bim, "L", unit.coords)
+            rmat = action_rows(bim, "R", unit.coords)
             img = delta.apply(unit)
             for t in range(rank_m):
-                rows.append([(lmat[t][k] - rmat[t][k]) % m for k in range(rank_m)])
+                rows.append([lmat[t].get(k, 0) - rmat[t].get(k, 0) for k in range(rank_m)])
                 rhs.append(img[t])
     particular, _ = solve_affine(ResidueMatrix.from_rows(m, rows), rhs)
     if particular is None:

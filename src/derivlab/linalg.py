@@ -18,6 +18,16 @@ entry of a row:
     lies in the span of the rows with leading column > j.  This is enforced by
     appending annihilator multiples (m // pivot) * row during elimination.
 
+Elimination runs on sparse rows: each row is a {column: residue} dict holding
+only its nonzero entries, and a row's pivot is its smallest key.  Constraint
+rows have a handful of nonzeros in hundreds of columns, and their Howell forms
+stay sparse, so the work follows the nonzeros, not the width.  The dense
+``ResidueMatrix`` is the public boundary: constraint systems, module
+generators, maps and JSON.  ``howell_form``, ``solve_homogeneous``,
+``solve_affine`` and ``SolutionModule.from_rows`` take dense input and convert
+it; ``solve_homogeneous_rows`` takes the rows themselves.  Every row is checked
+against its stated width before elimination.
+
 Residues are stored reduced in [0, m).  Python integers keep all intermediate
 products exact; moduli are capped at 2**31 which keeps every product at desk
 scale.  Everything here is a pure function on immutable values, so concurrent
@@ -26,8 +36,10 @@ callers need no coordination.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, prod
 
 MAX_MODULUS = 1 << 31
@@ -80,57 +92,94 @@ def annihilator(a, n):
     return (n // gcd(a, n)) % n
 
 
-def _howell(rows, n):
-    """Howell normal form of the span of `rows` (lists of reduced residues).
+def _sparse_rows(rows, width, n):
+    """The nonzero rows among ``rows`` as reduced {column: residue} dicts,
+    duplicates dropped.  A row is a sequence of exactly ``width`` residues or a
+    dict with columns in [0, width); any other row raises ``ValueError``
+    naming its index, before any elimination starts."""
+    _check_modulus(n)
+    unique = {}
+    for i, r in enumerate(rows):
+        if isinstance(r, dict):
+            if any(not 0 <= k < width for k in r):
+                raise ValueError(f"row {i} has a column outside width {width}")
+            items = r.items()
+        else:
+            if len(r) != width:
+                raise ValueError(f"row {i} has {len(r)} entries, not width {width}")
+            items = enumerate(r)
+        row = {k: v % n for k, v in items if v % n}
+        if row:
+            unique.setdefault(tuple(sorted(row.items())), row)
+    return list(unique.values())
 
-    Returns a new list of nonzero rows; the input is not modified.  All rows
-    must share one width.  Deterministic: leftmost pivot column, first nonzero
-    row, minimal pivot via unit scaling.
+
+def _add_multiple(row, q, other, n):
+    """row += q * other (mod n) in place, keeping only nonzero entries."""
+    for k, v in other.items():
+        x = (row.get(k, 0) + q * v) % n
+        if x:
+            row[k] = x
+        elif k in row:
+            del row[k]
+
+
+def _combine(s, x, t, y, n):
+    """s * x + t * y (mod n) as a new sparse row."""
+    out = {}
+    for k in x.keys() | y.keys():
+        v = (s * x.get(k, 0) + t * y.get(k, 0)) % n
+        if v:
+            out[k] = v
+    return out
+
+
+def _howell(rows, n):
+    """Howell normal form of the span of ``rows`` (sparse rows from
+    ``_sparse_rows``), as new sparse rows in pivot order; the input is not
+    modified.
+
+    Each row is reduced against a basis keyed by pivot column, leftmost column
+    first.  Where its leading column has no basis row yet, the row becomes one,
+    scaled by a unit to the minimal pivot gcd(entry, n).  Where the basis pivot
+    divides the entry, a multiple of the basis row is subtracted.  Otherwise
+    the gcd step replaces the pair by a unimodular combination: a new basis row
+    with pivot gcd(pivot, entry) and a remainder that vanishes in that column.
+    Whenever a pivot p is set, (n // p) * row is queued too, which saturates
+    the span.  Last, the entries above each pivot are reduced into [0, pivot).
+    The result is canonical, so it does not depend on the order of the rows.
     """
-    work = []
-    for r in rows:
-        rr = [v % n for v in r]
-        if any(rr):
-            work.append(rr)
-    if not work:
-        return []
-    width = len(work[0])
-    rank = 0
-    for c in range(width):
-        j = rank
-        while j < len(work) and work[j][c] == 0:
-            j += 1
-        if j == len(work):
-            continue
-        work[rank], work[j] = work[j], work[rank]
-        piv = work[rank]
-        u = lift_unit(piv[c], n)
-        if u != 1:
-            piv = [(u * v) % n for v in piv]
-            work[rank] = piv
-        for i in range(rank + 1, len(work)):
-            row = work[i]
-            if row[c]:
-                a, b = piv[c], row[c]
-                g, s, t = xgcd(a, b)
-                ua, va = -(b // g), a // g
-                new_piv = [(s * x + t * y) % n for x, y in zip(piv, row)]
-                work[i] = [(ua * x + va * y) % n for x, y in zip(piv, row)]
-                piv = new_piv
-                work[rank] = piv
-        b = piv[c]
-        for i in range(rank):
-            q = work[i][c] // b
-            if q:
-                row = work[i]
-                work[i] = [(x - q * y) % n for x, y in zip(row, piv)]
-        ann = annihilator(b, n)
-        if ann:
-            extra = [(ann * v) % n for v in piv]
-            if any(extra):
-                work.append(extra)
-        rank += 1
-    return work[:rank]
+    basis = {}
+    todo = [dict(r) for r in rows]
+    while todo:
+        row = todo.pop()
+        while row:
+            c = min(row)
+            v = row[c]
+            piv = basis.get(c)
+            if piv is not None and v % piv[c] == 0:
+                _add_multiple(row, -(v // piv[c]), piv, n)
+                continue
+            if piv is None:
+                new = _combine(lift_unit(v, n), row, 0, {}, n)
+                row = None
+            else:
+                a = piv[c]
+                g, s, t = xgcd(a, v)
+                new = _combine(s, piv, t, row, n)
+                row = _combine(-(v // g), piv, a // g, row, n)
+            basis[c] = new
+            extra = _combine(annihilator(new[c], n), new, 0, {}, n)
+            if extra:
+                todo.append(extra)
+    cols = sorted(basis)
+    for i in range(len(cols) - 2, -1, -1):
+        row = basis[cols[i]]
+        for c in cols[i + 1:]:
+            x = row.get(c)
+            if x and x >= basis[c][c]:
+                _add_multiple(row, -(x // basis[c][c]), basis[c], n)
+    return [basis[c] for c in cols]
 
 
 @dataclass(frozen=True)
@@ -155,8 +204,8 @@ class ResidueMatrix:
 
     @classmethod
     def from_rows(cls, modulus, rows):
-        # Rows that are already sequences are read in place: constraint
-        # matrices run to millions of entries, and a copy doubles the peak.
+        # Dense rows; rows that are already sequences are read in place.
+        # Solving never comes through here: it runs on sparse rows.
         rows = [r if isinstance(r, (list, tuple)) else list(r) for r in rows]
         nrows = len(rows)
         ncols = len(rows[0]) if rows else 0
@@ -164,6 +213,20 @@ class ResidueMatrix:
             raise ValueError("ragged rows")
         ent = tuple(v % modulus for r in rows for v in r)
         return cls(modulus, nrows, ncols, ent)
+
+    @classmethod
+    def from_sparse(cls, modulus, cols, rows):
+        """The dense matrix of {column: residue} rows, zero rows kept."""
+        ent = []
+        nrows = 0
+        for nrows, r in enumerate(rows, 1):
+            dense = [0] * cols
+            for k, v in r.items():
+                if not 0 <= k < cols:
+                    raise ValueError(f"column {k} outside width {cols}")
+                dense[k] = v % modulus
+            ent.extend(dense)
+        return cls(modulus, nrows, cols, tuple(ent))
 
     @classmethod
     def identity(cls, modulus, k):
@@ -242,33 +305,9 @@ def howell_form(matrix):
     Idempotent; two inputs with equal row span produce identical output.
     Zero rows are dropped, so the zero span yields a 0-row matrix.
     """
-    h = _howell(matrix.to_rows(), matrix.modulus)
-    return ResidueMatrix.from_rows(matrix.modulus, h) if h else ResidueMatrix.zeros(
-        matrix.modulus, 0, matrix.cols
-    )
-
-
-def _leading(row):
-    for j, v in enumerate(row):
-        if v:
-            return j
-    return None
-
-
-def _reduce_greedy(howell_rows, vec, n):
-    """Greedily reduce vec against Howell rows; returns the residual.
-
-    For Howell forms the residual is zero exactly when vec lies in the span.
-    """
-    w = [v % n for v in vec]
-    for row in howell_rows:
-        c = _leading(row)
-        p = row[c]
-        if w[c] % p == 0:
-            q = w[c] // p
-            if q:
-                w = [(x - q * y) % n for x, y in zip(w, row)]
-    return w
+    n, cols = matrix.modulus, matrix.cols
+    rows = _sparse_rows(matrix.to_rows(), cols, n)
+    return ResidueMatrix.from_sparse(n, cols, _howell(rows, n))
 
 
 @dataclass(frozen=True)
@@ -286,64 +325,62 @@ class SolutionModule:
 
     @classmethod
     def from_rows(cls, modulus, ambient_rank, rows):
-        h = _howell([list(r) for r in rows], modulus)
-        gen = (
-            ResidueMatrix.from_rows(modulus, h)
-            if h
-            else ResidueMatrix.zeros(modulus, 0, ambient_rank)
-        )
-        return cls(modulus, ambient_rank, gen)
+        """The module spanned by ``rows``: dense sequences of length
+        ``ambient_rank`` or {column: residue} dicts."""
+        h = _howell(_sparse_rows(rows, ambient_rank, modulus), modulus)
+        return cls(modulus, ambient_rank, ResidueMatrix.from_sparse(modulus, ambient_rank, h))
+
+    @cached_property
+    def _pivot_rows(self):
+        """(pivot column, pivot, nonzero (column, residue) items) per
+        generator, read once from the dense generators."""
+        out = []
+        for i in range(self.generators.rows):
+            items = tuple((k, v) for k, v in enumerate(self.generators.row(i)) if v)
+            out.append((items[0][0], items[0][1], items))
+        return tuple(out)
 
     def contains(self, vec):
         if len(vec) != self.ambient_rank:
             raise ValueError("vector length does not match ambient rank")
-        res = _reduce_greedy(self.generators.to_rows(), vec, self.modulus)
-        return not any(res)
+        n = self.modulus
+        w = [v % n for v in vec]
+        for c, p, items in self._pivot_rows:
+            q, r = divmod(w[c], p)
+            if r:
+                return False  # later generators vanish in column c
+            if q:
+                for k, v in items:
+                    w[k] = (w[k] - q * v) % n
+        return not any(w)
 
     def size(self):
         """Number of elements: product over pivots p of (m // p)."""
         n = self.modulus
-        return prod(n // row[_leading(row)] for row in self.generators.to_rows())
+        return prod(n // p for _, p, _ in self._pivot_rows)
+
+    def _combination(self, coefs):
+        n = self.modulus
+        acc = [0] * self.ambient_rank
+        for lam, (_, _, items) in zip(coefs, self._pivot_rows):
+            if lam:
+                for k, v in items:
+                    acc[k] = (acc[k] + lam * v) % n
+        return tuple(acc)
 
     def elements(self):
         """Iterate every element exactly once (coefficients run mod m//pivot)."""
-        n = self.modulus
-        gens = self.generators.to_rows()
-        if not gens:
-            yield (0,) * self.ambient_rank
-            return
-        ranges = [n // row[_leading(row)] for row in gens]
-        idx = [0] * len(gens)
-        while True:
-            acc = [0] * self.ambient_rank
-            for lam, row in zip(idx, gens):
-                if lam:
-                    for k in range(self.ambient_rank):
-                        acc[k] = (acc[k] + lam * row[k]) % n
-            yield tuple(acc)
-            pos = len(idx) - 1
-            while pos >= 0:
-                idx[pos] += 1
-                if idx[pos] < ranges[pos]:
-                    break
-                idx[pos] = 0
-                pos -= 1
-            if pos < 0:
-                return
+        ranges = [range(self.modulus // p) for _, p, _ in self._pivot_rows]
+        for idx in itertools.product(*ranges):
+            yield self._combination(idx)
 
     def random_element(self, rng):
         n = self.modulus
-        acc = [0] * self.ambient_rank
-        for row in self.generators.to_rows():
-            lam = rng.randrange(n)
-            if lam:
-                for k in range(self.ambient_rank):
-                    acc[k] = (acc[k] + lam * row[k]) % n
-        return tuple(acc)
+        return self._combination([rng.randrange(n) for _ in self._pivot_rows])
 
     def sum_with(self, other):
         _compatible(self, other)
-        rows = self.generators.to_rows() + other.generators.to_rows()
+        rows = [dict(items) for _, _, items in self._pivot_rows + other._pivot_rows]
         return SolutionModule.from_rows(self.modulus, self.ambient_rank, rows)
 
     def to_json(self):
@@ -375,36 +412,39 @@ def module_equal(s1, s2):
     return s1.generators == s2.generators
 
 
-def _dedupe_rows(rows):
-    return [list(r) for r in dict.fromkeys(tuple(r) for r in rows)]
-
-
 def _howell_kernel(rows, ncols, n):
-    """Howell form H of the deduplicated ``rows``, the Howell form HH of
-    [H^T | I] built on the first ``ncols`` columns of H, and the right kernel
-    of those columns.
+    """Howell form H of ``rows`` (sparse rows from ``_sparse_rows``), the
+    Howell form HH of [H^T | I] built on the first ``ncols`` columns of H, and
+    the right kernel of those columns.
 
     The kernel is read off the rows of HH whose leading column lies in the
     identity block; those tails are already canonical.
     """
-    h = _howell(_dedupe_rows(rows), n)
+    h = _howell(rows, n)
     nrows = len(h)
-    aug = [
-        [h[i][j] for i in range(nrows)] + [1 if k == j else 0 for k in range(ncols)]
-        for j in range(ncols)
-    ]
+    aug = [{nrows + j: 1} for j in range(ncols)]
+    for i, row in enumerate(h):
+        for j, v in row.items():
+            if j < ncols:
+                aug[j][i] = v
     hh = _howell(aug, n)
-    kernel = [r[nrows:] for r in hh if not any(r[:nrows])]
-    return h, hh, SolutionModule.from_rows(n, ncols, kernel)
+    kernel = [{k - nrows: v for k, v in r.items()} for r in hh if min(r) >= nrows]
+    return h, hh, SolutionModule(n, ncols, ResidueMatrix.from_sparse(n, ncols, kernel))
+
+
+def solve_homogeneous_rows(modulus, width, rows):
+    """The solution module {x : row . x = 0 (mod m) for every row} over
+    (Z/mZ)^width.  Rows are dense sequences of length ``width`` or
+    {column: residue} dicts; zero and repeated rows are dropped as they are
+    read, and the rest are compressed to their Howell form first (the kernel
+    only depends on the row span); see ``_howell_kernel``.
+    """
+    return _howell_kernel(_sparse_rows(rows, width, modulus), width, modulus)[2]
 
 
 def solve_homogeneous(matrix):
-    """The solution module {x : matrix @ x = 0 (mod m)}.
-
-    The equations are first deduplicated and compressed to their Howell form
-    (the kernel only depends on the row span); see ``_howell_kernel``.
-    """
-    return _howell_kernel(matrix.to_rows(), matrix.cols, matrix.modulus)[2]
+    """The solution module {x : matrix @ x = 0 (mod m)}."""
+    return solve_homogeneous_rows(matrix.modulus, matrix.cols, matrix.to_rows())
 
 
 def solve_affine(matrix, rhs):
@@ -417,12 +457,19 @@ def solve_affine(matrix, rhs):
     if len(rhs) != matrix.rows:
         raise ValueError("right-hand side length does not match row count")
     ncols = matrix.cols
-    rows_ab = [list(r) + [b % n] for r, b in zip(matrix.to_rows(), rhs)]
-    hab, hh, module = _howell_kernel(rows_ab, ncols, n)
+    rows_ab = [[*matrix.row(i), b] for i, b in enumerate(rhs)]
+    hab, hh, module = _howell_kernel(_sparse_rows(rows_ab, ncols + 1, n), ncols, n)
     nrows = len(hab)
-    target = [hab[i][ncols] for i in range(nrows)] + [0] * ncols
-    res = _reduce_greedy(hh, target, n)
-    if any(res[:nrows]):
+    # Greedy reduction of [b_H | 0] against HH: the first block clears exactly
+    # when the system is consistent, and the tail is then minus a solution.
+    target = [row.get(ncols, 0) for row in hab] + [0] * ncols
+    for r in hh:
+        c = min(r)
+        if target[c] % r[c] == 0 and target[c]:
+            q = target[c] // r[c]
+            for k, v in r.items():
+                target[k] = (target[k] - q * v) % n
+    if any(target[:nrows]):
         return None, module
-    particular = tuple((-t) % n for t in res[nrows:])
+    particular = tuple((-t) % n for t in target[nrows:])
     return particular, module

@@ -16,10 +16,11 @@ Every ring is a free Z/mZ-module of finite rank with a fixed canonical basis
 multiplication is driven by a cached structure-constant table.
 
 Bimodules over these rings are described by ``Bimodule`` values carrying
-precomputed left/right action matrices per ring basis element: the ring acting
-on itself (``regular``), matrices over a base bimodule (``matrix_over``), and
-direct sums with a summand on which the ring acts as zero on both sides
-(``inflated`` - deliberately non-unital).
+precomputed left/right action matrices per ring basis element, stored as
+sparse {column: value} rows: the ring acting on itself (``regular``),
+matrices over a base bimodule (``matrix_over``), and direct sums with a
+summand on which the ring acts as zero on both sides (``inflated`` -
+deliberately non-unital).
 
 Even moduli are constructible here for exploration; entry points that need
 2-torsion freeness reject them explicitly (see ``require_odd``).
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import EvenModulusError, GuardError
-from .linalg import ResidueMatrix, _check_modulus, solve_homogeneous
+from .linalg import _check_modulus, solve_homogeneous_rows
 
 MAX_RANK = 64
 EXHAUSTIVE_ELEMENT_BUDGET = 10**5
@@ -457,12 +458,12 @@ class _BimoduleTables:
     def __init__(self, rank, m, left, right):
         self.rank = rank
         self.m = m
-        self.left = left    # left[i]  = rank x rank rows: action of ring basis i
-        self.right = right  # right[i] = rank x rank rows: right action
+        self.left = left    # left[i]  = rank sparse rows: action of ring basis i
+        self.right = right  # right[i] = rank sparse rows: right action
 
 
 def _zero_mat(r):
-    return [[0] * r for _ in range(r)]
+    return [{} for _ in range(r)]
 
 
 @lru_cache(maxsize=None)
@@ -478,9 +479,11 @@ def bimodule_tables(bim):
             ri = _zero_mat(rank)
             for j in range(ra):
                 for t, v in enumerate(st.prod[i][j]):
-                    li[t][j] = v
+                    if v:
+                        li[t][j] = v
                 for t, v in enumerate(st.prod[j][i]):
-                    ri[t][j] = v
+                    if v:
+                        ri[t][j] = v
             left.append(li)
             right.append(ri)
     elif bim.kind == "matrix_over":
@@ -498,22 +501,17 @@ def bimodule_tables(bim):
         for i in range(n):
             for j in range(n):
                 for b in range(rb):
+                    # (E_ij b).(E_jl x) = E_il (b.x) and (E_ki x).(E_ij b) = E_kj (x.b)
                     li = _zero_mat(rank)
                     ri = _zero_mat(rank)
-                    for k in range(n):
-                        for l in range(n):
-                            for v in range(rn):
-                                col = mslot(k, l, v)
-                                if j == k:
-                                    for t in range(rn):
-                                        w = base.left[b][t][v]
-                                        if w:
-                                            li[mslot(i, l, t)][col] = w
-                                if l == i:
-                                    for t in range(rn):
-                                        w = base.right[b][t][v]
-                                        if w:
-                                            ri[mslot(k, j, t)][col] = w
+                    for t, row in enumerate(base.left[b]):
+                        for v, w in row.items():
+                            for l in range(n):
+                                li[mslot(i, l, t)][mslot(j, l, v)] = w
+                    for t, row in enumerate(base.right[b]):
+                        for v, w in row.items():
+                            for k in range(n):
+                                ri[mslot(k, j, t)][mslot(k, i, v)] = w
                     left.append(li)
                     right.append(ri)
     else:  # inflated
@@ -522,20 +520,15 @@ def bimodule_tables(bim):
         left = []
         right = []
         for i in range(ra):
-            li = _zero_mat(rank)
-            ri = _zero_mat(rank)
-            for t in range(base.rank):
-                for j in range(base.rank):
-                    li[t][j] = base.left[i][t][j]
-                    ri[t][j] = base.right[i][t][j]
-            left.append(li)
-            right.append(ri)
+            left.append(base.left[i] + _zero_mat(bim.extra_rank))
+            right.append(base.right[i] + _zero_mat(bim.extra_rank))
     return _BimoduleTables(rank, st.m, left, right)
 
 
-def action_matrix(bim, side, ring_coords):
-    """Matrix of m |-> a.m (side "L") or m |-> m.a (side "R") for the ring
-    element a with coordinates ring_coords."""
+def action_rows(bim, side, ring_coords):
+    """Rows of the matrix of m |-> a.m (side "L") or m |-> m.a (side "R") for
+    the ring element a with coordinates ring_coords, as sparse
+    {column: value} dicts of nonzero entries."""
     tb = bimodule_tables(bim)
     n = tb.m
     out = _zero_mat(tb.rank)
@@ -543,10 +536,9 @@ def action_matrix(bim, side, ring_coords):
         if not c:
             continue
         for ot, row in zip(out, table):
-            for j, w in enumerate(row):
-                if w:
-                    ot[j] = (ot[j] + c * w) % n
-    return out
+            for j, w in row.items():
+                ot[j] = ot.get(j, 0) + c * w
+    return [{j: v % n for j, v in ot.items() if v % n} for ot in out]
 
 
 def act(bim, side, ring_coords, vec):
@@ -554,17 +546,16 @@ def act(bim, side, ring_coords, vec):
     m by module coordinates."""
     n = bim.ring.m
     return tuple(
-        sum(w * v for w, v in zip(row, vec) if w) % n
-        for row in action_matrix(bim, side, ring_coords)
+        sum(w * vec[j] for j, w in row.items()) % n
+        for row in action_rows(bim, side, ring_coords)
     )
 
 
 def is_unital(bim):
     """True when the ring identity acts as the identity on both sides."""
-    rank = bimodule_rank(bim)
     one = structure(bim.ring).one
-    eye = [[1 if i == j else 0 for j in range(rank)] for i in range(rank)]
-    return action_matrix(bim, "L", one) == eye and action_matrix(bim, "R", one) == eye
+    eye = [{i: 1} for i in range(bimodule_rank(bim))]
+    return action_rows(bim, "L", one) == eye and action_rows(bim, "R", one) == eye
 
 
 @dataclass(frozen=True)
@@ -591,6 +582,15 @@ def peirce_split(bim, vec):
     return PeirceComponents(m1, m2, m3, m4)
 
 
+def _row_sum(rows, coefs=None):
+    """Sum of sparse rows, each times its coefficient (default 1), unreduced."""
+    out = {}
+    for row, c in zip(rows, coefs or (1,) * len(rows)):
+        for j, v in row.items():
+            out[j] = out.get(j, 0) + c * v
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Centres
 # ---------------------------------------------------------------------------
@@ -598,13 +598,12 @@ def peirce_split(bim, vec):
 def bimodule_center(bim):
     """Solution module {c in M : a.c = c.a for every ring basis element a}."""
     tb = bimodule_tables(bim)
-    rows = []
-    for i in range(len(tb.left)):
-        li, ri = tb.left[i], tb.right[i]
-        for t in range(tb.rank):
-            rows.append([(li[t][j] - ri[t][j]) % tb.m for j in range(tb.rank)])
-    mat = ResidueMatrix.from_rows(tb.m, rows) if rows else ResidueMatrix.zeros(tb.m, 0, tb.rank)
-    return solve_homogeneous(mat)
+    rows = [
+        _row_sum((lt, rt), (1, -1))
+        for li, ri in zip(tb.left, tb.right)
+        for lt, rt in zip(li, ri)
+    ]
+    return solve_homogeneous_rows(tb.m, tb.rank, rows)
 
 
 def center_basis(desc):
@@ -647,12 +646,13 @@ def annihilator_kernels(desc, condition):
     out = []
     for elt in all_elements(desc):
         a = elt.coords
-        ops = {side: action_matrix(bim, side, a) for side in ("L", "R")}
-        rows = []
-        for block in blocks:
-            for parts in zip(*(ops[name] for name in block)):
-                rows.append([sum(col) % n for col in zip(*parts)])
-        out.append((a, solve_homogeneous(ResidueMatrix.from_rows(n, rows))))
+        ops = {side: action_rows(bim, side, a) for side in ("L", "R")}
+        rows = [
+            _row_sum(parts)
+            for block in blocks
+            for parts in zip(*(ops[name] for name in block))
+        ]
+        out.append((a, solve_homogeneous_rows(n, ring_rank(desc), rows)))
     return out
 
 

@@ -4,13 +4,16 @@ Nothing here goes through the package's Howell machinery or structure-constant
 multiplication: spans are enumerated by closure, matrix products are computed
 entry by entry on explicit 2 x 2 representations (identities are evaluated on
 them pair by pair, term by term), and echelon forms over prime fields use a
-textbook RREF.  These routes stay deliberately separate from the
-code paths they check.
+textbook RREF.  The dense Howell routine the package used before it moved to
+sparse rows is kept here, unchanged, as the reference for the sparse one.
+These routes stay deliberately separate from the code paths they check.
 """
 
 from __future__ import annotations
 
 from itertools import product
+
+from derivlab.linalg import annihilator, lift_unit, xgcd
 
 
 def span_elements(rows, m):
@@ -107,6 +110,98 @@ def _gcd(a, b):
     while b:
         a, b = b, a % b
     return a
+
+
+# ---------------------------------------------------------------------------
+# Dense Howell reference (scalar helpers xgcd, lift_unit and annihilator are
+# checked against brute force in test_linalg.py)
+# ---------------------------------------------------------------------------
+
+def howell_dense_reference(rows, n):
+    """Howell normal form of the span of `rows` (lists of reduced residues).
+
+    Returns a new list of nonzero rows; the input is not modified.  All rows
+    must share one width.  Deterministic: leftmost pivot column, first nonzero
+    row, minimal pivot via unit scaling.
+    """
+    work = []
+    for r in rows:
+        rr = [v % n for v in r]
+        if any(rr):
+            work.append(rr)
+    if not work:
+        return []
+    width = len(work[0])
+    rank = 0
+    for c in range(width):
+        j = rank
+        while j < len(work) and work[j][c] == 0:
+            j += 1
+        if j == len(work):
+            continue
+        work[rank], work[j] = work[j], work[rank]
+        piv = work[rank]
+        u = lift_unit(piv[c], n)
+        if u != 1:
+            piv = [(u * v) % n for v in piv]
+            work[rank] = piv
+        for i in range(rank + 1, len(work)):
+            row = work[i]
+            if row[c]:
+                a, b = piv[c], row[c]
+                g, s, t = xgcd(a, b)
+                ua, va = -(b // g), a // g
+                new_piv = [(s * x + t * y) % n for x, y in zip(piv, row)]
+                work[i] = [(ua * x + va * y) % n for x, y in zip(piv, row)]
+                piv = new_piv
+                work[rank] = piv
+        b = piv[c]
+        for i in range(rank):
+            q = work[i][c] // b
+            if q:
+                row = work[i]
+                work[i] = [(x - q * y) % n for x, y in zip(row, piv)]
+        ann = annihilator(b, n)
+        if ann:
+            extra = [(ann * v) % n for v in piv]
+            if any(extra):
+                work.append(extra)
+        rank += 1
+    return work[:rank]
+
+
+def kernel_dense_reference(rows, ncols, n):
+    """Howell form H of the deduplicated rows, the Howell form HH of
+    [H^T | I] on the first ``ncols`` columns of H, and the Howell generators
+    of the right kernel of those columns, all on dense rows."""
+    rows = [list(r) for r in dict.fromkeys(tuple(r) for r in rows)]
+    h = howell_dense_reference(rows, n)
+    nrows = len(h)
+    aug = [
+        [h[i][j] for i in range(nrows)] + [1 if k == j else 0 for k in range(ncols)]
+        for j in range(ncols)
+    ]
+    hh = howell_dense_reference(aug, n)
+    kernel = [r[nrows:] for r in hh if not any(r[:nrows])]
+    return h, hh, howell_dense_reference(kernel, n)
+
+
+def affine_dense_reference(rows, rhs, ncols, n):
+    """(particular solution or None, kernel generators) of rows @ x = rhs by
+    greedy reduction of [b_H | 0] against HH, on dense rows."""
+    rows_ab = [list(r) + [b % n] for r, b in zip(rows, rhs)]
+    hab, hh, kernel = kernel_dense_reference(rows_ab, ncols, n)
+    nrows = len(hab)
+    w = [hab[i][ncols] for i in range(nrows)] + [0] * ncols
+    for row in hh:
+        c = next(j for j, v in enumerate(row) if v)
+        if w[c] % row[c] == 0:
+            q = w[c] // row[c]
+            if q:
+                w = [(x - q * y) % n for x, y in zip(w, row)]
+    if any(w[:nrows]):
+        return None, kernel
+    return tuple((-t) % n for t in w[nrows:]), kernel
 
 
 # ---------------------------------------------------------------------------

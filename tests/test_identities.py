@@ -24,7 +24,7 @@ from derivlab.identities import (
     solve_all,
     verify_proof_steps,
 )
-from derivlab.linalg import ResidueMatrix, module_equal, solve_homogeneous
+from derivlab.linalg import ResidueMatrix, module_equal, solve_homogeneous, solve_homogeneous_rows
 from derivlab.maps import AdditiveMap, inner_derivation, lift_map, right_multiplier, zero_map
 from derivlab.rings import (
     Bimodule,
@@ -36,6 +36,7 @@ from derivlab.rings import (
     matrix_ring,
     matrix_unit,
     one_element,
+    ring_rank,
     trivial_extension,
     zero_product_pairs,
     zmod,
@@ -45,6 +46,7 @@ from oracles import (
     coords_to_mat2,
     first_failing_pair_mat2,
     first_failing_part_mat2,
+    howell_dense_reference,
     mat2_mul,
     mat2_to_coords,
     scan_pairs_mat2,
@@ -285,10 +287,25 @@ def test_structured_and_exhaustive_agree_on_small_ring():
         assert module_equal(st_mod, ex_mod)
 
 
+WIDE_KINDS = ("derivation", "jordan", "generalized_derivation", "generalized_jordan", "phi")
+
+
+@pytest.mark.parametrize("kind", WIDE_KINDS)
+def test_solve_all_equals_dense_reference_route(kind):
+    # the sparse assembly and solve against the dense constraint matrix,
+    # normalised by the dense reference Howell routine, then solved
+    ring = matrix_ring(3, zmod(3))
+    matrix = constraint_system(kind, ring).matrix
+    normalised = howell_dense_reference(matrix.to_rows(), 3)
+    reference = solve_homogeneous(ResidueMatrix(3, len(normalised), matrix.cols,
+                                                tuple(v for r in normalised for v in r)))
+    assert solve_all(kind, ring) == reference
+
+
 def _solve_from_pairs(kind, ring, coord_pairs):
     pairs = [(RingElement(ring, a), RingElement(ring, b)) for a, b in coord_pairs]
-    rows, _ = _constraint_rows(IDENTITY_TERMS[kind], ring, Bimodule.regular(ring), pairs)
-    return solve_homogeneous(ResidueMatrix.from_rows(ring.m, rows))
+    rows, width = _constraint_rows(IDENTITY_TERMS[kind], ring, Bimodule.regular(ring), pairs)
+    return solve_homogeneous_rows(ring.m, width, rows)
 
 
 @pytest.mark.parametrize("m", [3, 4])
@@ -398,6 +415,20 @@ def test_proof_steps_on_sampled_star_members():
     for _ in range(10):
         fmap = AdditiveMap.from_flat(M2Z3, REG, star.random_element(rng))
         assert verify_proof_steps(fmap).all_passed
+
+
+# Parts that hold for every additive map on M2(Z/3): each corner they multiply
+# is Z/3 times one matrix unit.  A change that makes more parts vacuous shows
+# here.
+VACUOUS_ON_M2Z3 = {"rule_ef_ff", "rule_ff_fe", "rule_ee_ee", "rule_ff_ff"}
+
+
+@pytest.mark.parametrize("ring, vacuous", [(M2Z3, VACUOUS_ON_M2Z3), (M2D3, set())],
+                         ids=["M2(Z/3)", "M2(Z/3[eps])"])
+def test_vacuous_proof_parts_are_pinned(ring, vacuous):
+    full = 3 ** (ring_rank(ring) ** 2)
+    got = {spec.tag for _, spec in _PROOF_STEPS if solve_all(spec, ring).size() == full}
+    assert got == vacuous
 
 
 # The steps' grouping into parts, in report order, as the docstring states it.

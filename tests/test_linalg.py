@@ -13,11 +13,15 @@ from derivlab.linalg import (
     module_equal,
     solve_affine,
     solve_homogeneous,
+    solve_homogeneous_rows,
     xgcd,
 )
 from oracles import (
     affine_by_enumeration,
+    affine_dense_reference,
+    howell_dense_reference,
     kernel_by_enumeration,
+    kernel_dense_reference,
     rewrite_span,
     rref_mod_p,
     span_elements,
@@ -304,3 +308,87 @@ def test_residue_matrix_validation():
         ResidueMatrix(6, 2, 2, (0, 0, 0))
     with pytest.raises(ValueError):
         ResidueMatrix(2**31 + 1, 1, 1, (0,))
+
+
+# ---------------------------------------------------------------------------
+# sparse elimination against the dense reference
+# ---------------------------------------------------------------------------
+
+def dense(m, width, rows):
+    return ResidueMatrix(m, len(rows), width, tuple(v % m for r in rows for v in r))
+
+
+# Composite moduli up to 36 (non-unit pivots, annihilator rows), widths up
+# to 40, about 3% or 50% nonzero, with empty systems and zero rows.
+sparse_case = st.tuples(
+    st.sampled_from([4, 6, 8, 9, 10, 12, 15, 16, 18, 20, 24, 25, 27, 30, 36]),
+    st.integers(0, 40),
+    st.integers(0, 40),
+    st.sampled_from([0.03, 0.5]),
+    st.integers(0, 2**32),
+)
+
+
+def draw_rows(case):
+    m, width, nrows, density, seed = case
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(nrows):
+        if rng.random() < 0.1:
+            rows.append([0] * width)
+        else:
+            rows.append([rng.randrange(1, m) if rng.random() < density else 0
+                         for _ in range(width)])
+    return m, width, rows, rng
+
+
+@given(sparse_case)
+@settings(max_examples=120, deadline=None)
+def test_sparse_howell_equals_dense_reference(case):
+    m, width, rows, _ = draw_rows(case)
+    assert howell_form(dense(m, width, rows)).to_rows() == howell_dense_reference(rows, m)
+
+
+@given(sparse_case)
+@settings(max_examples=120, deadline=None)
+def test_sparse_kernel_equals_dense_reference(case):
+    m, width, rows, _ = draw_rows(case)
+    want = kernel_dense_reference(rows, width, m)[2]
+    assert solve_homogeneous(dense(m, width, rows)).generators.to_rows() == want
+    sparse = [{k: v for k, v in enumerate(r) if v} for r in rows]
+    assert solve_homogeneous_rows(m, width, sparse).generators.to_rows() == want
+
+
+@given(sparse_case)
+@settings(max_examples=120, deadline=None)
+def test_sparse_affine_equals_dense_reference(case):
+    m, width, rows, rng = draw_rows(case)
+    if rng.random() < 0.5:
+        # a consistent right-hand side
+        x = [rng.randrange(m) for _ in range(width)]
+        rhs = [sum(a * b for a, b in zip(r, x)) % m for r in rows]
+    else:
+        rhs = [rng.randrange(m) for _ in rows]
+    part, module = solve_affine(dense(m, width, rows), rhs)
+    want_part, want_kernel = affine_dense_reference(rows, rhs, width, m)
+    assert part == want_part
+    assert module.generators.to_rows() == want_kernel
+
+
+def test_bad_rows_fail_before_elimination():
+    # a short row first, in the middle and last; then a long row and a
+    # sparse row with a column past the width
+    cases = [
+        ([[1], [1, 2], [2, 2]], 0),
+        ([[1, 2], [1], [2, 2]], 1),
+        ([[1, 2], [2, 2], [1]], 2),
+        ([[1, 2], [1, 2, 0]], 1),
+        ([{0: 1}, {2: 1}], 1),
+        ([{-1: 1}], 0),
+    ]
+    for rows, bad in cases:
+        with pytest.raises(ValueError, match=f"row {bad} .*width 2"):
+            SolutionModule.from_rows(3, 2, rows)
+        with pytest.raises(ValueError, match=f"row {bad} .*width 2"):
+            solve_homogeneous_rows(3, 2, rows)
+    assert SolutionModule.from_rows(3, 2, [{1: 4}, [0, 0]]).generators.to_rows() == [[0, 1]]

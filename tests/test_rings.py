@@ -397,10 +397,10 @@ def test_left_zero_pairs_one_sided():
 def test_pair_budget_guard(monkeypatch):
     big = matrix_ring(2, zmod(101))  # 101^4 elements, over the element budget
 
-    def no_kernel(matrix):
+    def no_kernel(*args):
         raise AssertionError("the guard must fire before any kernel is solved")
 
-    monkeypatch.setattr(rings, "solve_homogeneous", no_kernel)
+    monkeypatch.setattr(rings, "solve_homogeneous_rows", no_kernel)
     message = f"ring size {101 ** 4} is over the {EXHAUSTIVE_ELEMENT_BUDGET}-element budget"
     for enumerate_pairs in (zero_product_pairs, anti_commuting_pairs, left_zero_pairs):
         with pytest.raises(GuardError, match=message):
