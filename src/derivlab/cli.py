@@ -6,7 +6,7 @@ Subcommands:
   solve      compute the canonical module of maps satisfying an identity kind
   check      test one serialized map against an identity kind
   decompose  run a constructive decomposition on a serialized map
-  pairs      enumerate conditional pair sets
+  pairs      enumerate conditional pair sets (exhaustive mode only)
 
 Rings are assembled from flags: ``--base zmod:M | dual:M`` picks the base,
 ``--n N`` wraps it into the N x N matrix ring, ``--trivial-ext`` wraps that
@@ -133,6 +133,8 @@ def build_parser():
     _add_common_flags(p_pairs)
     p_pairs.add_argument("--condition", default="zero-product",
                          choices=("zero-product", "anticommuting", "one-sided-zero"))
+    # structured mode quantifies over a span and lists no pairs
+    p_pairs.set_defaults(pairs="exhaustive")
     return parser
 
 
@@ -179,13 +181,13 @@ def _cmd_verify(args):
 
 def _cmd_solve(args):
     ring = _ring_from_args(args)
-    module, pair_count = solve_counted(args.kind, ring, pair_mode=args.pairs)
+    module, counts = solve_counted(args.kind, ring, pair_mode=args.pairs)
     gens = maps_from_module(module, ring, ring)
     payload = {
         "kind": args.kind,
         "ring": ring.to_json(),
         "pair_mode": args.pairs,
-        "pair_count": pair_count,
+        **counts,
         "module": module.to_json(),
         "size": module.size(),
         "maps": [g.to_json() for g in gens],

@@ -14,20 +14,22 @@ where the identity must vanish:
   * ``basis_pairs`` - every ordered pair of module basis elements, enough
     since every term is bilinear in the pair;
   * ``two_sided_zero``, ``anti_commuting``, ``left_zero`` - the conditional
-    pair sets (ab = ba = 0, ab + ba = 0, ab = 0), either taken exhaustively
-    or instantiated from the structured schema family.
+    pair sets (ab = ba = 0, ab + ba = 0, ab = 0), quantified through the span
+    of their tensors a (x) b in A (x) A: exact (``exhaustive`` pair mode) or
+    the kernel of the condition's structural operator (``structured``); see
+    ``rings.pair_span``.
 
 The catalogue ``IDENTITY_TERMS`` holds the identities keyed by tag; the steps
 of the corner-peeling argument and the Peirce component checks are term
 tables of the same kind.  There is one evaluation route: constraint assembly
-turns the terms of each quantified pair into a block of rows over the
-flattened unknowns, and the solution module of those rows is memoised per
-process, keyed by the identity's value (its terms and quantifier, not its
-tag), the ring, the bimodule and the pair mode.  ``check`` is membership of
-the flattened map in that module; only a failing map walks the pairs again,
-to find the first pair whose row block does not annihilate it.  The test
-suite plays this route against independent evaluators on explicit 2 x 2
-matrices (``tests/oracles.py``).
+(``_assembly``) turns the terms into the row blocks of the basis pairs and
+combines them by the generators of the quantifier's span, and the solution
+module of those rows is memoised per process, keyed by the identity's value
+(its terms and quantifier, not its tag), the ring, the bimodule and the pair
+mode.  ``check`` is membership of the flattened map in that module; only a
+failing map walks the elements or pairs, to find the first one whose row
+block does not annihilate it.  The test suite plays this route against
+independent evaluators on explicit 2 x 2 matrices (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -40,25 +42,24 @@ from .errors import GuardError, InternalVerificationError, PreconditionError
 from .linalg import ResidueMatrix, SolutionModule, solve_affine, solve_homogeneous_rows
 from .maps import AdditiveMap, as_bimodule, inner_derivation, lift_map, right_multiplier
 from .rings import (
+    CONDITIONS,
     Bimodule,
     RingElement,
     act,
     action_rows,
     annihilator_kernels,
-    anti_commuting_pairs,
     basis_elements,
     bimodule_center,
     bimodule_rank,
     is_unital,
-    left_zero_pairs,
     matrix_unit,
     mul_coords,
     one_element,
+    pair_span,
     peirce_split,
     require_odd,
     ring_rank,
     structure,
-    zero_product_pairs,
 )
 
 # ---------------------------------------------------------------------------
@@ -148,21 +149,6 @@ def _spec_for(kind):
         raise ValueError(f"unknown identity kind {kind!r}") from None
 
 
-def _pairs_for(spec, ring, pair_mode):
-    if spec.quantifier == "basis":
-        return [(a, None) for a in basis_elements(ring)]
-    if spec.quantifier == "basis_pairs":
-        basis = basis_elements(ring)
-        return [(a, b) for a in basis for b in basis]
-    if spec.quantifier == "two_sided_zero":
-        return zero_product_pairs(ring, pair_mode)
-    if spec.quantifier == "anti_commuting":
-        return anti_commuting_pairs(ring, pair_mode)
-    if spec.quantifier == "left_zero":
-        return left_zero_pairs(ring, pair_mode)
-    raise ValueError(f"unknown quantifier {spec.quantifier!r}")
-
-
 @lru_cache(maxsize=None)
 def _constant_letters(ring):
     letters = {"1": structure(ring).one}
@@ -228,10 +214,15 @@ def check(fmap, kind, pair_mode="structured"):
     ``IdentitySpec``) by membership of its flattened matrix in the memoised
     solution module (see ``solve_counted``).
 
-    A failing map gets a witness: the first required element or pair, in
-    deterministic order (basis order, basis-lexicographic, or the enumeration
-    order of the conditional pair set), whose constraint-row block does not
-    annihilate the map; that product is the residual of the identity there.
+    A failing map gets a witness: the first required element or pair whose
+    constraint-row block does not annihilate the map; that product is the
+    residual of the identity there.  The order is basis order or
+    basis-lexicographic for the unconditional quantifiers and, in either pair
+    mode, the exhaustive scan for the conditional ones: a in index order, and
+    the elements of K_a in sorted order.  Every term is additive in b, so a
+    K_a whose Howell generators all pass is skipped whole.  The scan solves
+    the kernels one a at a time; above ``EXHAUSTIVE_ELEMENT_BUDGET`` it raises
+    ``GuardError``.
     """
     spec = _spec_for(kind)
     ring = fmap.domain
@@ -241,12 +232,32 @@ def check(fmap, kind, pair_mode="structured"):
     if module.contains(flat):
         return CheckReport(True)
     m = ring.m
-    for a, b in _pairs_for(spec, ring, pair_mode):
-        rows, _ = _constraint_rows(spec, ring, bim, [(a, b)])
-        res = tuple(sum(v * flat[k] for k, v in row.items()) % m for row in rows)
+    actions = {}
+
+    def residual(a, b):
+        block = _pair_block(spec, ring, bim, a, b, actions)
+        return tuple(sum(v * flat[k] for k, v in row.items()) % m for row in block)
+
+    for a, b in _scan(spec, ring, residual):
+        res = residual(a, b)
         if any(res):
             return CheckReport(False, Witness(a, b, res))
-    raise AssertionError("map outside the solution module fails on no pair")
+    raise InternalVerificationError(
+        "map outside the solution module meets the identity on every pair", fmap
+    )
+
+
+def _scan(spec, ring, residual):
+    """The elements or pairs a failing map is tested on, in witness order."""
+    if spec.quantifier in _UNCONDITIONAL:
+        basis = basis_elements(ring)
+        yield from itertools.product(basis, basis if spec.quantifier == "basis_pairs" else [None])
+        return
+    for coords, kernel in annihilator_kernels(ring, spec.quantifier):
+        a = RingElement(ring, coords)
+        gens = [RingElement(ring, tuple(g)) for g in kernel.generators.to_rows()]
+        if any(any(residual(a, g)) for g in gens):
+            yield from ((a, RingElement(ring, b)) for b in sorted(kernel.elements()))
 
 
 @dataclass(frozen=True)
@@ -256,51 +267,49 @@ class ConstraintSystem:
     bimodule: Bimodule
     pair_mode: str
     matrix: ResidueMatrix
-    pair_count: int
+    counts: dict  # {"pair_count": n} or, structured conditional, {"span_rank": k}
 
 
-def _constraint_rows(spec, ring, bim, pairs):
-    """(rows, width): a lazy stream of {column: residue} rows, rank(M) per
-    pair in pair order (zero rows included), and the width rank(M) * rank(A).
-    Column u * rank(A) + v holds D[u][v]; a term coef * x.D(w).y adds
-    coef * (x.-.y)[e][u] * w[v] to row e of its pair's block."""
-    rank_m = bimodule_rank(bim)
+def _pair_block(spec, ring, bim, a, b, actions):
+    """The rank(M) reduced {column: residue} rows of the pair (a, b) (b is
+    None under the ``basis`` quantifier), zero rows included.  Column
+    u * rank(A) + v holds D[u][v]; a term coef * x.D(w).y adds
+    coef * (x.-.y)[e][u] * w[v] to row e.  ``actions`` memoises the one-sided
+    action rows by side and ring coordinates, so the pairs of one solve or
+    one check share them."""
     rank_a = ring_rank(ring)
     m = ring.m
-
-    def rows():
-        for a, b in pairs:
-            value = _word_values(ring, a, b)
-            ops = {}
-            block = [{} for _ in range(rank_m)]
-            for coef, lft, arg, rgt in spec.terms:
-                w = [(v, x) for v, x in enumerate(value(arg)) if x]
-                if (lft, rgt) not in ops:
-                    ops[lft, rgt] = _sandwich(bim, value, lft, rgt)
-                op = ops[lft, rgt]
-                for e, row in enumerate(block):
-                    for u, pu in op[e].items() if op is not None else ((e, 1),):
-                        cc = coef * pu
-                        off = u * rank_a
-                        for v, x in w:
-                            row[off + v] = row.get(off + v, 0) + cc * x
-            for row in block:
-                yield {k: v % m for k, v in row.items() if v % m}
-
-    return rows(), rank_m * rank_a
+    value = _word_values(ring, a, b)
+    block = [{} for _ in range(bimodule_rank(bim))]
+    for coef, lft, arg, rgt in spec.terms:
+        w = [(v, x) for v, x in enumerate(value(arg)) if x]
+        op = _sandwich(bim, lft and value(lft), rgt and value(rgt), actions)
+        for e, row in enumerate(block):
+            for u, pu in op[e].items() if op is not None else ((e, 1),):
+                cc = coef * pu
+                off = u * rank_a
+                for v, x in w:
+                    row[off + v] = row.get(off + v, 0) + cc * x
+    return [{k: v % m for k, v in row.items() if v % m} for row in block]
 
 
-def _sandwich(bim, value, lft, rgt):
-    """Sparse rows of m |-> x.m.y for the words x = lft and y = rgt (None: no
+def _sandwich(bim, x, y, actions):
+    """Sparse rows of m |-> x.m.y for ring coordinates x and y (None: no
     factor); None when both are absent."""
-    if lft is None and rgt is None:
+
+    def act_rows(side, coords):
+        if (side, coords) not in actions:
+            actions[side, coords] = action_rows(bim, side, coords)
+        return actions[side, coords]
+
+    if x is None and y is None:
         return None
-    if lft is None:
-        return action_rows(bim, "R", value(rgt))
-    left = action_rows(bim, "L", value(lft))
-    if rgt is None:
+    if x is None:
+        return act_rows("R", y)
+    left = act_rows("L", x)
+    if y is None:
         return left
-    right = action_rows(bim, "R", value(rgt))
+    right = act_rows("R", y)
     m = bim.ring.m
     out = []
     for lrow in left:
@@ -312,50 +321,85 @@ def _sandwich(bim, value, lft, rgt):
     return out
 
 
-def _system_pairs(spec, ring, bim, pair_mode):
-    """(pairs, pair_count) of an identity's constraint system.
+def _assembly(spec, ring, bim, pair_mode):
+    """(rows, width, counts) of an identity's constraint system.
 
-    Exhaustive conditional kinds take rows only from the pairs (a, g), with g
-    running over the Howell generators of a's annihilator kernel K_a.  With a
-    fixed, every term is additive in b, so the row block of (a, b) is the
-    matching combination of the blocks of (a, g): these rows span the same
-    constraints as the full pair set, and the solution module is identical.
-    ``pair_count`` is still the size of the full set, the sum of |K_a|.
+    Every term is bilinear in (a, b), so the rows of a pair set span the
+    image of W = span{a (x) b} under w |-> sum_ij w_ij block(e_i, e_j).  The
+    rows are rank(M) per generator of W, streamed lazily, over the width
+    rank(M) * rank(A); the blocks live for this call only.  W is the full
+    span for the unconditional quantifiers, whose rows are then the blocks of
+    the basis elements or basis pairs in order, and ``rings.pair_span``
+    otherwise, exact or structural by pair mode.  The structural two-sided
+    span is symmetrised, so only blocks with block(e_i, e_j) = block(e_j, e_i)
+    over an odd modulus take it; others take the exact span.  ``counts`` is
+    {"pair_count": n} or, for structured conditional systems,
+    {"span_rank": the number of Howell generators of W}.
     """
     if bim.ring != ring:
         raise ValueError("bimodule is not over the given ring")
-    if ring_rank(ring) == 0:
-        raise GuardError("degenerate rank-0 ring")
-    if pair_mode == "exhaustive" and spec.quantifier not in _UNCONDITIONAL:
-        kernels = annihilator_kernels(ring, spec.quantifier)
-        pair_count = sum(kernel.size() for _, kernel in kernels)
-        pairs = [
-            (RingElement(ring, a), RingElement(ring, tuple(g)))
-            for a, kernel in kernels
-            for g in kernel.generators.to_rows()
-        ]
-        return pairs, pair_count
-    pairs = _pairs_for(spec, ring, pair_mode)
-    return pairs, len(pairs)
+    quantifier = spec.quantifier
+    r = ring_rank(ring)
+    rank_m = bimodule_rank(bim)
+    m = ring.m
+    basis = basis_elements(ring)
+    actions = {}
+
+    def block(k):
+        a, b = (basis[k], None) if quantifier == "basis" else (basis[k // r], basis[k % r])
+        return _pair_block(spec, ring, bim, a, b, actions)
+
+    if quantifier in _UNCONDITIONAL:
+        size = r if quantifier == "basis" else r * r
+        rows = (row for k in range(size) for row in block(k))
+        return rows, rank_m * r, {"pair_count": size}
+    if quantifier not in CONDITIONS:
+        raise ValueError(f"unknown quantifier {quantifier!r}")
+    for term in spec.terms:
+        letters = "".join(word for word in term[1:] if word)
+        if letters.count("a") != 1 or letters.count("b") != 1:
+            raise ValueError(f"conditional term {term!r} is not bilinear in (a, b)")
+    blocks = [block(k) for k in range(r * r)]
+    source = pair_mode
+    if pair_mode == "structured" and quantifier == "two_sided_zero":
+        symmetric = m % 2 == 1 and all(
+            blocks[i * r + j] == blocks[j * r + i] for i in range(r) for j in range(i)
+        )
+        source = "structured" if symmetric else "exhaustive"
+    span, pair_count = pair_span(ring, quantifier, source)
+    gens = span.generators.to_rows()
+    counts = {"pair_count": pair_count} if pair_mode == "exhaustive" else {"span_rank": len(gens)}
+
+    def rows():
+        for gen in gens:
+            for e in range(rank_m):
+                acc = {}
+                for k, c in enumerate(gen):
+                    if c:
+                        for col, v in blocks[k][e].items():
+                            acc[col] = acc.get(col, 0) + c * v
+                yield {col: v % m for col, v in acc.items() if v % m}
+
+    return rows(), rank_m * r, counts
 
 
 def constraint_system(kind, ring, bimodule=None, pair_mode="structured"):
     """Homogeneous system over the flattened map matrix whose solution set is
     exactly the maps satisfying the identity, as a dense matrix (the rows of
-    ``_system_pairs``' pairs).  ``kind`` is a catalogue tag or an
-    ``IdentitySpec``.  Solving does not build this matrix; see ``_solved``.
+    ``_assembly``).  ``kind`` is a catalogue tag or an ``IdentitySpec``.
+    Solving does not build this matrix; see ``_solved``.
     """
     spec = _spec_for(kind)
     bim = as_bimodule(bimodule if bimodule is not None else ring)
-    pairs, pair_count = _system_pairs(spec, ring, bim, pair_mode)
-    rows, width = _constraint_rows(spec, ring, bim, pairs)
+    rows, width, counts = _assembly(spec, ring, bim, pair_mode)
     mat = ResidueMatrix.from_sparse(ring.m, width, rows)
-    return ConstraintSystem(spec.tag, ring, bim, pair_mode, mat, pair_count)
+    return ConstraintSystem(spec.tag, ring, bim, pair_mode, mat, counts)
 
 
 def solve_counted(kind, ring, bimodule=None, pair_mode="structured"):
-    """(module, pair_count): the canonical module of all maps (as flattened
-    matrices) satisfying the identity kind, and the size of its pair set.
+    """(module, counts): the canonical module of all maps (as flattened
+    matrices) satisfying the identity kind, and the size of what it
+    quantifies over (see ``_assembly``).
 
     Solved once per process for each (identity terms and quantifier, ring,
     bimodule, pair mode); unconditional quantifiers ignore the pair mode, so
@@ -373,9 +417,8 @@ def _solved(spec, ring, bim, pair_mode):
     # Keyed on the spec's value, so a catalogue entry replaced under the same
     # tag gets its own module.  The rows stream straight into the solve, which
     # drops repeats as they arrive; no dense matrix is built.
-    pairs, pair_count = _system_pairs(spec, ring, bim, pair_mode)
-    rows, width = _constraint_rows(spec, ring, bim, pairs)
-    return solve_homogeneous_rows(ring.m, width, rows), pair_count
+    rows, width, counts = _assembly(spec, ring, bim, pair_mode)
+    return solve_homogeneous_rows(ring.m, width, rows), counts
 
 
 def solve_all(kind, ring, bimodule=None, pair_mode="structured"):

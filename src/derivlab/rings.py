@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import EvenModulusError, GuardError
-from .linalg import _check_modulus, solve_homogeneous_rows
+from .linalg import SolutionModule, _check_modulus, solve_homogeneous_rows
 
 MAX_RANK = 64
 EXHAUSTIVE_ELEMENT_BUDGET = 10**5
@@ -612,27 +612,31 @@ def center_basis(desc):
 
 
 # ---------------------------------------------------------------------------
-# Conditional pair sets
+# Conditional pair sets and their spans in A (x) A
 # ---------------------------------------------------------------------------
 
 # With a fixed, each pair condition on (a, b) says that b lies in the kernel
 # of a stack of blocks; each block is the sum of the listed operators
-# L_a = (b |-> ab) and R_a = (b |-> ba).
+# L_a = (b |-> ab) and R_a = (b |-> ba).  On A (x) A the same table gives the
+# condition's structural operator, with L read as multiplication
+# mu(a (x) b) = ab and R as mu.tau(a (x) b) = ba (tau swaps the factors).
 _CONDITION_OPERATORS = {
     "two_sided_zero": (("L",), ("R",)),  # ab = 0 and ba = 0: [L_a; R_a]
     "anti_commuting": (("L", "R"),),     # ab + ba = 0: L_a + R_a
     "left_zero": (("L",),),              # ab = 0: L_a
 }
+CONDITIONS = tuple(_CONDITION_OPERATORS)
 
 
 def annihilator_kernels(desc, condition):
-    """[(a, K_a)] over every element a in index order, where the solution
+    """(a, K_a) over every element a in index order, where the solution
     module K_a = {b : (a, b) satisfies the condition} is over element
-    coordinates.
+    coordinates.  The kernels are solved lazily, as the iterator is read, so
+    a walk that stops early solves no further kernel.
 
     The exhaustive pair set is the disjoint union of {a} x K_a.  The cost is
-    one small kernel per element, so the guard is on ring size and fires
-    before any kernel is solved.
+    one small kernel per element, so the guard is on ring size and fires when
+    this is called, before any kernel is solved.
     """
     blocks = _CONDITION_OPERATORS[condition]
     size = ring_size(desc)
@@ -642,103 +646,125 @@ def annihilator_kernels(desc, condition):
             f"size {size} is over the {EXHAUSTIVE_ELEMENT_BUDGET}-element budget"
         )
     bim = Bimodule.regular(desc)
-    n = desc.m
-    out = []
-    for elt in all_elements(desc):
-        a = elt.coords
+
+    def kernel(a):
         ops = {side: action_rows(bim, side, a) for side in ("L", "R")}
         rows = [
             _row_sum(parts)
             for block in blocks
             for parts in zip(*(ops[name] for name in block))
         ]
-        out.append((a, solve_homogeneous_rows(n, ring_rank(desc), rows)))
-    return out
+        return a, solve_homogeneous_rows(desc.m, ring_rank(desc), rows)
+
+    return (kernel(elt.coords) for elt in all_elements(desc))
+
+
+def _symmetrised(span, r):
+    """Sym W = {w + tau.w : w in W}, where tau swaps the tensor factors
+    (column i * r + j <-> j * r + i)."""
+    rows = [
+        [w[k] + w[(k % r) * r + k // r] for k in range(r * r)]
+        for w in span.generators.to_rows()
+    ]
+    return SolutionModule.from_rows(span.modulus, r * r, rows)
 
 
 @lru_cache(maxsize=None)
-def _structured_schemas(desc):
-    """The nine pair schemas built from E = E11 and F = 1 - E11 whose two-sided
-    products vanish identically; A and B range over the module basis.
+def pair_span(desc, condition, mode):
+    """(W, pair_count): the span W of {a (x) b : (a, b) meets the condition}
+    in A (x) A = (Z/mZ)^(r * r), column i * r + j standing for e_i (x) e_j.
 
-    Schemas taking only A are instantiated per basis element; the rest per
-    ordered basis pair.  Every instantiation is re-multiplied and checked to
-    be an honest zero-product pair.
+    ``exhaustive`` builds W exactly from the tensors a (x) g, g over the
+    Howell generators of each K_a; ``pair_count`` is the sum of |K_a|.
+    ``structured`` takes the kernel of the condition's operator, one solve of
+    width r * r whatever the ring size: ker mu (``left_zero``),
+    ker(mu + mu.tau) (``anti_commuting``) or Sym ker[mu; mu.tau]
+    (``two_sided_zero``), with Sym w = w + tau.w; ``pair_count`` is None.
+    The kernel contains every pair tensor; that it is no larger is measured
+    (``structural_and_exact_spans``), never assumed.  Sym serves identities
+    whose constraint rows are the same for a tensor and its swap, over an
+    odd modulus.
     """
-    if desc.kind != "matrix":
-        raise GuardError("structured pairs require a matrix ring (they use E11)")
-    e = matrix_unit(desc, 1, 1)
-    f = one_element(desc) - e
+    r = ring_rank(desc)
+    n = desc.m
+    if mode == "exhaustive":
+        rows = []
+        pair_count = 0
+        for a, kernel in annihilator_kernels(desc, condition):
+            pair_count += kernel.size()
+            for g in kernel.generators.to_rows():
+                rows.append({
+                    i * r + j: x * y
+                    for i, x in enumerate(a) if x
+                    for j, y in enumerate(g) if y
+                })
+        return SolutionModule.from_rows(n, r * r, rows), pair_count
+    if mode != "structured":
+        raise ValueError(f"unknown pair mode {mode!r}")
+    prod = structure(desc).prod
+    rows = []
+    for block in _CONDITION_OPERATORS[condition]:
+        for k in range(r):
+            row = {}
+            for i in range(r):
+                for j in range(r):
+                    v = sum(prod[i][j][k] if side == "L" else prod[j][i][k] for side in block)
+                    if v:
+                        row[i * r + j] = v
+            rows.append(row)
+    kernel = solve_homogeneous_rows(n, r * r, rows)
+    if condition == "two_sided_zero":
+        kernel = _symmetrised(kernel, r)
+    return kernel, None
 
-    def single(a):
-        fafs = f * a * f
-        eaes = e * a * e
-        return [(e, fafs), (eaes, f)]
 
-    def double(a, b):
-        eae, eaf, ebf = e * a * e, e * a * f, e * b * f
-        fae, fbe = f * a * e, f * b * e
-        faf, fbf = f * a * f, f * b * f
-        return [
-            (eaf, ebf),
-            (fae, fbe),
-            (eae + eae * ebf, f - ebf),
-            (f + fae, fae * (e * b * e) - e * b * e),
-            (e + eaf, fbf - eaf * fbf),
-            (e - fbe, faf * fbe + faf),
-            (eaf * fbe + eaf - fbe - f, -(e + eaf) + fbe + fbe * eaf),
-        ]
-
-    pairs = []
-    basis = basis_elements(desc)
-    for a in basis:
-        pairs.extend(single(a))
-    for a in basis:
-        for b in basis:
-            pairs.extend(double(a, b))
-    zero = zero_element(desc)
-    for x, y in pairs:
-        if x * y != zero or y * x != zero:
-            raise AssertionError("structured schema produced a non-zero product")
-    return tuple((x.coords, y.coords) for x, y in pairs)
+def structural_and_exact_spans(desc, condition):
+    """(structural, exact): the two spans of ``pair_span`` for the condition,
+    the exact one symmetrised for ``two_sided_zero`` as the structural one
+    is.  Equal spans give equal solution modules in both pair modes for every
+    identity with this condition.  The exact span needs the exhaustive
+    kernels, so this is guarded like them."""
+    structural, _ = pair_span(desc, condition, "structured")
+    exact, _ = pair_span(desc, condition, "exhaustive")
+    if condition == "two_sided_zero":
+        exact = _symmetrised(exact, ring_rank(desc))
+    return structural, exact
 
 
 def _condition_pairs(desc, mode, condition):
     if mode == "structured":
-        raw = _structured_schemas(desc)
-    elif mode == "exhaustive":
-        raw = [
-            (a, b)
-            for a, kernel in annihilator_kernels(desc, condition)
-            for b in sorted(kernel.elements())
-        ]
-    else:
+        raise ValueError(
+            "structured pair mode quantifies over a span in A (x) A, not over "
+            "a pair list; pairs are listed in exhaustive mode only"
+        )
+    if mode != "exhaustive":
         raise ValueError(f"unknown pair mode {mode!r}")
-    return [(RingElement(desc, a), RingElement(desc, b)) for a, b in raw]
+    return [
+        (RingElement(desc, a), RingElement(desc, b))
+        for a, kernel in annihilator_kernels(desc, condition)
+        for b in sorted(kernel.elements())
+    ]
 
 
 def zero_product_pairs(desc, mode="exhaustive"):
-    """Ordered pairs (A, B) with AB = BA = 0.
-
-    ``exhaustive`` lists every such pair: for each A in index order, the
+    """Ordered pairs (A, B) with AB = BA = 0: for each A in index order, the
     elements B of its two-sided annihilator kernel (see
     ``annihilator_kernels``) in sorted coordinate order, which is index order.
-    ``structured`` instantiates the fixed schema family over the module basis;
-    it is linear in ring rank, and whether it spans the same constraint set is
-    measured empirically by the verification suite, never assumed.
+
+    Only ``exhaustive`` mode lists pairs; ``structured`` raises ValueError,
+    because its quantifier is the span ``pair_span`` builds, not a pair set.
     """
     return _condition_pairs(desc, mode, "two_sided_zero")
 
 
 def anti_commuting_pairs(desc, mode="exhaustive"):
     """Ordered pairs with AB + BA = 0, listed like ``zero_product_pairs`` from
-    the kernels of L_A + R_A; structured mode reuses the zero-product schemas
-    (each satisfies this weaker hypothesis as well)."""
+    the kernels of L_A + R_A (exhaustive mode only)."""
     return _condition_pairs(desc, mode, "anti_commuting")
 
 
 def left_zero_pairs(desc, mode="exhaustive"):
     """Ordered pairs with AB = 0 (one-sided, exactly as stated; the companion
     BA = 0 is deliberately not required), listed like ``zero_product_pairs``
-    from the kernels of L_A."""
+    from the kernels of L_A (exhaustive mode only)."""
     return _condition_pairs(desc, mode, "left_zero")

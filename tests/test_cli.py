@@ -162,6 +162,9 @@ def test_malformed_flags_exit_two(capsys):
     assert run(["verify", "--compare-modes"]) == 2
     assert run(["nonexistent-subcommand"]) == 2
     capsys.readouterr()
+    # structured mode quantifies over a span and lists no pairs
+    assert run(["pairs", "--base", "zmod:3", "--n", "2", "--pairs", "structured"]) == 2
+    assert "exhaustive mode only" in capsys.readouterr().err
 
 
 def test_missing_input_file_exits_two(capsys):

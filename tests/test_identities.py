@@ -11,7 +11,7 @@ from derivlab.identities import (
     IDENTITY_KINDS,
     IDENTITY_TERMS,
     IdentitySpec,
-    _constraint_rows,
+    _pair_block,
     check,
     constraint_system,
     decompose_inner_plus_lifted,
@@ -36,9 +36,9 @@ from derivlab.rings import (
     matrix_ring,
     matrix_unit,
     one_element,
+    pair_span,
     ring_rank,
     trivial_extension,
-    zero_product_pairs,
     zmod,
 )
 from derivlab.theorems import verify_theorem
@@ -67,18 +67,23 @@ def test_constraint_shapes_on_rank_four_ring():
     system = constraint_system("derivation", M2Z3)
     assert system.matrix.cols == 16
     assert system.matrix.rows == 16 * 4  # ordered basis pairs x codomain rank
-    assert system.pair_count == 16
+    assert system.counts == {"pair_count": 16}
 
     jordan = constraint_system("jordan", M2Z3)
     phi = constraint_system("phi", M2Z3)
     assert (phi.matrix.rows, phi.matrix.cols) == (jordan.matrix.rows, jordan.matrix.cols)
 
-    # exhaustive rows come from (a, g) with g over the Howell generators of
-    # a's two-sided annihilator kernel; pair_count is still the full set
+    # conditional rows come from the generators of the span W of the pair
+    # tensors a (x) b, rank(M) rows each; exhaustive mode counts the full
+    # pair set, structured mode the Howell generators of W
     star = constraint_system("star", M2Z3, pair_mode="exhaustive")
-    kernels = annihilator_kernels(M2Z3, "two_sided_zero")
-    assert star.pair_count == sum(k.size() for _, k in kernels) == 225
-    assert star.matrix.rows == 4 * sum(k.generators.rows for _, k in kernels)
+    assert star.counts == {"pair_count": 225}
+    assert sum(k.size() for _, k in annihilator_kernels(M2Z3, "two_sided_zero")) == 225
+    span, _ = pair_span(M2Z3, "two_sided_zero", "exhaustive")
+    assert star.matrix.rows == 4 * span.generators.rows
+    structured = constraint_system("star", M2Z3)
+    assert structured.counts == {"span_rank": 6}
+    assert structured.matrix.rows == 4 * 6
 
 
 def test_unknown_kind_rejected():
@@ -132,12 +137,10 @@ BASIS_PAIRS = [
 @functools.lru_cache(maxsize=None)
 def _oracle_pairs(kind, mode):
     """The pairs the oracle evaluates, in the order check must report them:
-    basis pairs, the structured schema family, or the full scan."""
+    basis pairs, or the full scan in either pair mode."""
     quantifier = IDENTITY_TERMS[kind].quantifier
     if quantifier == "basis_pairs":
         return BASIS_PAIRS
-    if mode == "structured":
-        return [(a.coords, b.coords) for a, b in zero_product_pairs(M2Z3, "structured")]
     return scan_pairs_mat2(3, quantifier)
 
 
@@ -279,12 +282,46 @@ def test_inner_module_equals_derivation_module():
 
 
 def test_structured_and_exhaustive_agree_on_small_ring():
-    # measured empirically, not assumed: on this ring the schema pairs cut out
-    # the same solution module as the full scan
-    for kind in ("star", "star_star"):
-        st_mod = solve_all(kind, M2Z3, pair_mode="structured")
-        ex_mod = solve_all(kind, M2Z3, pair_mode="exhaustive")
-        assert module_equal(st_mod, ex_mod)
+    # measured, not assumed: on these rings the structural span in A (x) A
+    # cuts out the same solution module as the exact span of the pair set
+    for ring in (M2Z3, matrix_ring(2, zmod(5))):
+        for kind in CONDITIONAL_KINDS:
+            st_mod = solve_all(kind, ring, pair_mode="structured")
+            ex_mod = solve_all(kind, ring, pair_mode="exhaustive")
+            assert module_equal(st_mod, ex_mod), (ring, kind)
+
+
+def test_non_symmetric_two_sided_spec_takes_the_exact_span():
+    # Sym keeps only what identities symmetric in a <-> b need; a sign-flipped
+    # star is not symmetric, so structured mode solves it from the exact span
+    # (9 Howell generators on M2(Z/3), against 6 for the symmetrised kernel),
+    # and so does a symmetric one over an even modulus, where 2 is no unit
+    star = IDENTITY_TERMS["star"]
+    flipped = IdentitySpec("star", ((-1, None, "a", "b"),) + star.terms[1:], "two_sided_zero")
+    exact, _ = pair_span(M2Z3, "two_sided_zero", "exhaustive")
+    assert exact.generators.rows == 9
+    assert constraint_system(flipped, M2Z3).counts == {"span_rank": 9}
+    assert constraint_system(star, M2Z3).counts == {"span_rank": 6}
+    assert solve_all(flipped, M2Z3) == solve_all(flipped, M2Z3, pair_mode="exhaustive")
+    m2z4 = matrix_ring(2, zmod(4))
+    exact4, _ = pair_span(m2z4, "two_sided_zero", "exhaustive")
+    assert constraint_system(star, m2z4).counts == {"span_rank": exact4.generators.rows}
+    assert solve_all(star, m2z4) == solve_all(star, m2z4, pair_mode="exhaustive")
+    # above the element budget the exact span is out of reach; the symmetric
+    # spec still solves from the kernel: Der + central multipliers, p^3 * p
+    big = matrix_ring(2, zmod(101))
+    with pytest.raises(GuardError, match="budget"):
+        solve_all(flipped, big)
+    assert solve_all(star, big).size() == 101 ** 4
+
+
+def test_failing_check_above_the_budget_raises_guard():
+    # the witness scan walks the exhaustive pairs, so a failing map on a ring
+    # over the element budget stops with the budget named, not a made-up pair
+    big = matrix_ring(2, zmod(101))
+    rmap = right_multiplier(Bimodule.regular(big), matrix_unit(big, 1, 2).coords)
+    with pytest.raises(GuardError, match="budget"):
+        check(rmap, "star")
 
 
 WIDE_KINDS = ("derivation", "jordan", "generalized_derivation", "generalized_jordan", "phi")
@@ -303,9 +340,16 @@ def test_solve_all_equals_dense_reference_route(kind):
 
 
 def _solve_from_pairs(kind, ring, coord_pairs):
-    pairs = [(RingElement(ring, a), RingElement(ring, b)) for a, b in coord_pairs]
-    rows, width = _constraint_rows(IDENTITY_TERMS[kind], ring, Bimodule.regular(ring), pairs)
-    return solve_homogeneous_rows(ring.m, width, rows)
+    # the row blocks of every listed pair, evaluated pair by pair
+    bim = Bimodule.regular(ring)
+    actions = {}
+    rows = [
+        row
+        for a, b in coord_pairs
+        for row in _pair_block(IDENTITY_TERMS[kind], ring, bim,
+                               RingElement(ring, a), RingElement(ring, b), actions)
+    ]
+    return solve_homogeneous_rows(ring.m, ring_rank(ring) ** 2, rows)
 
 
 @pytest.mark.parametrize("m", [3, 4])
@@ -319,7 +363,7 @@ def test_kernel_route_equals_full_pair_scan(m):
         if condition not in scans:
             scans[condition] = scan_pairs_mat2(m, condition)
         system = constraint_system(kind, ring, pair_mode="exhaustive")
-        assert system.pair_count == len(scans[condition])
+        assert system.counts == {"pair_count": len(scans[condition])}
         assert module_equal(
             solve_homogeneous(system.matrix), _solve_from_pairs(kind, ring, scans[condition])
         ), kind
@@ -330,10 +374,10 @@ def test_exhaustive_truths_on_m2_z5():
     m2z5 = matrix_ring(2, zmod(5))
     star = constraint_system("star", m2z5, pair_mode="exhaustive")
     onesided = constraint_system("remark_abzero", m2z5, pair_mode="exhaustive")
-    assert star.pair_count == 1825
+    assert star.counts == {"pair_count": 1825}
     assert solve_homogeneous(star.matrix).size() == 625
     assert solve_all("star_star", m2z5, pair_mode="exhaustive").size() == 78125
-    assert onesided.pair_count == 4705
+    assert onesided.counts == {"pair_count": 4705}
     assert solve_homogeneous(onesided.matrix).size() == 125
 
 
@@ -743,7 +787,7 @@ def test_memo_is_keyed_on_identity_terms_not_tag(monkeypatch):
 def test_exhaustive_witness_is_first_failing_pair_in_scan_order(kind):
     # a = 0 and the other early elements annihilate everything, so the first
     # failure sits deep in the enumeration; the witness must be the oracle's
-    # first failing pair of the full index-order scan
+    # first failing pair of the full index-order scan, in either pair mode
     scan = scan_pairs_mat2(3, IDENTITY_TERMS[kind].quantifier)
     maps = [right_multiplier(REG, (0, 1, 0, 0)), right_multiplier(REG, (1, 0, 0, 2))]
     maps.append(AdditiveMap.from_flat(M2Z3, REG, tuple([1] + [0] * 14 + [2])))
@@ -754,11 +798,12 @@ def test_exhaustive_witness_is_first_failing_pair_in_scan_order(kind):
         expected = first_failing_pair_mat2(
             IDENTITY_TERMS[kind].terms, fmap.to_flat(), 3, 0, scan
         )
-        report = check(fmap, kind, pair_mode="exhaustive")
-        if expected is None:
-            assert report.passed
-            continue
-        failing += 1
-        w = report.witness
-        assert (w.a.coords, w.b.coords, w.residual) == expected
-    assert failing >= 1
+        for mode in ("exhaustive", "structured"):
+            report = check(fmap, kind, pair_mode=mode)
+            if expected is None:
+                assert report.passed
+                continue
+            failing += 1
+            w = report.witness
+            assert (w.a.coords, w.b.coords, w.residual) == expected, mode
+    assert failing >= 2

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from derivlab import rings
 from derivlab.errors import GuardError
 from derivlab.rings import (
+    CONDITIONS,
     EXHAUSTIVE_ELEMENT_BUDGET,
     Bimodule,
     RingDescriptor,
     RingElement,
     act,
     all_elements,
+    annihilator_kernels,
     anti_commuting_pairs,
     basis_elements,
     bimodule_center,
@@ -27,9 +29,11 @@ from derivlab.rings import (
     matrix_ring,
     matrix_unit,
     one_element,
+    pair_span,
     peirce_split,
     ring_rank,
     ring_size,
+    structural_and_exact_spans,
     trivial_extension,
     zero_element,
     zero_product_pairs,
@@ -359,18 +363,66 @@ def test_exhaustive_pairs_equal_index_order_scan():
         assert listed == scan_pairs_mat2(3, condition)
 
 
+def _tensor_products(ring, w):
+    """(mu(w), mu.tau(w)) for w in A (x) A: sum_ij w_ij e_i e_j and
+    sum_ij w_ij e_j e_i, by ring multiplication of basis elements."""
+    r = ring_rank(ring)
+    basis = basis_elements(ring)
+    mu = mu_tau = zero_element(ring)
+    for k, c in enumerate(w):
+        if c:
+            x, y = basis[k // r], basis[k % r]
+            mu = mu + c * (x * y)
+            mu_tau = mu_tau + c * (y * x)
+    return mu, mu_tau
+
+
 def test_structured_pairs_are_zero_products():
-    pairs = zero_product_pairs(M2Z3, "structured")
-    # 2 single-element schemas over 4 basis elements + 7 pair schemas over 16
-    assert len(pairs) == 2 * 4 + 7 * 16
-    zero = zero_element(M2Z3)
-    for a, b in pairs:
-        assert a * b == zero and b * a == zero
+    # every generator of a structured span is a tensor on which the
+    # condition's operator vanishes: mu, mu + mu.tau, or both mu and mu.tau;
+    # the span needs no matrix units, so any ring has one
+    for ring in (M2Z3, dual_numbers(3), trivial_extension(zmod(3))):
+        zero = zero_element(ring)
+        for condition in CONDITIONS:
+            span, pair_count = pair_span(ring, condition, "structured")
+            assert pair_count is None and span.generators.rows > 0
+            for w in span.generators.to_rows():
+                mu, mu_tau = _tensor_products(ring, w)
+                if condition == "two_sided_zero":
+                    assert mu == zero and mu_tau == zero
+                elif condition == "anti_commuting":
+                    assert mu + mu_tau == zero
+                else:
+                    assert mu == zero
 
 
-def test_structured_pairs_need_matrix_ring():
-    with pytest.raises(GuardError):
-        zero_product_pairs(zmod(5), "structured")
+def test_structured_mode_lists_no_pairs():
+    for enumerate_pairs in (zero_product_pairs, anti_commuting_pairs, left_zero_pairs):
+        for ring in (M2Z3, zmod(5)):
+            with pytest.raises(ValueError, match="exhaustive mode only"):
+                enumerate_pairs(ring, "structured")
+
+
+SPAN_RINGS = {f"M2(Z/{m})": matrix_ring(2, zmod(m)) for m in (3, 4, 5)}
+SPAN_RINGS["M2(Z/3[eps])"] = matrix_ring(2, dual_numbers(3))
+STRUCTURAL_SPAN_CASES = [
+    (label, condition) for label in list(SPAN_RINGS)[:3] for condition in CONDITIONS
+] + [("M2(Z/3[eps])", "two_sided_zero")]
+
+
+@pytest.mark.parametrize("label, condition", STRUCTURAL_SPAN_CASES)
+def test_structural_span_equals_exact_span(label, condition):
+    # the kernel of the condition's operator on A (x) A against the span of
+    # the tensors a (x) g over every element a and the generators g of K_a;
+    # two-sided spans agree only after Sym (on M2(Z/3[eps]) the kernel of
+    # [mu; mu.tau] has 50 Howell generators and the exact span 49)
+    ring = SPAN_RINGS[label]
+    structural, exact = structural_and_exact_spans(ring, condition)
+    assert structural == exact
+    full, pair_count = pair_span(ring, condition, "exhaustive")
+    assert pair_count == sum(k.size() for _, k in annihilator_kernels(ring, condition))
+    if condition != "two_sided_zero":
+        assert full == exact
 
 
 def test_anti_commuting_pairs():

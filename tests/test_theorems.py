@@ -4,7 +4,7 @@ import pytest
 
 from derivlab import theorems
 from derivlab.cli import run
-from derivlab.identities import IDENTITY_TERMS, IdentitySpec
+from derivlab.identities import IDENTITY_TERMS, IdentitySpec, solve_all
 from derivlab.rings import dual_numbers, matrix_ring, trivial_extension, zmod
 from derivlab.theorems import (
     THEOREM_IDS,
@@ -58,6 +58,9 @@ def test_wrong_ring_shape_skips_with_reason():
     rep = verify_theorem("thm4_4", zmod(5))
     assert rep.status == "skipped"
     assert "wraps a matrix ring" in rep.reason
+    rep = verify_theorem("remark1_2", zmod(5), pair_mode="exhaustive")
+    assert rep.status == "skipped"
+    assert "matrix ring" in rep.reason
 
 
 def test_stray_exception_is_an_error_not_a_skip(monkeypatch, capsys):
@@ -127,6 +130,57 @@ def test_corrupted_jordan_identity_falsifies_with_witness(monkeypatch):
     assert exit_status([rep]) == 1
 
 
+@pytest.mark.parametrize("ring, size", [
+    (M2Z3, 27),
+    (matrix_ring(2, zmod(5)), 125),
+    (matrix_ring(2, dual_numbers(3)), 2187),
+], ids=["M2(Z/3)", "M2(Z/5)", "M2(Z/3[eps])"])
+def test_one_sided_zero_maps_are_the_derivations(ring, size):
+    # the one-sided hypothesis ab = 0 leaves exactly Der; structured mode
+    # once fed it the two-sided pairs and read the star module instead
+    rep = verify_theorem("remark1_2", ring, sample=20)
+    assert rep.status == "verified"
+    assert rep.counts["one_sided_zero_module_size"] == size
+
+
+def _sign_flipped(spec, index):
+    coef, *words = spec.terms[index]
+    terms = spec.terms[:index] + ((-coef, *words),) + spec.terms[index + 1:]
+    return IdentitySpec(spec.tag, terms, spec.quantifier)
+
+
+SIGN_FLIPS = [(kind, i) for kind, spec in IDENTITY_TERMS.items() for i in range(len(spec.terms))]
+# -D(ab) in remark_abzero is quantified over pairs with ab = 0, where it
+# vanishes, so its flip is an equivalent mutant
+EQUIVALENT_FLIP = ("remark_abzero", 4)
+
+
+def test_every_sign_flip_is_caught(monkeypatch):
+    # flip the sign of each term of each catalogue identity in turn; some
+    # procedure on M2(Z/3) must then report falsified
+    assert len(SIGN_FLIPS) == 45
+    escaped = []
+    for kind, index in SIGN_FLIPS:
+        if (kind, index) == EQUIVALENT_FLIP:
+            continue
+        with monkeypatch.context() as patch:
+            patch.setitem(IDENTITY_TERMS, kind, _sign_flipped(IDENTITY_TERMS[kind], index))
+            statuses = {r.status for r in run_all(M2Z3, sample=20)}
+        assert "error" not in statuses, (kind, index)
+        if "falsified" not in statuses:
+            escaped.append((kind, index))
+    assert escaped == []
+
+
+def test_equivalent_sign_flip_keeps_the_module():
+    kind, index = EQUIVALENT_FLIP
+    spec = IDENTITY_TERMS[kind]
+    assert spec.terms[index] == (-1, None, "ab", None)
+    flipped = _sign_flipped(spec, index)
+    for mode in ("structured", "exhaustive"):
+        assert solve_all(flipped, M2Z3, pair_mode=mode) == solve_all(spec, M2Z3, pair_mode=mode)
+
+
 def test_all_theorem_ids_run_verified_on_m2z3():
     reports = run_all(M2Z3, pair_mode="exhaustive", sample=50)
     assert len(reports) == len(THEOREM_IDS)
@@ -156,8 +210,10 @@ def test_three_by_three_matrices_verify():
     rep = verify_theorem("thm3_2i", ring, sample=100)
     assert rep.status == "verified"
     assert rep.counts["derivation_module_size"] == 3**9 // 3
-    # the structured schema family and the argument steps are built from
-    # E = E11 and its complement, which is a sum of two units when n = 3
+    # the argument steps are built from E = E11 and its complement, which is
+    # a sum of two units when n = 3; structured mode quantifies over the
+    # symmetrised kernel of [mu; mu.tau] on A (x) A, 36 Howell generators
     rep = verify_theorem("thm2_1", ring, pair_mode="structured", sample=10)
     assert rep.status == "verified"
-    assert rep.counts["pair_count"] == 2 * 9 + 7 * 81
+    assert rep.counts["span_rank"] == 36
+    assert "pair_count" not in rep.counts
