@@ -128,12 +128,13 @@ def build_parser():
         choices=("zero-product", "inner-lifted", "extension-components", "proof-steps"),
     )
 
-    p_pairs = sub.add_parser("pairs", help="enumerate conditional pair sets")
+    p_pairs = sub.add_parser("pairs", help="list the exhaustive conditional pair set")
     _add_ring_flags(p_pairs)
     _add_common_flags(p_pairs)
     p_pairs.add_argument("--condition", default="zero-product",
                          choices=("zero-product", "anticommuting", "one-sided-zero"))
-    # structured mode quantifies over a span and lists no pairs
+    # structured mode quantifies over a span and lists no pairs; --pairs stays
+    # so that existing "--pairs exhaustive" command lines keep working
     p_pairs.set_defaults(pairs="exhaustive")
     return parser
 

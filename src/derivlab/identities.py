@@ -330,9 +330,14 @@ def _assembly(spec, ring, bim, pair_mode):
     rank(M) * rank(A); the blocks live for this call only.  W is the full
     span for the unconditional quantifiers, whose rows are then the blocks of
     the basis elements or basis pairs in order, and ``rings.pair_span``
-    otherwise, exact or structural by pair mode.  The structural two-sided
-    span is symmetrised, so only blocks with block(e_i, e_j) = block(e_j, e_i)
-    over an odd modulus take it; others take the exact span.  ``counts`` is
+    otherwise, exact or structural by pair mode.  The structural span is the
+    kernel of the condition's operator, which is the pair span on matrix
+    rings (the zero product determined property of M_n(B); measured by
+    ``rings.structural_and_exact_spans``) but can be larger elsewhere: on
+    Z/3[eps] ker mu holds 1 (x) eps - eps (x) 1.  So structured mode takes it
+    on matrix rings only, and the two-sided one, being symmetrised, only for
+    blocks with block(e_i, e_j) = block(e_j, e_i) over an odd modulus; every
+    other conditional system takes the exact span.  ``counts`` is
     {"pair_count": n} or, for structured conditional systems,
     {"span_rank": the number of Howell generators of W}.
     """
@@ -361,7 +366,9 @@ def _assembly(spec, ring, bim, pair_mode):
             raise ValueError(f"conditional term {term!r} is not bilinear in (a, b)")
     blocks = [block(k) for k in range(r * r)]
     source = pair_mode
-    if pair_mode == "structured" and quantifier == "two_sided_zero":
+    if pair_mode == "structured" and ring.kind != "matrix":
+        source = "exhaustive"
+    elif pair_mode == "structured" and quantifier == "two_sided_zero":
         symmetric = m % 2 == 1 and all(
             blocks[i * r + j] == blocks[j * r + i] for i in range(r) for j in range(i)
         )

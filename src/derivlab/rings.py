@@ -681,9 +681,11 @@ def pair_span(desc, condition, mode):
     ker(mu + mu.tau) (``anti_commuting``) or Sym ker[mu; mu.tau]
     (``two_sided_zero``), with Sym w = w + tau.w; ``pair_count`` is None.
     The kernel contains every pair tensor; that it is no larger is measured
-    (``structural_and_exact_spans``), never assumed.  Sym serves identities
+    (``structural_and_exact_spans``), never assumed, and is false off matrix
+    rings: on Z/3[eps] ker mu holds 1 (x) eps - eps (x) 1.  So solves take
+    the structural span on matrix rings only, and Sym only for identities
     whose constraint rows are the same for a tensor and its swap, over an
-    odd modulus.
+    odd modulus (see ``identities._assembly``).
     """
     r = ring_rank(desc)
     n = desc.m

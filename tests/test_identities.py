@@ -27,6 +27,7 @@ from derivlab.identities import (
 from derivlab.linalg import ResidueMatrix, module_equal, solve_homogeneous, solve_homogeneous_rows
 from derivlab.maps import AdditiveMap, inner_derivation, lift_map, right_multiplier, zero_map
 from derivlab.rings import (
+    CONDITIONS,
     Bimodule,
     RingElement,
     all_elements,
@@ -313,6 +314,17 @@ def test_non_symmetric_two_sided_spec_takes_the_exact_span():
     with pytest.raises(GuardError, match="budget"):
         solve_all(flipped, big)
     assert solve_all(star, big).size() == 101 ** 4
+
+
+def test_off_matrix_rings_take_the_exact_span():
+    # on Z/3[eps] and T(Z/3) the kernels of mu and mu + mu.tau are larger than
+    # the pair spans (9 elements against 3), so a one-term identity, which no
+    # symmetry saves, solves from the exact span in structured mode too
+    for ring in (dual_numbers(3), trivial_extension(zmod(3))):
+        for condition in CONDITIONS:
+            spec = IdentitySpec("one_term", ((1, None, "a", "b"),), condition)
+            assert constraint_system(spec, ring).counts == {"span_rank": 1}
+            assert solve_all(spec, ring) == solve_all(spec, ring, pair_mode="exhaustive")
 
 
 def test_failing_check_above_the_budget_raises_guard():

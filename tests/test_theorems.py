@@ -181,6 +181,24 @@ def test_equivalent_sign_flip_keeps_the_module():
         assert solve_all(flipped, M2Z3, pair_mode=mode) == solve_all(spec, M2Z3, pair_mode=mode)
 
 
+def test_corrupted_star_above_the_budget_still_falsifies(monkeypatch):
+    # a.D(b).E + b.D(a).E added to star keeps its blocks symmetric, so the
+    # structured solve still runs on M2(Z/19), past the element budget; the
+    # derivations now fall outside the star module, and the witness scan for
+    # that (against star, over the exhaustive pairs) is out of reach there
+    spec = IDENTITY_TERMS["star"]
+    extra = ((1, "a", "b", "e"), (1, "b", "a", "e"))
+    monkeypatch.setitem(IDENTITY_TERMS, "star",
+                        IdentitySpec("star", spec.terms + extra, "two_sided_zero"))
+    big = matrix_ring(2, zmod(19))
+    rep = verify_theorem("thm2_1", big, sample=20)
+    assert rep.status == "falsified"
+    assert rep.reason is None
+    assert "budget" in rep.counterexample["witness_unavailable"]
+    assert rep.counterexample["missing_from"] == "zero_product_maps"
+    assert exit_status([rep]) == 1
+
+
 def test_all_theorem_ids_run_verified_on_m2z3():
     reports = run_all(M2Z3, pair_mode="exhaustive", sample=50)
     assert len(reports) == len(THEOREM_IDS)
