@@ -3,8 +3,9 @@
 the exhaustive pair set, per ring and per condition.
 
 For a condition on pairs (a, b), the exact span W is spanned by the tensors
-a (x) b of the pairs that meet it, built from every element's annihilator
-kernel; the structural span is the kernel of the condition's operator on
+a (x) b of the pairs that meet it, built from the annihilator kernels, one
+per orbit of the scalar units (K_(u.a) = K_a for a unit u of Z/mZ); the
+structural span is the kernel of the condition's operator on
 A (x) A (ker mu, ker(mu + mu.tau), and Sym ker[mu; mu.tau] for two-sided, with
 the exact span symmetrised too).  Equal spans give equal solution modules in
 both pair modes for every identity with that condition.  Equality is not
@@ -13,7 +14,7 @@ condition with the Howell generator counts of both spans, and exits 1 when
 any pair of spans differs.
 
 Usage:
-    python scripts/compare_pair_modes.py [--max-size 6561]
+    python scripts/compare_pair_modes.py [--max-size 19683]
 """
 
 from __future__ import annotations
@@ -46,10 +47,10 @@ CANDIDATE_RINGS = [
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-size", type=int, default=6561,
+    parser.add_argument("--max-size", type=int, default=19683,
                         help="skip rings with more elements than this "
                              "(the exact span solves one annihilator kernel "
-                             "per element)")
+                             "per orbit of the scalar units)")
     args = parser.parse_args(argv)
 
     print(f"{'ring':14s} {'condition':15s} {'structural':>10s} {'exact':>6s} "

@@ -11,8 +11,9 @@ Subcommands:
 Rings are assembled from flags: ``--base zmod:M | dual:M`` picks the base,
 ``--n N`` wraps it into the N x N matrix ring, ``--trivial-ext`` wraps that
 once more into the square-zero extension.  Structured pair mode is the default
-(exhaustive mode solves one annihilator kernel per ring element, so its cost
-grows with ring size).  Exit codes: 0 on success or skip, 1 when a
+(exhaustive mode solves one annihilator kernel per orbit of the scalar units
+of Z/mZ, as K_(u.a) = K_a for a unit u; its cost still grows with ring
+size).  Exit codes: 0 on success or skip, 1 when a
 verification is falsified or ends in error or a check fails, 2 on usage
 errors.
 """

@@ -28,8 +28,10 @@ Even moduli are constructible here for exploration; entry points that need
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
 from .errors import EvenModulusError, GuardError
 from .linalg import SolutionModule, _check_modulus, solve_homogeneous_rows
@@ -628,16 +630,10 @@ _CONDITION_OPERATORS = {
 CONDITIONS = tuple(_CONDITION_OPERATORS)
 
 
-def annihilator_kernels(desc, condition):
-    """(a, K_a) over every element a in index order, where the solution
-    module K_a = {b : (a, b) satisfies the condition} is over element
-    coordinates.  The kernels are solved lazily, as the iterator is read, so
-    a walk that stops early solves no further kernel.
-
-    The exhaustive pair set is the disjoint union of {a} x K_a.  The cost is
-    one small kernel per element, so the guard is on ring size and fires when
-    this is called, before any kernel is solved.
-    """
+def _annihilator_solver(desc, condition):
+    """a |-> K_a for the condition, after the ring-size guard, which fires
+    here, before any kernel is solved.  Only the action sides the condition
+    reads are built."""
     blocks = _CONDITION_OPERATORS[condition]
     size = ring_size(desc)
     if size > EXHAUSTIVE_ELEMENT_BUDGET:
@@ -646,17 +642,47 @@ def annihilator_kernels(desc, condition):
             f"size {size} is over the {EXHAUSTIVE_ELEMENT_BUDGET}-element budget"
         )
     bim = Bimodule.regular(desc)
+    sides = {side for block in blocks for side in block}
+    rank = ring_rank(desc)
 
     def kernel(a):
-        ops = {side: action_rows(bim, side, a) for side in ("L", "R")}
+        ops = {side: action_rows(bim, side, a) for side in sides}
         rows = [
             _row_sum(parts)
             for block in blocks
             for parts in zip(*(ops[name] for name in block))
         ]
-        return a, solve_homogeneous_rows(desc.m, ring_rank(desc), rows)
+        return solve_homogeneous_rows(desc.m, rank, rows)
 
-    return (kernel(elt.coords) for elt in all_elements(desc))
+    return kernel
+
+
+def annihilator_kernels(desc, condition):
+    """(a, K_a) over every element a in index order, where the solution
+    module K_a = {b : (a, b) satisfies the condition} is over element
+    coordinates.  The kernels are solved lazily, as the iterator is read, so
+    a walk that stops early solves no further kernel.
+
+    The exhaustive pair set is the disjoint union of {a} x K_a.  This walk
+    solves one small kernel per element; ``pair_span`` solves one per orbit
+    of the scalar units, as K_(u.a) = K_a for a unit u of Z/mZ.  The guard
+    is on ring size and fires when this is called, before any kernel is
+    solved.
+    """
+    kernel_of = _annihilator_solver(desc, condition)
+    elements = itertools.product(range(desc.m), repeat=ring_rank(desc))
+    return ((a, kernel_of(a)) for a in elements)
+
+
+def _unit_orbits(desc):
+    """(a, |orbit(a)|) for each orbit {u.a} of the scalar units u of Z/mZ
+    acting on the ring, a the orbit's least element in index order."""
+    m = desc.m
+    units = [u for u in range(1, m) if gcd(u, m) == 1]
+    for a in itertools.product(range(m), repeat=ring_rank(desc)):
+        orbit = {tuple(u * x % m for x in a) for u in units}
+        if min(orbit) == a:
+            yield a, len(orbit)
 
 
 def _symmetrised(span, r):
@@ -675,7 +701,10 @@ def pair_span(desc, condition, mode):
     in A (x) A = (Z/mZ)^(r * r), column i * r + j standing for e_i (x) e_j.
 
     ``exhaustive`` builds W exactly from the tensors a (x) g, g over the
-    Howell generators of each K_a; ``pair_count`` is the sum of |K_a|.
+    Howell generators of each K_a; ``pair_count`` is the sum of |K_a|.  For
+    a unit u of Z/mZ, K_(u.a) = K_a and (u.a) (x) g = u.(a (x) g), so one
+    kernel per orbit of the scalar units is solved, at the orbit's least
+    element, and counted |orbit| times.
     ``structured`` takes the kernel of the condition's operator, one solve of
     width r * r whatever the ring size: ker mu (``left_zero``),
     ker(mu + mu.tau) (``anti_commuting``) or Sym ker[mu; mu.tau]
@@ -690,10 +719,12 @@ def pair_span(desc, condition, mode):
     r = ring_rank(desc)
     n = desc.m
     if mode == "exhaustive":
+        kernel_of = _annihilator_solver(desc, condition)
         rows = []
         pair_count = 0
-        for a, kernel in annihilator_kernels(desc, condition):
-            pair_count += kernel.size()
+        for a, orbit in _unit_orbits(desc):
+            kernel = kernel_of(a)
+            pair_count += orbit * kernel.size()
             for g in kernel.generators.to_rows():
                 rows.append({
                     i * r + j: x * y

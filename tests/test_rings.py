@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from derivlab import rings
 from derivlab.errors import GuardError
+from derivlab.linalg import SolutionModule
 from derivlab.rings import (
     CONDITIONS,
     EXHAUSTIVE_ELEMENT_BUDGET,
@@ -432,6 +433,37 @@ def test_structural_span_equals_exact_span(label, condition):
     assert pair_count == sum(k.size() for _, k in annihilator_kernels(ring, condition))
     if condition != "two_sided_zero":
         assert full == exact
+
+
+ORBIT_RINGS = {
+    "M2(Z/4)": matrix_ring(2, zmod(4)),
+    "M2(Z/9)": matrix_ring(2, zmod(9)),
+    "Z/3[eps]": dual_numbers(3),
+    "T(Z/3)": trivial_extension(zmod(3)),
+}
+
+
+@pytest.mark.parametrize("condition", CONDITIONS)
+@pytest.mark.parametrize("label", ORBIT_RINGS)
+def test_orbit_span_equals_all_element_walk(label, condition):
+    # pair_span solves one kernel per orbit of the scalar units and counts
+    # it once per orbit member; the all-element walk solves one per element.
+    # Composite m is where an orbit can have fewer than phi(m) members (on
+    # M2(Z/9) the orbit of 3.E11 is {3.E11, 6.E11})
+    ring = ORBIT_RINGS[label]
+    r = ring_rank(ring)
+    rows, pair_count = [], 0
+    for a, kernel in annihilator_kernels(ring, condition):
+        pair_count += kernel.size()
+        rows += [[x * y for x in a for y in g] for g in kernel.generators.to_rows()]
+    walked = SolutionModule.from_rows(ring.m, r * r, rows)
+    assert pair_span(ring, condition, "exhaustive") == (walked, pair_count)
+
+
+def test_exhaustive_pair_counts_on_m2_z9():
+    ring = ORBIT_RINGS["M2(Z/9)"]
+    counts = [pair_span(ring, condition, "exhaustive")[1] for condition in CONDITIONS]
+    assert counts == [35073, 123201, 123201]  # two-sided, anti-commuting, left zero
 
 
 def test_anti_commuting_pairs():
