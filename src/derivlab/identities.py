@@ -26,10 +26,14 @@ tables of the same kind.  There is one evaluation route: constraint assembly
 combines them by the generators of the quantifier's span, and the solution
 module of those rows is memoised per process, keyed by the identity's value
 (its terms and quantifier, not its tag), the ring, the bimodule and the pair
-mode.  ``check`` is membership of the flattened map in that module; only a
-failing map walks the elements or pairs, to find the first one whose row
-block does not annihilate it.  The test suite plays this route against
-independent evaluators on explicit 2 x 2 matrices (``tests/oracles.py``).
+mode.  Every row block comes from one builder per assembly
+(``_block_builder``), whose pairs share memoised word values and action
+operators and whose work follows their nonzeros.  ``check`` is membership of
+the flattened map in that module; only a failing map walks the elements or
+pairs, with a builder of its own, to find the first one whose row block does
+not annihilate it.  The test suite plays this route against independent
+evaluators on explicit 2 x 2 matrices and against the per-pair block
+evaluator it replaced (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -51,9 +55,9 @@ from .rings import (
     basis_elements,
     bimodule_center,
     bimodule_rank,
+    bimodule_tables,
     is_unital,
     matrix_unit,
-    mul_coords,
     one_element,
     pair_span,
     peirce_split,
@@ -149,34 +153,20 @@ def _spec_for(kind):
         raise ValueError(f"unknown identity kind {kind!r}") from None
 
 
+def _nonzero(coords):
+    """Ring coordinates as the sorted (index, residue) pairs of their nonzero
+    entries: the form of every word value below."""
+    return tuple((k, v) for k, v in enumerate(coords) if v)
+
+
 @lru_cache(maxsize=None)
 def _constant_letters(ring):
-    letters = {"1": structure(ring).one}
+    letters = {"1": _nonzero(structure(ring).one)}
     if ring.kind == "matrix":
         e = matrix_unit(ring, 1, 1)
-        letters["e"] = e.coords
-        letters["f"] = (one_element(ring) - e).coords
+        letters["e"] = _nonzero(e.coords)
+        letters["f"] = _nonzero((one_element(ring) - e).coords)
     return letters
-
-
-def _word_values(ring, a, b):
-    """Evaluator of words on the pair (a, b) (b is None under the ``basis``
-    quantifier): a word's value is the product of its letters, memoised with
-    its prefixes."""
-    values = dict(_constant_letters(ring), a=a.coords)
-    if b is not None:
-        values["b"] = b.coords
-
-    def value(word):
-        if word not in values:
-            if len(word) == 1:
-                if word in "ef":
-                    raise GuardError("letters e and f (E11, 1 - E11) need a matrix ring")
-                raise ValueError(f"letter {word!r} has no value here")
-            values[word] = mul_coords(ring, value(word[:-1]), value(word[-1]))
-        return values[word]
-
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +222,11 @@ def check(fmap, kind, pair_mode="structured"):
     if module.contains(flat):
         return CheckReport(True)
     m = ring.m
-    actions = {}
+    block = _block_builder(spec, ring, bim)
 
     def residual(a, b):
-        block = _pair_block(spec, ring, bim, a, b, actions)
-        return tuple(sum(v * flat[k] for k, v in row.items()) % m for row in block)
+        rows = block(a.coords, None if b is None else b.coords)
+        return tuple(sum(v * flat[k] for k, v in row.items()) % m for row in rows)
 
     for a, b in _scan(spec, ring, residual):
         res = residual(a, b)
@@ -270,55 +260,107 @@ class ConstraintSystem:
     counts: dict  # {"pair_count": n} or, structured conditional, {"span_rank": k}
 
 
-def _pair_block(spec, ring, bim, a, b, actions):
-    """The rank(M) reduced {column: residue} rows of the pair (a, b) (b is
-    None under the ``basis`` quantifier), zero rows included.  Column
-    u * rank(A) + v holds D[u][v]; a term coef * x.D(w).y adds
-    coef * (x.-.y)[e][u] * w[v] to row e.  ``actions`` memoises the one-sided
-    action rows by side and ring coordinates, so the pairs of one solve or
-    one check share them."""
-    rank_a = ring_rank(ring)
+def _block_builder(spec, ring, bim):
+    """block(a, b): the rank(M) reduced {column: residue} rows of the pair of
+    ring coordinates (a, b) (b is None under the ``basis`` quantifier), zero
+    rows included as empty dicts.  Column u * rank(A) + v holds D[u][v]; a
+    term coef * x.D(w).y adds coef * (x.-.y)[e][u] * w[v] to row e.
+
+    The pairs of one assembly or one check share the builder's memos, which
+    hold nonzeros only and live as long as the builder: word values as
+    products over the nonzero structure constants, and the operators
+    m |-> x.m.y as (row, column, value) triples; one-sided ones come from the
+    action tables, two-sided ones are the left triples times the right rows.
+    A pair's rows accumulate only where a term contributes."""
+    st = structure(ring)
+    tables = bimodule_tables(bim)
+    r = st.rank
     m = ring.m
-    value = _word_values(ring, a, b)
-    block = [{} for _ in range(bimodule_rank(bim))]
-    for coef, lft, arg, rgt in spec.terms:
-        w = [(v, x) for v, x in enumerate(value(arg)) if x]
-        op = _sandwich(bim, lft and value(lft), rgt and value(rgt), actions)
-        for e, row in enumerate(block):
-            for u, pu in op[e].items() if op is not None else ((e, 1),):
+    rank_m = tables.rank
+    constants = {}  # i -> the nonzero (index, residue) pairs of basis_i * basis_j, by j
+    products = {}
+    ops = {(None, None): tuple((e, e, 1) for e in range(rank_m))}
+
+    def mul(x, y):
+        if (x, y) not in products:
+            acc = {}
+            for i, xi in x:
+                if i not in constants:
+                    constants[i] = [_nonzero(p) for p in st.prod[i]]
+                row = constants[i]
+                for j, yj in y:
+                    c = xi * yj
+                    for k, v in row[j]:
+                        acc[k] = acc.get(k, 0) + c * v
+            products[x, y] = tuple(sorted((k, v % m) for k, v in acc.items() if v % m))
+        return products[x, y]
+
+    def one_sided(x, y):
+        """Triples of m |-> x.m (y None) or m |-> m.y (x None)."""
+        if (x, y) not in ops:
+            coords, table = (x, tables.left) if y is None else (y, tables.right)
+            acc = {}
+            for i, c in coords:
+                for e, row in enumerate(table[i]):
+                    for u, w in row.items():
+                        acc[e, u] = acc.get((e, u), 0) + c * w
+            ops[x, y] = tuple((e, u, v % m) for (e, u), v in acc.items() if v % m)
+        return ops[x, y]
+
+    def op(x, y):
+        """Triples of m |-> x.m.y (x or y None: no factor on that side)."""
+        if x is None or y is None:
+            return one_sided(x, y)
+        if (x, y) not in ops:
+            right = {}
+            for k, u, rv in one_sided(None, y):
+                right.setdefault(k, []).append((u, rv))
+            acc = {}
+            for e, k, lv in one_sided(x, None):
+                for u, rv in right.get(k, ()):
+                    acc[e, u] = acc.get((e, u), 0) + lv * rv
+            ops[x, y] = tuple((e, u, v % m) for (e, u), v in acc.items() if v % m)
+        return ops[x, y]
+
+    def block(a, b):
+        values = dict(_constant_letters(ring), a=_nonzero(a))
+        if b is not None:
+            values["b"] = _nonzero(b)
+
+        def value(word):
+            if word is None:
+                return None
+            if word not in values:
+                for letter in word:
+                    if letter not in values:
+                        if letter in "ef":
+                            raise GuardError("letters e and f (E11, 1 - E11) need a matrix ring")
+                        raise ValueError(f"letter {letter!r} has no value here")
+                acc = values[word[0]]
+                for letter in word[1:]:
+                    acc = mul(acc, values[letter])
+                values[word] = acc
+            return values[word]
+
+        rows = {}
+        for coef, lft, arg, rgt in spec.terms:
+            w, x, y = value(arg), value(lft), value(rgt)
+            if not w:
+                continue
+            for e, u, pu in op(x, y):
+                row = rows.get(e)
+                if row is None:
+                    row = rows[e] = {}
                 cc = coef * pu
-                off = u * rank_a
-                for v, x in w:
-                    row[off + v] = row.get(off + v, 0) + cc * x
-    return [{k: v % m for k, v in row.items() if v % m} for row in block]
+                off = u * r
+                for v, wv in w:
+                    row[off + v] = row.get(off + v, 0) + cc * wv
+        out = [{} for _ in range(rank_m)]
+        for e, row in rows.items():
+            out[e] = {k: v % m for k, v in row.items() if v % m}
+        return out
 
-
-def _sandwich(bim, x, y, actions):
-    """Sparse rows of m |-> x.m.y for ring coordinates x and y (None: no
-    factor); None when both are absent."""
-
-    def act_rows(side, coords):
-        if (side, coords) not in actions:
-            actions[side, coords] = action_rows(bim, side, coords)
-        return actions[side, coords]
-
-    if x is None and y is None:
-        return None
-    if x is None:
-        return act_rows("R", y)
-    left = act_rows("L", x)
-    if y is None:
-        return left
-    right = act_rows("R", y)
-    m = bim.ring.m
-    out = []
-    for lrow in left:
-        acc = {}
-        for k, lv in lrow.items():
-            for u, rv in right[k].items():
-                acc[u] = acc.get(u, 0) + lv * rv
-        out.append({u: v % m for u, v in acc.items() if v % m})
-    return out
+    return block
 
 
 def _assembly(spec, ring, bim, pair_mode):
@@ -327,17 +369,20 @@ def _assembly(spec, ring, bim, pair_mode):
     Every term is bilinear in (a, b), so the rows of a pair set span the
     image of W = span{a (x) b} under w |-> sum_ij w_ij block(e_i, e_j).  The
     rows are rank(M) per generator of W, streamed lazily, over the width
-    rank(M) * rank(A); the blocks live for this call only.  W is the full
-    span for the unconditional quantifiers, whose rows are then the blocks of
-    the basis elements or basis pairs in order, and ``rings.pair_span``
-    otherwise, exact or structural by pair mode.  The structural span is the
-    kernel of the condition's operator, which is the pair span on matrix
-    rings (the zero product determined property of M_n(B); measured by
-    ``rings.structural_and_exact_spans``) but can be larger elsewhere: on
-    Z/3[eps] ker mu holds 1 (x) eps - eps (x) 1.  So structured mode takes it
-    on matrix rings only, and the two-sided one, being symmetrised, only for
-    blocks with block(e_i, e_j) = block(e_j, e_i) over an odd modulus; every
-    other conditional system takes the exact span.  ``counts`` is
+    rank(M) * rank(A), zero rows as empty dicts.  All blocks come from one
+    ``_block_builder``, whose memos and the r^2 conditional blocks live as
+    long as the returned rows.  W is the full span for the unconditional
+    quantifiers, whose rows are then the blocks of the basis elements or
+    basis pairs in order, built one pair at a time as the rows are read, and
+    ``rings.pair_span`` otherwise, exact or structural by pair mode.  The
+    structural span is the kernel of the condition's operator, which is the
+    pair span on matrix rings (the zero product determined property of
+    M_n(B); measured by ``rings.structural_and_exact_spans``) but can be
+    larger elsewhere: on Z/3[eps] ker mu holds 1 (x) eps - eps (x) 1.  So
+    structured mode takes it on matrix rings only, and the two-sided one,
+    being symmetrised, only for blocks with block(e_i, e_j) = block(e_j, e_i)
+    over an odd modulus; every other conditional system takes the exact
+    span.  ``counts`` is
     {"pair_count": n} or, for structured conditional systems,
     {"span_rank": the number of Howell generators of W}.
     """
@@ -347,24 +392,20 @@ def _assembly(spec, ring, bim, pair_mode):
     r = ring_rank(ring)
     rank_m = bimodule_rank(bim)
     m = ring.m
-    basis = basis_elements(ring)
-    actions = {}
-
-    def block(k):
-        a, b = (basis[k], None) if quantifier == "basis" else (basis[k // r], basis[k % r])
-        return _pair_block(spec, ring, bim, a, b, actions)
-
-    if quantifier in _UNCONDITIONAL:
-        size = r if quantifier == "basis" else r * r
-        rows = (row for k in range(size) for row in block(k))
-        return rows, rank_m * r, {"pair_count": size}
+    basis = [x.coords for x in basis_elements(ring)]
+    block = _block_builder(spec, ring, bim)
+    if quantifier == "basis":
+        return (row for a in basis for row in block(a, None)), rank_m * r, {"pair_count": r}
+    pairs = itertools.product(basis, basis)
+    if quantifier == "basis_pairs":
+        return (row for a, b in pairs for row in block(a, b)), rank_m * r, {"pair_count": r * r}
     if quantifier not in CONDITIONS:
         raise ValueError(f"unknown quantifier {quantifier!r}")
     for term in spec.terms:
         letters = "".join(word for word in term[1:] if word)
         if letters.count("a") != 1 or letters.count("b") != 1:
             raise ValueError(f"conditional term {term!r} is not bilinear in (a, b)")
-    blocks = [block(k) for k in range(r * r)]
+    blocks = [block(a, b) for a, b in pairs]
     source = pair_mode
     if pair_mode == "structured" and ring.kind != "matrix":
         source = "exhaustive"
@@ -379,12 +420,12 @@ def _assembly(spec, ring, bim, pair_mode):
 
     def rows():
         for gen in gens:
+            terms = [(blocks[k], c) for k, c in enumerate(gen) if c]
             for e in range(rank_m):
                 acc = {}
-                for k, c in enumerate(gen):
-                    if c:
-                        for col, v in blocks[k][e].items():
-                            acc[col] = acc.get(col, 0) + c * v
+                for blk, c in terms:
+                    for col, v in blk[e].items():
+                        acc[col] = acc.get(col, 0) + c * v
                 yield {col: v % m for col, v in acc.items() if v % m}
 
     return rows(), rank_m * r, counts

@@ -21,7 +21,9 @@ entry of a row:
 Elimination runs on sparse rows: each row is a {column: residue} dict holding
 only its nonzero entries, and a row's pivot is its smallest key.  Constraint
 rows have a handful of nonzeros in hundreds of columns, and their Howell forms
-stay sparse, so the work follows the nonzeros, not the width.  The dense
+stay sparse.  Elimination touches only the entries a row holds, and the final
+reduction above the pivots visits only the pivot columns a row holds or gains
+on the way, so the work follows the nonzeros, not the width.  The dense
 ``ResidueMatrix`` is the public boundary: constraint systems, module
 generators, maps and JSON.  ``howell_form``, ``solve_homogeneous``,
 ``solve_affine`` and ``SolutionModule.from_rows`` take dense input and convert
@@ -101,7 +103,9 @@ def _sparse_rows(rows, width, n):
     unique = {}
     for i, r in enumerate(rows):
         if isinstance(r, dict):
-            if any(not 0 <= k < width for k in r):
+            if not r:
+                continue
+            if min(r) < 0 or max(r) >= width:
                 raise ValueError(f"row {i} has a column outside width {width}")
             items = r.items()
         else:
@@ -146,8 +150,14 @@ def _howell(rows, n):
     the gcd step replaces the pair by a unimodular combination: a new basis row
     with pivot gcd(pivot, entry) and a remainder that vanishes in that column.
     Whenever a pivot p is set, (n // p) * row is queued too, which saturates
-    the span.  Last, the entries above each pivot are reduced into [0, pivot).
-    The result is canonical, so it does not depend on the order of the rows.
+    the span.  Last, the entries above each pivot are reduced into [0, pivot):
+    from the bottom basis row up, each row visits the pivot columns it holds,
+    least first, and subtracting a multiple of a lower row adds the pivot
+    columns that row brings in.  Subtracting the row of pivot c changes only
+    columns after c, so no column is visited twice and the columns are
+    reduced in ascending order, as a walk over every later pivot would.  A
+    row holds few pivot columns, so ``min`` over a set finds the least.  The
+    result is canonical, so it does not depend on the order of the rows.
     """
     basis = {}
     todo = [dict(r) for r in rows]
@@ -173,12 +183,19 @@ def _howell(rows, n):
             if extra:
                 todo.append(extra)
     cols = sorted(basis)
-    for i in range(len(cols) - 2, -1, -1):
-        row = basis[cols[i]]
-        for c in cols[i + 1:]:
-            x = row.get(c)
-            if x and x >= basis[c][c]:
-                _add_multiple(row, -(x // basis[c][c]), basis[c], n)
+    for c0 in reversed(cols):
+        row = basis[c0]
+        pending = row.keys() & basis.keys()
+        pending.discard(c0)
+        while pending:
+            c = min(pending)
+            pending.remove(c)
+            piv = basis[c]
+            x = row.get(c, 0)
+            if x >= piv[c]:
+                _add_multiple(row, -(x // piv[c]), piv, n)
+                pending |= piv.keys() & basis.keys()
+                pending.discard(c)
     return [basis[c] for c in cols]
 
 

@@ -1,19 +1,32 @@
 """Independent brute-force oracles for the test suite.
 
-Nothing here goes through the package's Howell machinery or structure-constant
+Nothing here goes through the package's Howell machinery, and apart from the
+per-pair constraint blocks below nothing goes through its structure-constant
 multiplication: spans are enumerated by closure, matrix products are computed
 entry by entry on explicit 2 x 2 representations (identities are evaluated on
 them pair by pair, term by term), and echelon forms over prime fields use a
-textbook RREF.  The dense Howell routine the package used before it moved to
-sparse rows is kept here, unchanged, as the reference for the sparse one.
-These routes stay deliberately separate from the code paths they check.
+textbook RREF.  Two routines the package used before it moved to sparse,
+shared work are kept here, unchanged, as references: the dense Howell routine,
+for the sparse one, and the per-pair constraint block evaluator, for the
+one-sweep block builder.  These routes stay deliberately separate from the
+code paths they check.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
+from derivlab.errors import GuardError
 from derivlab.linalg import annihilator, lift_unit, xgcd
+from derivlab.rings import (
+    action_rows,
+    bimodule_rank,
+    matrix_unit,
+    mul_coords,
+    one_element,
+    ring_rank,
+    structure,
+)
 
 
 def span_elements(rows, m):
@@ -202,6 +215,85 @@ def affine_dense_reference(rows, rhs, ncols, n):
     if any(w[:nrows]):
         return None, kernel
     return tuple((-t) % n for t in w[nrows:]), kernel
+
+
+# ---------------------------------------------------------------------------
+# Per-pair constraint blocks (reference for the one-sweep block builder)
+# ---------------------------------------------------------------------------
+
+def _word_values(ring, a, b):
+    """Evaluator of words on the pair (a, b) of ring elements (b is None
+    under the ``basis`` quantifier): a word's value is the product of its
+    letters, memoised with its prefixes."""
+    values = {"1": structure(ring).one, "a": a.coords}
+    if ring.kind == "matrix":
+        e = matrix_unit(ring, 1, 1)
+        values["e"] = e.coords
+        values["f"] = (one_element(ring) - e).coords
+    if b is not None:
+        values["b"] = b.coords
+
+    def value(word):
+        if word not in values:
+            if len(word) == 1:
+                if word in "ef":
+                    raise GuardError("letters e and f (E11, 1 - E11) need a matrix ring")
+                raise ValueError(f"letter {word!r} has no value here")
+            values[word] = mul_coords(ring, value(word[:-1]), value(word[-1]))
+        return values[word]
+
+    return value
+
+
+def _sandwich(bim, x, y, actions):
+    """Sparse rows of m |-> x.m.y for ring coordinates x and y (None: no
+    factor); None when both are absent."""
+
+    def act_rows(side, coords):
+        if (side, coords) not in actions:
+            actions[side, coords] = action_rows(bim, side, coords)
+        return actions[side, coords]
+
+    if x is None and y is None:
+        return None
+    if x is None:
+        return act_rows("R", y)
+    left = act_rows("L", x)
+    if y is None:
+        return left
+    right = act_rows("R", y)
+    m = bim.ring.m
+    out = []
+    for lrow in left:
+        acc = {}
+        for k, lv in lrow.items():
+            for u, rv in right[k].items():
+                acc[u] = acc.get(u, 0) + lv * rv
+        out.append({u: v % m for u, v in acc.items() if v % m})
+    return out
+
+
+def pair_block_reference(spec, ring, bim, a, b, actions):
+    """The rank(M) reduced {column: residue} rows of the pair (a, b) of ring
+    elements (b is None under the ``basis`` quantifier), zero rows included,
+    evaluated pair by pair and row by row.  Column u * rank(A) + v holds
+    D[u][v]; a term coef * x.D(w).y adds coef * (x.-.y)[e][u] * w[v] to row
+    e.  ``actions`` memoises the one-sided action rows by side and ring
+    coordinates, so that several pairs can share them."""
+    rank_a = ring_rank(ring)
+    m = ring.m
+    value = _word_values(ring, a, b)
+    block = [{} for _ in range(bimodule_rank(bim))]
+    for coef, lft, arg, rgt in spec.terms:
+        w = [(v, x) for v, x in enumerate(value(arg)) if x]
+        op = _sandwich(bim, lft and value(lft), rgt and value(rgt), actions)
+        for e, row in enumerate(block):
+            for u, pu in op[e].items() if op is not None else ((e, 1),):
+                cc = coef * pu
+                off = u * rank_a
+                for v, x in w:
+                    row[off + v] = row.get(off + v, 0) + cc * x
+    return [{k: v % m for k, v in row.items() if v % m} for row in block]
 
 
 # ---------------------------------------------------------------------------

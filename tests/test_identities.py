@@ -11,7 +11,7 @@ from derivlab.identities import (
     IDENTITY_KINDS,
     IDENTITY_TERMS,
     IdentitySpec,
-    _pair_block,
+    _block_builder,
     check,
     constraint_system,
     decompose_inner_plus_lifted,
@@ -50,6 +50,7 @@ from oracles import (
     howell_dense_reference,
     mat2_mul,
     mat2_to_coords,
+    pair_block_reference,
     scan_pairs_mat2,
 )
 
@@ -336,6 +337,52 @@ def test_failing_check_above_the_budget_raises_guard():
         check(rmap, "star")
 
 
+BLOCK_RINGS = {
+    "M2(Z/3[eps])": M2D3,
+    "M3(Z/3)": matrix_ring(3, zmod(3)),
+    "T(M2(Z/3))": T2Z3,
+    "T(Z/3)": trivial_extension(zmod(3)),
+}
+ALL_SPECS = (
+    list(IDENTITY_TERMS.values())
+    + [spec for _, spec in _PROOF_STEPS]
+    + [spec for _, spec in _PEIRCE_CHECKS]
+)
+
+
+@pytest.mark.parametrize("extra", [0, 3])
+@pytest.mark.parametrize("label", BLOCK_RINGS)
+def test_block_builder_equals_per_pair_reference(label, extra):
+    # one builder per spec, shared by all its pairs as in an assembly, against
+    # the per-pair reference, row by row with zero rows included: every basis
+    # element or ordered basis pair, then random element pairs as a failing
+    # check's witness scan meets them; e and f raise off matrix rings in both
+    ring = BLOCK_RINGS[label]
+    bim = Bimodule.regular(ring) if extra == 0 else Bimodule.inflated(Bimodule.regular(ring), extra)
+    basis = [RingElement(ring, tuple(int(k == i) for k in range(ring_rank(ring))))
+             for i in range(ring_rank(ring))]
+    rng = random.Random(label)
+    drawn = [RingElement(ring, tuple(rng.randrange(ring.m) for _ in range(ring_rank(ring))))
+             for _ in range(8)]
+    for spec in ALL_SPECS:
+        if spec.quantifier == "basis":
+            pairs = [(a, None) for a in basis + drawn]
+        else:
+            pairs = [(a, b) for a in basis for b in basis] + list(zip(drawn, reversed(drawn)))
+        block = _block_builder(spec, ring, bim)
+        actions = {}
+        uses_corners = any("e" in (w or "") or "f" in (w or "") for t in spec.terms for w in t[1:])
+        for a, b in pairs:
+            if uses_corners and ring.kind != "matrix":
+                with pytest.raises(GuardError):
+                    block(a.coords, None if b is None else b.coords)
+                with pytest.raises(GuardError):
+                    pair_block_reference(spec, ring, bim, a, b, actions)
+                continue
+            want = pair_block_reference(spec, ring, bim, a, b, actions)
+            assert block(a.coords, None if b is None else b.coords) == want, (spec.tag, a, b)
+
+
 WIDE_KINDS = ("derivation", "jordan", "generalized_derivation", "generalized_jordan", "phi")
 
 
@@ -352,14 +399,15 @@ def test_solve_all_equals_dense_reference_route(kind):
 
 
 def _solve_from_pairs(kind, ring, coord_pairs):
-    # the row blocks of every listed pair, evaluated pair by pair
+    # the row blocks of every listed pair, evaluated pair by pair by the
+    # reference evaluator
     bim = Bimodule.regular(ring)
     actions = {}
     rows = [
         row
         for a, b in coord_pairs
-        for row in _pair_block(IDENTITY_TERMS[kind], ring, bim,
-                               RingElement(ring, a), RingElement(ring, b), actions)
+        for row in pair_block_reference(IDENTITY_TERMS[kind], ring, bim,
+                                        RingElement(ring, a), RingElement(ring, b), actions)
     ]
     return solve_homogeneous_rows(ring.m, ring_rank(ring) ** 2, rows)
 

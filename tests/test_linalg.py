@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from derivlab import linalg
 from derivlab.linalg import (
     ResidueMatrix,
     SolutionModule,
@@ -357,6 +358,33 @@ def test_sparse_kernel_equals_dense_reference(case):
     assert solve_homogeneous(dense(m, width, rows)).generators.to_rows() == want
     sparse = [{k: v for k, v in enumerate(r) if v} for r in rows]
     assert solve_homogeneous_rows(m, width, sparse).generators.to_rows() == want
+
+
+@given(
+    st.sampled_from([4, 6, 8, 9, 12, 27]),
+    st.integers(1, 24),
+    st.integers(1, 30),
+    st.integers(1, 4),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=150, deadline=None)
+def test_howell_back_substitution_equals_dense_reference(m, width, nrows, per_row, seed):
+    # a few nonzeros per row, each a divisor of m times a residue, so most
+    # pivots are non-units and reducing a row above a pivot often brings in
+    # entries under later pivots
+    rng = random.Random(seed)
+    divisors = [d for d in range(1, m) if m % d == 0]
+    rows = []
+    for _ in range(nrows):
+        row = [0] * width
+        for k in rng.sample(range(width), min(per_row, width)):
+            row[k] = rng.choice(divisors) * rng.randrange(1, m) % m
+        rows.append(row)
+    sparse = [{k: v for k, v in enumerate(r) if v} for r in rows]
+    before = [dict(r) for r in sparse]
+    got = linalg._howell([r for r in sparse if r], m)
+    assert sparse == before
+    assert [[r.get(k, 0) for k in range(width)] for r in got] == howell_dense_reference(rows, m)
 
 
 @given(sparse_case)

@@ -414,6 +414,8 @@ STRUCTURAL_SPAN_CASES = [
 # ker(mu + mu.tau) also hold 1 (x) eps - eps (x) 1, while the pairs span only
 # eps (x) eps; (structural, exact) element counts
 UNEQUAL_SPANS = {("Z/3[eps]", "left_zero"): (9, 3), ("Z/3[eps]", "anti_commuting"): (9, 3)}
+# exhaustive two-sided pair_count, pinned instead of re-walked
+PINNED_PAIR_COUNTS = {("M2(Z/3[eps])", "two_sided_zero"): 35073}
 
 
 @pytest.mark.parametrize("label, condition", STRUCTURAL_SPAN_CASES)
@@ -430,7 +432,12 @@ def test_structural_span_equals_exact_span(label, condition):
     else:
         assert structural == exact
     full, pair_count = pair_span(ring, condition, "exhaustive")
-    assert pair_count == sum(k.size() for _, k in annihilator_kernels(ring, condition))
+    if (label, condition) in PINNED_PAIR_COUNTS:
+        # the all-element walk (6561 kernels) gives the same count; the orbit
+        # walk is compared with it in test_orbit_span_equals_all_element_walk
+        assert pair_count == PINNED_PAIR_COUNTS[label, condition]
+    else:
+        assert pair_count == sum(k.size() for _, k in annihilator_kernels(ring, condition))
     if condition != "two_sided_zero":
         assert full == exact
 
