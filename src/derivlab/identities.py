@@ -43,14 +43,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import GuardError, InternalVerificationError, PreconditionError
-from .linalg import ResidueMatrix, SolutionModule, solve_affine, solve_homogeneous_rows
+from .linalg import ResidueMatrix, SolutionModule, solve_homogeneous_rows
 from .maps import AdditiveMap, as_bimodule, inner_derivation, lift_map, right_multiplier
 from .rings import (
     CONDITIONS,
     Bimodule,
     RingElement,
     act,
-    action_rows,
     annihilator_kernels,
     basis_elements,
     bimodule_center,
@@ -715,11 +714,12 @@ def decompose_inner_plus_lifted(delta):
     bimodule) as an entrywise lift of a base derivation plus an inner
     derivation.
 
-    G is any solution of the linear system {(delta - I_G)(E_ij) = 0 over all
-    matrix units}; the remainder delta - I_G is verified to be supported
-    entrywise and to be the lift of the base map d it determines.  Returns
-    (d, G).  G is only canonical up to a central summand, so callers should
-    compare inner derivations at the map level.
+    G = sum_k E_k1.delta(E_1k), read off the matrix units.  The remainder
+    delta - I_G is verified to be supported entrywise and to be the lift of
+    the base map d it determines, and lift(d) + I_G to recompose delta; so
+    delta and I_G agree on every matrix unit, where lift(d) vanishes.
+    Returns (d, G).  G is only canonical up to a central summand, so callers
+    should compare inner derivations at the map level.
     """
     ring = delta.domain
     bim = delta.codomain
@@ -736,26 +736,13 @@ def decompose_inner_plus_lifted(delta):
         raise ValueError("codomain must be matrices over a base bimodule")
     n = ring.n
     m = ring.m
-    rank_m = bimodule_rank(bim)
     rn = bimodule_rank(base_bim)
     rb = ring_rank(ring.base)
-    rows = []
-    rhs = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            unit = matrix_unit(ring, i, j)
-            lmat = action_rows(bim, "L", unit.coords)
-            rmat = action_rows(bim, "R", unit.coords)
-            img = delta.apply(unit)
-            for t in range(rank_m):
-                rows.append([lmat[t].get(k, 0) - rmat[t].get(k, 0) for k in range(rank_m)])
-                rhs.append(img[t])
-    particular, _ = solve_affine(ResidueMatrix.from_rows(m, rows), rhs)
-    if particular is None:
-        raise InternalVerificationError(
-            "no inner derivation matches the map on all matrix units", delta
-        )
-    g = particular
+    g = (0,) * bimodule_rank(bim)
+    for k in range(1, n + 1):
+        img = delta.apply(matrix_unit(ring, 1, k))
+        term = act(bim, "L", matrix_unit(ring, k, 1).coords, img)
+        g = tuple((x + y) % m for x, y in zip(g, term))
     remainder = delta - inner_derivation(bim, g)
     # Entrywise support: the image of x placed in cell (i, j) must live in
     # cell (i, j), and all cells must carry the same base map.

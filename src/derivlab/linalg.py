@@ -25,10 +25,11 @@ stay sparse.  Elimination touches only the entries a row holds, and the final
 reduction above the pivots visits only the pivot columns a row holds or gains
 on the way, so the work follows the nonzeros, not the width.  The dense
 ``ResidueMatrix`` is the public boundary: constraint systems, module
-generators, maps and JSON.  ``howell_form``, ``solve_homogeneous``,
-``solve_affine`` and ``SolutionModule.from_rows`` take dense input and convert
-it; ``solve_homogeneous_rows`` takes the rows themselves.  Every row is checked
-against its stated width before elimination.
+generators, maps and JSON.  There is one solve routine,
+``solve_homogeneous_rows``, which takes the rows themselves;
+``solve_homogeneous``, ``howell_form`` and ``SolutionModule.from_rows`` take
+dense input and convert it.  Every row is checked against its stated width
+before elimination.
 
 Residues are stored reduced in [0, m).  Python integers keep all intermediate
 products exact; moduli are capped at 2**31 which keeps every product at desk
@@ -429,64 +430,29 @@ def module_equal(s1, s2):
     return s1.generators == s2.generators
 
 
-def _howell_kernel(rows, ncols, n):
-    """Howell form H of ``rows`` (sparse rows from ``_sparse_rows``), the
-    Howell form HH of [H^T | I] built on the first ``ncols`` columns of H, and
-    the right kernel of those columns.
-
-    The kernel is read off the rows of HH whose leading column lies in the
-    identity block; those tails are already canonical.
-    """
-    h = _howell(rows, n)
-    nrows = len(h)
-    aug = [{nrows + j: 1} for j in range(ncols)]
-    for i, row in enumerate(h):
-        for j, v in row.items():
-            if j < ncols:
-                aug[j][i] = v
-    hh = _howell(aug, n)
-    kernel = [{k - nrows: v for k, v in r.items()} for r in hh if min(r) >= nrows]
-    return h, hh, SolutionModule(n, ncols, ResidueMatrix.from_sparse(n, ncols, kernel))
-
-
 def solve_homogeneous_rows(modulus, width, rows):
     """The solution module {x : row . x = 0 (mod m) for every row} over
     (Z/mZ)^width.  Rows are dense sequences of length ``width`` or
     {column: residue} dicts; zero and repeated rows are dropped as they are
-    read, and the rest are compressed to their Howell form first (the kernel
-    only depends on the row span); see ``_howell_kernel``.
+    read, and the rest are compressed to their Howell form H first (the
+    kernel only depends on the row span).  The kernel is read off the Howell
+    form of [H^T | I]: its rows whose leading column lies in the identity
+    block carry the kernel generators, already canonical, in that block.
     """
-    return _howell_kernel(_sparse_rows(rows, width, modulus), width, modulus)[2]
+    h = _howell(_sparse_rows(rows, width, modulus), modulus)
+    nrows = len(h)
+    aug = [{nrows + j: 1} for j in range(width)]
+    for i, row in enumerate(h):
+        for j, v in row.items():
+            aug[j][i] = v
+    kernel = [
+        {k - nrows: v for k, v in r.items()}
+        for r in _howell(aug, modulus)
+        if min(r) >= nrows
+    ]
+    return SolutionModule(modulus, width, ResidueMatrix.from_sparse(modulus, width, kernel))
 
 
 def solve_homogeneous(matrix):
     """The solution module {x : matrix @ x = 0 (mod m)}."""
     return solve_homogeneous_rows(matrix.modulus, matrix.cols, matrix.to_rows())
-
-
-def solve_affine(matrix, rhs):
-    """One solution of matrix @ x = rhs plus the homogeneous module.
-
-    Returns (particular, module); particular is None when the system is
-    inconsistent (this is a result, not an error).
-    """
-    n = matrix.modulus
-    if len(rhs) != matrix.rows:
-        raise ValueError("right-hand side length does not match row count")
-    ncols = matrix.cols
-    rows_ab = [[*matrix.row(i), b] for i, b in enumerate(rhs)]
-    hab, hh, module = _howell_kernel(_sparse_rows(rows_ab, ncols + 1, n), ncols, n)
-    nrows = len(hab)
-    # Greedy reduction of [b_H | 0] against HH: the first block clears exactly
-    # when the system is consistent, and the tail is then minus a solution.
-    target = [row.get(ncols, 0) for row in hab] + [0] * ncols
-    for r in hh:
-        c = min(r)
-        if target[c] % r[c] == 0 and target[c]:
-            q = target[c] // r[c]
-            for k, v in r.items():
-                target[k] = (target[k] - q * v) % n
-    if any(target[:nrows]):
-        return None, module
-    particular = tuple((-t) % n for t in target[nrows:])
-    return particular, module

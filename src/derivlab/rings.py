@@ -184,16 +184,14 @@ def structure(desc):
             for j in range(n):
                 for b in range(rb):
                     left = slot(i, j, b)
-                    for k in range(n):
-                        for l in range(n):
-                            for c in range(rb):
-                                if j != k:
-                                    continue
-                                coords = [0] * rank
-                                for t, v in enumerate(bs.prod[b][c]):
-                                    if v:
-                                        coords[slot(i, l, t)] = v
-                                prod[left][slot(k, l, c)] = tuple(coords)
+                    # E_ij x E_kl vanishes unless k = j
+                    for l in range(n):
+                        for c in range(rb):
+                            coords = [0] * rank
+                            for t, v in enumerate(bs.prod[b][c]):
+                                if v:
+                                    coords[slot(i, l, t)] = v
+                            prod[left][slot(j, l, c)] = tuple(coords)
         one = [0] * rank
         for i in range(n):
             for t, v in enumerate(bs.one):

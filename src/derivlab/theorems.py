@@ -45,7 +45,6 @@ from .maps import AdditiveMap, right_multiplier
 from .rings import (
     Bimodule,
     basis_elements,
-    bimodule_center,
     center_basis,
     one_element,
     ring_rank,
@@ -371,18 +370,10 @@ def _verify_extension_jordan(ring, report, *, rng, sample, **_):
     }
     _require_equal(jordan, deriv, "jordan_maps", "derivations",
                    ext, ext, "jordan", "derivation")
-    base = ext.base
-    base_bim = Bimodule.regular(base)
-    base_center = bimodule_center(base_bim)
+    # the split re-verifies the component conclusions on every generator and
+    # raises InternalVerificationError when one fails
     for gen in maps_from_module(jordan, ext, ext):
-        d1, d2, d3, d4 = decompose_trivial_extension(gen)
-        if not d2.is_zero():
-            raise _Falsified({"map": gen.to_json(), "component": "ideal_to_first"})
-        c = d4.apply(one_element(base))
-        if not base_center.contains(c):
-            raise _Falsified({"map": gen.to_json(), "gap_at_one": list(c)})
-        if (d4 - d1).matrix != right_multiplier(base_bim, c).matrix:
-            raise _Falsified({"map": gen.to_json(), "component": "diagonal_gap"})
+        decompose_trivial_extension(gen)
     _sample_membership(jordan, deriv, rng, samples, "jordan_maps")
 
 

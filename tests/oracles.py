@@ -14,6 +14,7 @@ code paths they check.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 from derivlab.errors import GuardError
@@ -55,17 +56,6 @@ def kernel_by_enumeration(rows, m, k):
     out = set()
     for x in all_vectors(m, k):
         if all(sum(r[j] * x[j] for j in range(k)) % m == 0 for r in rows):
-            out.add(x)
-    return out
-
-
-def affine_by_enumeration(rows, rhs, m, k):
-    out = set()
-    for x in all_vectors(m, k):
-        if all(
-            sum(r[j] * x[j] for j in range(k)) % m == b % m
-            for r, b in zip(rows, rhs)
-        ):
             out.add(x)
     return out
 
@@ -184,9 +174,9 @@ def howell_dense_reference(rows, n):
 
 
 def kernel_dense_reference(rows, ncols, n):
-    """Howell form H of the deduplicated rows, the Howell form HH of
-    [H^T | I] on the first ``ncols`` columns of H, and the Howell generators
-    of the right kernel of those columns, all on dense rows."""
+    """Howell generators of the right kernel of ``rows`` (each of length
+    ``ncols``), read off the Howell form of [H^T | I] for the Howell form H
+    of the deduplicated rows, all on dense rows."""
     rows = [list(r) for r in dict.fromkeys(tuple(r) for r in rows)]
     h = howell_dense_reference(rows, n)
     nrows = len(h)
@@ -196,25 +186,7 @@ def kernel_dense_reference(rows, ncols, n):
     ]
     hh = howell_dense_reference(aug, n)
     kernel = [r[nrows:] for r in hh if not any(r[:nrows])]
-    return h, hh, howell_dense_reference(kernel, n)
-
-
-def affine_dense_reference(rows, rhs, ncols, n):
-    """(particular solution or None, kernel generators) of rows @ x = rhs by
-    greedy reduction of [b_H | 0] against HH, on dense rows."""
-    rows_ab = [list(r) + [b % n] for r, b in zip(rows, rhs)]
-    hab, hh, kernel = kernel_dense_reference(rows_ab, ncols, n)
-    nrows = len(hab)
-    w = [hab[i][ncols] for i in range(nrows)] + [0] * ncols
-    for row in hh:
-        c = next(j for j, v in enumerate(row) if v)
-        if w[c] % row[c] == 0:
-            q = w[c] // row[c]
-            if q:
-                w = [(x - q * y) % n for x, y in zip(w, row)]
-    if any(w[:nrows]):
-        return None, kernel
-    return tuple((-t) % n for t in w[nrows:]), kernel
+    return howell_dense_reference(kernel, n)
 
 
 # ---------------------------------------------------------------------------
@@ -380,22 +352,31 @@ _PAIR_TESTS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _scan_mat2(m):
+    """{condition: ordered pairs of M2(Z/m) meeting it}, with ab and ba
+    computed once per pair and shared by every condition."""
+    elements = all_vectors(m, 4)
+    mats = [coords_to_mat2(x, m) for x in elements]
+    found = {condition: [] for condition in _PAIR_TESTS}
+    for xa, am in zip(elements, mats):
+        for xb, bm in zip(elements, mats):
+            ab, ba = mat2_mul(am, bm, m), mat2_mul(bm, am, m)
+            for condition, keep in _PAIR_TESTS.items():
+                if keep(ab, ba, m):
+                    found[condition].append((xa, xb))
+    return found
+
+
 def scan_pairs_mat2(m, condition):
     """Every ordered pair (a, b) of coordinate tuples of M2(Z/m) that meets
     the condition, by testing all |R|^2 products entry by entry.
 
     Elements run in index order (first coordinate most significant), a in
-    the outer loop and b in the inner one.
+    the outer loop and b in the inner one.  The scan runs once per m; each
+    call returns a fresh list.
     """
-    keep = _PAIR_TESTS[condition]
-    elements = all_vectors(m, 4)
-    mats = [coords_to_mat2(x, m) for x in elements]
-    found = []
-    for xa, am in zip(elements, mats):
-        for xb, bm in zip(elements, mats):
-            if keep(mat2_mul(am, bm, m), mat2_mul(bm, am, m), m):
-                found.append((xa, xb))
-    return found
+    return list(_scan_mat2(m)[condition])
 
 
 # ---------------------------------------------------------------------------

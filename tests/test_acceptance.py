@@ -22,7 +22,7 @@ from derivlab.identities import (
     solve_all,
     verify_proof_steps,
 )
-from derivlab.linalg import ResidueMatrix, howell_form, module_equal, solve_affine
+from derivlab.linalg import ResidueMatrix, howell_form, module_equal, solve_homogeneous
 from derivlab.maps import AdditiveMap, lift_map, right_multiplier, inner_derivation
 from derivlab.rings import (
     Bimodule,
@@ -171,11 +171,11 @@ def test_criterion_08_nonunital_component_split():
 
 
 def test_criterion_09_solver_oracles():
-    with criterion(9, 5.0, "affine solver returns exactly {2, 5} for 2x = 4 "
-                           "mod 6; canonical forms survive 1000 seeded span "
-                           "rewrites mod 6 and mod 9"):
-        part, hom = solve_affine(ResidueMatrix.from_rows(6, [[2]]), [4])
-        sols = {tuple((p + h) % 6 for p, h in zip(part, el)) for el in hom.elements()}
+    with criterion(9, 5.0, "2x = 4 mod 6 has exactly the solutions {2, 5}, "
+                           "read off the kernel of [2 | -4]; canonical forms "
+                           "survive 1000 seeded span rewrites mod 6 and mod 9"):
+        hom = solve_homogeneous(ResidueMatrix.from_rows(6, [[2, -4]]))
+        sols = {(x,) for x, y in hom.elements() if y == 1}
         assert sols == {(2,), (5,)}
         rng = random.Random(12345)
         for trial in range(1000):

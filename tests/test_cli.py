@@ -111,6 +111,7 @@ def test_decompose_inner_lifted_method(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert status == 0
     assert payload["base_map"]["matrix"]["data"] == [0] * 4
+    assert payload["inner_element"] == [0, 0, 2, 0, 0, 1, 2, 0]
 
 
 def test_decompose_extension_components(tmp_path, capsys):

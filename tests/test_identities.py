@@ -694,6 +694,8 @@ def test_inner_plus_lift_recovers_inner():
     assert d.is_zero()
     # g may differ from g0 by a central element; compare at the map level
     assert inner_derivation(Bimodule.regular(M2D3), g).matrix == ig.matrix
+    # G = sum_k E_k1.delta(E_1k), whose (1, 1) cell is zero
+    assert g == (0, 0, 0, 1, 0, 0, 1, 1)
 
 
 def test_inner_plus_lift_recovers_lifted_base_derivation():
@@ -737,6 +739,22 @@ def test_inner_plus_lift_on_matrix_over_codomain():
     d, g = decompose_inner_plus_lifted(fmap)
     assert d.matrix == base_d.matrix
     assert inner_derivation(bim, g).matrix == inner_derivation(bim, g0).matrix
+    assert g == (0, 0, 0, 0, 2, 0, 0, 2)
+
+
+def test_inner_plus_lift_over_non_unital_base():
+    # matrices over a base bimodule on which the identity does not act as
+    # the identity: every derivation generator still splits and recomposes
+    base_bim = Bimodule.inflated(Bimodule.regular(DUAL3), 1)
+    bim = Bimodule.matrix_over(M2D3, base_bim)
+    deriv = solve_all("derivation", M2D3, bimodule=bim)
+    gens = maps_from_module(deriv, M2D3, bim)
+    assert len(gens) == 7
+    for gen in gens:
+        d, g = decompose_inner_plus_lifted(gen)
+        assert d.codomain == base_bim
+        lifted = AdditiveMap(M2D3, bim, lift_map(d, 2).matrix)
+        assert (lifted + inner_derivation(bim, g)).matrix == gen.matrix
 
 
 # ---------------------------------------------------------------------------

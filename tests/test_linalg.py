@@ -12,14 +12,11 @@ from derivlab.linalg import (
     howell_form,
     lift_unit,
     module_equal,
-    solve_affine,
     solve_homogeneous,
     solve_homogeneous_rows,
     xgcd,
 )
 from oracles import (
-    affine_by_enumeration,
-    affine_dense_reference,
     howell_dense_reference,
     kernel_by_enumeration,
     kernel_dense_reference,
@@ -140,7 +137,7 @@ def test_howell_is_rref_for_prime_modulus(case):
 
 
 # ---------------------------------------------------------------------------
-# homogeneous and affine solving
+# homogeneous solving
 # ---------------------------------------------------------------------------
 
 def test_solve_homogeneous_worked_examples():
@@ -161,23 +158,6 @@ def test_empty_system_conventions():
     # no unknowns: the rank-0 zero module
     s = solve_homogeneous(ResidueMatrix.zeros(6, 2, 0))
     assert s.ambient_rank == 0 and s.size() == 1
-    part, hom = solve_affine(ResidueMatrix.zeros(6, 2, 0), [0, 0])
-    assert part == () and hom.ambient_rank == 0
-    part, _ = solve_affine(ResidueMatrix.zeros(6, 2, 0), [1, 0])
-    assert part is None
-
-
-def test_solve_affine_worked_examples():
-    part, hom = solve_affine(rm(6, [[2]]), [4])
-    assert part is not None
-    sols = {tuple((p + h) % 6 for p, h in zip(part, el)) for el in hom.elements()}
-    assert sols == {(2,), (5,)}
-
-    part, hom = solve_affine(rm(5, [[1]]), [3])
-    assert part == (3,) and hom.size() == 1
-
-    part, _ = solve_affine(rm(6, [[2]]), [1])
-    assert part is None
 
 
 solver_case = st.sampled_from([2, 3, 4, 5, 6, 7, 8]).flatmap(
@@ -198,26 +178,6 @@ def test_solve_homogeneous_matches_enumeration(case):
     rows = [[rng.randrange(m) for _ in range(nc)] for _ in range(nr)]
     s = solve_homogeneous(rm(m, rows))
     assert set(s.elements()) == kernel_by_enumeration(rows, m, nc)
-
-
-@given(solver_case)
-@settings(max_examples=60, deadline=None)
-def test_solve_affine_matches_enumeration(case):
-    m, nr, nc, seed = case
-    rng = random.Random(seed)
-    rows = [[rng.randrange(m) for _ in range(nc)] for _ in range(nr)]
-    rhs = [rng.randrange(m) for _ in range(nr)]
-    part, hom = solve_affine(rm(m, rows), rhs)
-    expected = affine_by_enumeration(rows, rhs, m, nc)
-    if part is None:
-        assert expected == set()
-    else:
-        got = {
-            tuple((p + h) % m for p, h in zip(part, el)) for el in hom.elements()
-        }
-        assert got == expected
-    # the homogeneous side must be the same module either way
-    assert module_equal(hom, solve_homogeneous(rm(m, rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -340,21 +300,21 @@ def draw_rows(case):
         else:
             rows.append([rng.randrange(1, m) if rng.random() < density else 0
                          for _ in range(width)])
-    return m, width, rows, rng
+    return m, width, rows
 
 
 @given(sparse_case)
 @settings(max_examples=120, deadline=None)
 def test_sparse_howell_equals_dense_reference(case):
-    m, width, rows, _ = draw_rows(case)
+    m, width, rows = draw_rows(case)
     assert howell_form(dense(m, width, rows)).to_rows() == howell_dense_reference(rows, m)
 
 
 @given(sparse_case)
 @settings(max_examples=120, deadline=None)
 def test_sparse_kernel_equals_dense_reference(case):
-    m, width, rows, _ = draw_rows(case)
-    want = kernel_dense_reference(rows, width, m)[2]
+    m, width, rows = draw_rows(case)
+    want = kernel_dense_reference(rows, width, m)
     assert solve_homogeneous(dense(m, width, rows)).generators.to_rows() == want
     sparse = [{k: v for k, v in enumerate(r) if v} for r in rows]
     assert solve_homogeneous_rows(m, width, sparse).generators.to_rows() == want
@@ -385,22 +345,6 @@ def test_howell_back_substitution_equals_dense_reference(m, width, nrows, per_ro
     got = linalg._howell([r for r in sparse if r], m)
     assert sparse == before
     assert [[r.get(k, 0) for k in range(width)] for r in got] == howell_dense_reference(rows, m)
-
-
-@given(sparse_case)
-@settings(max_examples=120, deadline=None)
-def test_sparse_affine_equals_dense_reference(case):
-    m, width, rows, rng = draw_rows(case)
-    if rng.random() < 0.5:
-        # a consistent right-hand side
-        x = [rng.randrange(m) for _ in range(width)]
-        rhs = [sum(a * b for a, b in zip(r, x)) % m for r in rows]
-    else:
-        rhs = [rng.randrange(m) for _ in rows]
-    part, module = solve_affine(dense(m, width, rows), rhs)
-    want_part, want_kernel = affine_dense_reference(rows, rhs, width, m)
-    assert part == want_part
-    assert module.generators.to_rows() == want_kernel
 
 
 def test_bad_rows_fail_before_elimination():
