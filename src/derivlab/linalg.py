@@ -46,6 +46,7 @@ from functools import cached_property
 from math import gcd, prod
 
 MAX_MODULUS = 1 << 31
+_SAMPLE_CHUNK = 128
 
 
 def _check_modulus(m):
@@ -96,27 +97,49 @@ def annihilator(a, n):
 
 
 def _sparse_rows(rows, width, n):
-    """The nonzero rows among ``rows`` as reduced {column: residue} dicts,
-    duplicates dropped.  A row is a sequence of exactly ``width`` residues or a
+    """The nonzero rows among ``rows`` as reduced {column: residue} dicts.
+    A row repeated as given is read once; rows from constraint assembly
+    arrive reduced, so this drops their repeats without reducing them
+    first.  A row is a sequence of exactly ``width`` residues or a
     dict with columns in [0, width); any other row raises ``ValueError``
     naming its index, before any elimination starts."""
     _check_modulus(n)
-    unique = {}
+    seen = set()
+    out = []
     for i, r in enumerate(rows):
         if isinstance(r, dict):
             if not r:
                 continue
             if min(r) < 0 or max(r) >= width:
                 raise ValueError(f"row {i} has a column outside width {width}")
+            key = frozenset(r.items())
             items = r.items()
         else:
             if len(r) != width:
                 raise ValueError(f"row {i} has {len(r)} entries, not width {width}")
+            key = tuple(r)
             items = enumerate(r)
-        row = {k: v % n for k, v in items if v % n}
+        if key in seen:
+            continue
+        seen.add(key)
+        row = {k: x for k, v in items if (x := v % n)}
         if row:
-            unique.setdefault(tuple(sorted(row.items())), row)
-    return list(unique.values())
+            out.append(row)
+    return out
+
+
+def _draws(rng, n, count):
+    """``count`` draws from range(n), the ones ``count`` calls of
+    ``rng.randrange(n)`` make, leaving ``rng`` in the same state: CPython
+    3.10-3.12 draw ``getrandbits(n.bit_length())`` and reject values >= n.
+    Rejected values only drop out, so each round draws what is still
+    missing and never draws past the last value kept."""
+    k = n.bit_length()
+    bits = rng.getrandbits
+    out = []
+    while len(out) < count:
+        out += [r for r in [bits(k) for _ in range(count - len(out))] if r < n]
+    return out
 
 
 def _add_multiple(row, q, other, n):
@@ -393,8 +416,72 @@ class SolutionModule:
             yield self._combination(idx)
 
     def random_element(self, rng):
+        return self._combination(_draws(rng, self.modulus, len(self._pivot_rows)))
+
+    @cached_property
+    def _columns(self):
+        """(column, ((generator index, residue), ...)) per nonzero column."""
+        cols = {}
+        for i, (_, _, items) in enumerate(self._pivot_rows):
+            for k, v in items:
+                cols.setdefault(k, []).append((i, v))
+        return tuple((k, tuple(entries)) for k, entries in sorted(cols.items()))
+
+    def first_sample_outside(self, target, rng, count):
+        """``(index, vector)`` of the first of ``count`` elements, drawn in
+        turn as ``random_element`` draws them, that ``target`` does not
+        contain; None when ``target`` contains all of them.
+
+        Samples are drawn and tested a chunk at a time.  A chunk's vectors
+        are built column by column, one list over the chunk per nonzero
+        column, and reduced against ``target``'s pivot rows as ``contains``
+        reduces one vector: one list of quotients per pivot, and a sample
+        whose pivot entry the pivot does not divide is outside.  Only the
+        first sample outside is rebuilt as a vector.  The draws are the ones
+        the element-at-a-time loop makes, but on a hit ``rng`` has already
+        drawn to the end of that chunk.
+        """
+        _compatible(self, target)
         n = self.modulus
-        return self._combination([rng.randrange(n) for _ in self._pivot_rows])
+        g = len(self._pivot_rows)
+        for start in range(0, count, _SAMPLE_CHUNK):
+            size = min(_SAMPLE_CHUNK, count - start)
+            draws = _draws(rng, n, size * g)
+            coefs = [draws[i::g] for i in range(g)]
+            # entries stay unreduced until a pivot or the last test reads them
+            w = {}
+            for k, ((i, v), *rest) in self._columns:
+                col = coefs[i] if v == 1 else [v * a for a in coefs[i]]
+                for i, v in rest:
+                    col = [x + v * a for x, a in zip(col, coefs[i])]
+                w[k] = col
+            first = size
+            for c, p, items in target._pivot_rows:
+                col = w.pop(c, None)
+                if col is None:
+                    continue
+                if p == 1:
+                    q = [x % n for x in col]
+                else:
+                    q = []
+                    for s, x in enumerate(col):
+                        x %= n
+                        if x % p:
+                            first = min(first, s)
+                        q.append(x // p)
+                for k, v in items[1:]:
+                    old = w.get(k)
+                    if old is None:
+                        w[k] = [-v * y for y in q]
+                    else:
+                        w[k] = [x - v * y for x, y in zip(old, q)]
+            for col in w.values():
+                residues = [x % n for x in col[:first]]
+                if any(residues):
+                    first = next(s for s, x in enumerate(residues) if x)
+            if first < size:
+                return start + first, self._combination(draws[first * g:(first + 1) * g])
+        return None
 
     def sum_with(self, other):
         _compatible(self, other)

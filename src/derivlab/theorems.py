@@ -6,7 +6,11 @@ and spot-checks sampled module elements by membership.  Generator-level
 verification is complete for the module-identity conclusions because every
 conclusion checked here is linear in the map; sampling spot-checks the same
 containments, and the decompositions and proof steps, on members that are not
-generators.  Solution modules come from the per-process memo of
+generators.  Samples are drawn and tested a chunk at a time
+(``SolutionModule.first_sample_outside``), with the same draws as one element
+at a time; on a falsification the rng has already drawn to the end of the
+chunk, which no report shows, since sampling is the last use of the rng in
+every procedure.  Solution modules come from the per-process memo of
 ``identities.solve_counted``, which ``check`` reads as well, so no system is
 assembled twice.
 
@@ -143,10 +147,9 @@ def _require_equal(s1, s2, name1, name2, ring, codomain, kind1, kind2, pair_mode
 
 
 def _sample_membership(source, target, rng, sample, label):
-    for _ in range(sample):
-        vec = source.random_element(rng)
-        if not target.contains(vec):
-            raise _Falsified({"sampled_from": label, "vector": list(vec)})
+    hit = source.first_sample_outside(target, rng, sample)
+    if hit is not None:
+        raise _Falsified({"sampled_from": label, "vector": list(hit[1])})
 
 
 def verify_theorem(theorem_id, ring, *, pair_mode="structured", seed=0,

@@ -7,8 +7,9 @@ entry by entry on explicit 2 x 2 representations (identities are evaluated on
 them pair by pair, term by term), and echelon forms over prime fields use a
 textbook RREF.  Two routines the package used before it moved to sparse,
 shared work are kept here, unchanged, as references: the dense Howell routine,
-for the sparse one, and the per-pair constraint block evaluator, for the
-one-sweep block builder.  These routes stay deliberately separate from the
+for the sparse one, the per-pair constraint block evaluator, for the
+one-sweep block builder, and the element-at-a-time membership sampling loop,
+for the chunked sampler.  These routes stay deliberately separate from the
 code paths they check.
 """
 
@@ -187,6 +188,26 @@ def kernel_dense_reference(rows, ncols, n):
     hh = howell_dense_reference(aug, n)
     kernel = [r[nrows:] for r in hh if not any(r[:nrows])]
     return howell_dense_reference(kernel, n)
+
+
+# ---------------------------------------------------------------------------
+# Membership sampling (reference for the chunked sampler)
+# ---------------------------------------------------------------------------
+
+def first_sample_outside_reference(source, target, rng, count):
+    """(index, vector) of the first of ``count`` elements of ``source`` that
+    ``target`` does not contain, or None: one ``rng.randrange(m)`` per
+    generator of ``source``, combined entry by entry, then one ``contains``
+    per element."""
+    m = source.modulus
+    gens = source.generators.to_rows()
+    for index in range(count):
+        coefs = [rng.randrange(m) for _ in gens]
+        vec = tuple(sum(c * g[k] for c, g in zip(coefs, gens)) % m
+                    for k in range(source.ambient_rank))
+        if not target.contains(vec):
+            return index, vec
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import json
+import os
+import random
 
 import pytest
 
@@ -91,19 +93,43 @@ def test_unknown_theorem_id():
         verify_theorem("thm9_9", M2Z3)
 
 
-def test_reports_are_deterministic_except_elapsed():
-    def stripped(rep):
-        payload = rep.to_json()
-        payload.pop("elapsed_ms")
-        return json.dumps(payload, sort_keys=True)
+def stripped_report(rep):
+    payload = rep.to_json()
+    payload.pop("elapsed_ms")
+    return json.dumps(payload, sort_keys=True)
 
+
+def test_battery_reports_match_the_recorded_ones():
+    # the 30 battery reports at seed 1 and the default 1000 membership
+    # samples, as the element-at-a-time sampler produced them
+    battery = [matrix_ring(2, zmod(3)), matrix_ring(2, dual_numbers(3)),
+               matrix_ring(2, zmod(5))]
+    lines = [stripped_report(verify_theorem(tid, ring, seed=1))
+             for tid in THEOREM_IDS for ring in battery]
+    path = os.path.join(os.path.dirname(__file__), "battery_seed1_reports.jsonl")
+    with open(path, encoding="utf-8") as fh:
+        assert "\n".join(lines) + "\n" == fh.read()
+
+
+def test_sampled_falsification_is_pinned():
+    star, deriv = solve_all("star", M2Z3), solve_all("derivation", M2Z3)
+    with pytest.raises(theorems._Falsified) as exc:
+        theorems._sample_membership(star, deriv, random.Random(0), 1000,
+                                    "zero_product_maps")
+    assert exc.value.counterexample == {
+        "sampled_from": "zero_product_maps",
+        "vector": [1, 1, 0, 0, 0, 1, 0, 0, 2, 0, 1, 1, 0, 2, 0, 1],
+    }
+
+
+def test_reports_are_deterministic_except_elapsed():
     a = verify_theorem("thm3_2i", M2Z3, seed=0)
     b = verify_theorem("thm3_2i", M2Z3, seed=0)
-    assert stripped(a) == stripped(b)
+    assert stripped_report(a) == stripped_report(b)
 
     c = verify_theorem("remark1_2", M2Z3, pair_mode="exhaustive")
     d = verify_theorem("remark1_2", M2Z3, pair_mode="exhaustive")
-    assert stripped(c) == stripped(d)
+    assert stripped_report(c) == stripped_report(d)
 
 
 def test_run_all_over_dual_base():
