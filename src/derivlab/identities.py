@@ -39,6 +39,7 @@ evaluator it replaced (``tests/oracles.py``).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -362,6 +363,17 @@ def _block_builder(spec, ring, bim):
     return block
 
 
+_SWAP = str.maketrans("ab", "ba")
+
+
+def _symmetric(spec):
+    """Whether swapping a and b in every word leaves the terms unchanged as a
+    multiset; then block(a, b) = block(b, a) on every ring, since the two
+    blocks sum the same terms."""
+    swapped = [(coef, *(w and w.translate(_SWAP) for w in words)) for coef, *words in spec.terms]
+    return Counter(swapped) == Counter(spec.terms)
+
+
 def _assembly(spec, ring, bim, pair_mode):
     """(rows, width, counts) of an identity's constraint system.
 
@@ -384,6 +396,11 @@ def _assembly(spec, ring, bim, pair_mode):
     span.  ``counts`` is
     {"pair_count": n} or, for structured conditional systems,
     {"span_rank": the number of Howell generators of W}.
+
+    A spec symmetric in a and b (``_symmetric``; the Jordan identity, for
+    one) has block(e_i, e_j) = block(e_j, e_i), so only the pairs i <= j
+    are built: they give the basis-pair rows, still counted as r^2 pairs,
+    and the conditional blocks mirror them.
     """
     if bim.ring != ring:
         raise ValueError("bimodule is not over the given ring")
@@ -395,7 +412,11 @@ def _assembly(spec, ring, bim, pair_mode):
     block = _block_builder(spec, ring, bim)
     if quantifier == "basis":
         return (row for a in basis for row in block(a, None)), rank_m * r, {"pair_count": r}
-    pairs = itertools.product(basis, basis)
+    symmetric = _symmetric(spec)
+    if symmetric:
+        pairs = itertools.combinations_with_replacement(basis, 2)
+    else:
+        pairs = itertools.product(basis, basis)
     if quantifier == "basis_pairs":
         return (row for a, b in pairs for row in block(a, b)), rank_m * r, {"pair_count": r * r}
     if quantifier not in CONDITIONS:
@@ -404,14 +425,19 @@ def _assembly(spec, ring, bim, pair_mode):
         letters = "".join(word for word in term[1:] if word)
         if letters.count("a") != 1 or letters.count("b") != 1:
             raise ValueError(f"conditional term {term!r} is not bilinear in (a, b)")
-    blocks = [block(a, b) for a, b in pairs]
+    if symmetric:
+        blocks = [None] * (r * r)
+        for i, j in itertools.combinations_with_replacement(range(r), 2):
+            blocks[i * r + j] = blocks[j * r + i] = block(basis[i], basis[j])
+    else:
+        blocks = [block(a, b) for a, b in pairs]
     source = pair_mode
     if pair_mode == "structured" and ring.kind != "matrix":
         source = "exhaustive"
     elif pair_mode == "structured" and quantifier == "two_sided_zero":
-        symmetric = m % 2 == 1 and all(
+        symmetric = m % 2 == 1 and (symmetric or all(
             blocks[i * r + j] == blocks[j * r + i] for i in range(r) for j in range(i)
-        )
+        ))
         source = "structured" if symmetric else "exhaustive"
     span, pair_count = pair_span(ring, quantifier, source)
     gens = span.generators.to_rows()

@@ -131,14 +131,17 @@ def _sparse_rows(rows, width, n):
 def _draws(rng, n, count):
     """``count`` draws from range(n), the ones ``count`` calls of
     ``rng.randrange(n)`` make, leaving ``rng`` in the same state: CPython
-    3.10-3.12 draw ``getrandbits(n.bit_length())`` and reject values >= n.
-    Rejected values only drop out, so each round draws what is still
-    missing and never draws past the last value kept."""
+    3.10-3.13 draw ``getrandbits(n.bit_length())`` and reject values >= n
+    (checked against ``randrange`` on 3.10.13, 3.11.7, 3.12.1 and 3.13.0)."""
     k = n.bit_length()
     bits = rng.getrandbits
     out = []
-    while len(out) < count:
-        out += [r for r in [bits(k) for _ in range(count - len(out))] if r < n]
+    append = out.append
+    for _ in range(count):
+        x = bits(k)
+        while x >= n:
+            x = bits(k)
+        append(x)
     return out
 
 
@@ -382,18 +385,24 @@ class SolutionModule:
         return tuple(out)
 
     def contains(self, vec):
+        """Whether ``vec`` (integers, reduced or not) lies in the module.
+
+        Only the entries the generators hold are read and reduced: each
+        pivot entry, read mod m, must be a multiple of its pivot, as later
+        generators vanish in its column.  The other entries are reduced only
+        when one is left nonzero: an unreduced input or a non-member."""
         if len(vec) != self.ambient_rank:
             raise ValueError("vector length does not match ambient rank")
         n = self.modulus
-        w = [v % n for v in vec]
+        w = list(vec)
         for c, p, items in self._pivot_rows:
-            q, r = divmod(w[c], p)
+            q, r = divmod(w[c] % n, p)
             if r:
-                return False  # later generators vanish in column c
+                return False
             if q:
                 for k, v in items:
                     w[k] = (w[k] - q * v) % n
-        return not any(w)
+        return not any(w) or not any(x % n for x in w)
 
     def size(self):
         """Number of elements: product over pivots p of (m // p)."""

@@ -4,9 +4,11 @@ Each procedure computes full solution modules, compares them as canonical
 Howell forms, exercises the constructive decompositions on every generator,
 and spot-checks sampled module elements by membership.  Generator-level
 verification is complete for the module-identity conclusions because every
-conclusion checked here is linear in the map; sampling spot-checks the same
-containments, and the decompositions and proof steps, on members that are not
-generators.  Samples are drawn and tested a chunk at a time
+conclusion checked here is linear in the map.  The membership samples run
+right after ``_require_equal`` has found the same two modules equal, so they
+test the sampler and the Howell reduction, not the theorem; the proof-step
+samples of ``thm2_1`` run the corner-peeling argument on members that are
+not generators.  Samples are drawn and tested a chunk at a time
 (``SolutionModule.first_sample_outside``), with the same draws as one element
 at a time; on a falsification the rng has already drawn to the end of the
 chunk, which no report shows, since sampling is the last use of the rng in

@@ -5,12 +5,13 @@ per-pair constraint blocks below nothing goes through its structure-constant
 multiplication: spans are enumerated by closure, matrix products are computed
 entry by entry on explicit 2 x 2 representations (identities are evaluated on
 them pair by pair, term by term), and echelon forms over prime fields use a
-textbook RREF.  Two routines the package used before it moved to sparse,
-shared work are kept here, unchanged, as references: the dense Howell routine,
-for the sparse one, the per-pair constraint block evaluator, for the
-one-sweep block builder, and the element-at-a-time membership sampling loop,
-for the chunked sampler.  These routes stay deliberately separate from the
-code paths they check.
+textbook RREF.  Routines the package used before it moved to sparse, shared
+work are kept here as references: the dense Howell routine, for the sparse
+one; the per-pair constraint block evaluator, for the one-sweep block
+builder; the membership test that reduces every entry before it reads a
+generator, for the one that follows the generators' nonzeros; and the
+element-at-a-time membership sampling loop, for the chunked sampler.  These
+routes stay deliberately separate from the code paths they check.
 """
 
 from __future__ import annotations
@@ -191,21 +192,39 @@ def kernel_dense_reference(rows, ncols, n):
 
 
 # ---------------------------------------------------------------------------
-# Membership sampling (reference for the chunked sampler)
+# Membership (references for ``contains`` and the chunked sampler)
 # ---------------------------------------------------------------------------
+
+def contains_reference(module, vec):
+    """Whether ``module`` contains ``vec``: every entry reduced first, then
+    greedy reduction against the Howell generators, dense row by dense row,
+    a pivot entry that the pivot does not divide ruling the vector out."""
+    if len(vec) != module.ambient_rank:
+        raise ValueError("vector length does not match ambient rank")
+    n = module.modulus
+    w = [v % n for v in vec]
+    for row in module.generators.to_rows():
+        c = next(k for k, v in enumerate(row) if v)
+        q, r = divmod(w[c], row[c])
+        if r:
+            return False
+        if q:
+            w = [(x - q * v) % n for x, v in zip(w, row)]
+    return not any(w)
+
 
 def first_sample_outside_reference(source, target, rng, count):
     """(index, vector) of the first of ``count`` elements of ``source`` that
     ``target`` does not contain, or None: one ``rng.randrange(m)`` per
-    generator of ``source``, combined entry by entry, then one ``contains``
-    per element."""
+    generator of ``source``, combined entry by entry, then one
+    ``contains_reference`` per element."""
     m = source.modulus
     gens = source.generators.to_rows()
     for index in range(count):
         coefs = [rng.randrange(m) for _ in gens]
         vec = tuple(sum(c * g[k] for c, g in zip(coefs, gens)) % m
                     for k in range(source.ambient_rank))
-        if not target.contains(vec):
+        if not contains_reference(target, vec):
             return index, vec
     return None
 

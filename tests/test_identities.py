@@ -32,6 +32,8 @@ from derivlab.rings import (
     RingElement,
     all_elements,
     annihilator_kernels,
+    basis_elements,
+    bimodule_rank,
     center_basis,
     dual_numbers,
     matrix_ring,
@@ -71,9 +73,13 @@ def test_constraint_shapes_on_rank_four_ring():
     assert system.matrix.rows == 16 * 4  # ordered basis pairs x codomain rank
     assert system.counts == {"pair_count": 16}
 
+    # the Jordan identity is symmetric in a and b, so its rows come from the
+    # 10 unordered basis pairs; phi is not, and keeps all 16 ordered ones
     jordan = constraint_system("jordan", M2Z3)
     phi = constraint_system("phi", M2Z3)
-    assert (phi.matrix.rows, phi.matrix.cols) == (jordan.matrix.rows, jordan.matrix.cols)
+    assert (jordan.matrix.rows, jordan.matrix.cols) == (10 * 4, 16)
+    assert (phi.matrix.rows, phi.matrix.cols) == (16 * 4, 16)
+    assert jordan.counts == phi.counts == {"pair_count": 16}
 
     # conditional rows come from the generators of the span W of the pair
     # tensors a (x) b, rank(M) rows each; exhaustive mode counts the full
@@ -381,6 +387,83 @@ def test_block_builder_equals_per_pair_reference(label, extra):
                 continue
             want = pair_block_reference(spec, ring, bim, a, b, actions)
             assert block(a.coords, None if b is None else b.coords) == want, (spec.tag, a, b)
+
+
+SYMMETRIC_TAGS = {
+    "jordan", "generalized_jordan", "star", "star_star", "remark_antizero", "remark_abzero",
+    "unital_component_jordan", "left_degenerate_rule", "right_degenerate_rule",
+    "outer_component_jordan_zero",
+}
+
+
+def test_symmetric_specs_have_mirrored_blocks():
+    # a spec whose terms a <-> b only permutes is flagged, and the per-pair
+    # reference gives it one block for (e_i, e_j) and (e_j, e_i); derivation
+    # and phi are not flagged, and some basis pair tells their blocks apart
+    bim = Bimodule.regular(M2D3)
+    basis = basis_elements(M2D3)
+    actions = {}
+    flagged = {spec.tag for spec in ALL_SPECS if identities._symmetric(spec)}
+    assert flagged == SYMMETRIC_TAGS
+    for spec in ALL_SPECS:
+        if spec.quantifier == "basis":
+            continue
+        mirrored = all(
+            pair_block_reference(spec, M2D3, bim, a, b, actions)
+            == pair_block_reference(spec, M2D3, bim, b, a, actions)
+            for i, a in enumerate(basis) for b in basis[:i]
+        )
+        assert mirrored or spec.tag not in flagged, spec.tag
+        if spec.tag in ("derivation", "phi"):
+            assert not mirrored
+    # terms compare as a multiset: a repeated term needs a repeated swap
+    doubled = ((1, None, "a", "b"), (1, None, "a", "b"), (1, None, "b", "a"))
+    assert not identities._symmetric(IdentitySpec("doubled", doubled, "basis_pairs"))
+    balanced = doubled + ((1, None, "b", "a"),)
+    assert identities._symmetric(IdentitySpec("balanced", balanced, "basis_pairs"))
+
+
+SYMMETRY_CODOMAINS = {
+    "M2(Z/3[eps])": Bimodule.regular(M2D3),
+    "T(M2(Z/3))": Bimodule.regular(T2Z3),
+    "M3(Z/3)": Bimodule.regular(matrix_ring(3, zmod(3))),
+    "M2(Z/3) + (Z/3)^3": Bimodule.inflated(REG, 3),
+}
+
+
+@pytest.mark.parametrize("label", SYMMETRY_CODOMAINS)
+def test_symmetric_specs_solve_from_unordered_pairs(label):
+    # the assembly builds a symmetric spec's blocks on the pairs i <= j only;
+    # its module against the one of every ordered basis pair's reference
+    # block and, for the conditional quantifiers, against the span
+    # generators combined over all r^2 reference blocks (matrix rings only:
+    # elsewhere the exact spans take seconds)
+    bim = SYMMETRY_CODOMAINS[label]
+    ring = bim.ring
+    basis = basis_elements(ring)
+    width = bimodule_rank(bim) * ring_rank(ring)
+    actions = {}
+    for spec in ALL_SPECS:
+        if spec.tag not in SYMMETRIC_TAGS:
+            continue
+        if spec.quantifier != "basis_pairs" and ring.kind != "matrix":
+            continue
+        blocks = [pair_block_reference(spec, ring, bim, a, b, actions)
+                  for a in basis for b in basis]
+        if spec.quantifier == "basis_pairs":
+            rows = [row for block in blocks for row in block]
+        else:
+            span, _ = pair_span(ring, spec.quantifier, "structured")
+            rows = []
+            for gen in span.generators.to_rows():
+                for e in range(bimodule_rank(bim)):
+                    row = {}
+                    for k, c in enumerate(gen):
+                        for col, v in blocks[k][e].items() if c else ():
+                            row[col] = row.get(col, 0) + c * v
+                    rows.append(row)
+        want = solve_homogeneous_rows(ring.m, width, rows)
+        assert solve_all(spec, ring, bim) == want, spec.tag
 
 
 WIDE_KINDS = ("derivation", "jordan", "generalized_derivation", "generalized_jordan", "phi")

@@ -20,6 +20,7 @@ from derivlab.linalg import (
 )
 from derivlab.rings import dual_numbers, matrix_ring, zmod
 from oracles import (
+    contains_reference,
     first_sample_outside_reference,
     howell_dense_reference,
     kernel_by_enumeration,
@@ -341,6 +342,70 @@ def test_chunked_sampler_equals_element_loop_on_small_modules(case, count, seed)
     assert got == first_sample_outside_reference(source, target, theirs, count)
     if got is None:
         assert mine.getstate() == theirs.getstate()
+
+
+# ---------------------------------------------------------------------------
+# membership on the generators' nonzeros, against the reference that reduces
+# every entry first
+# ---------------------------------------------------------------------------
+
+def unreduced_variants(vec, m, shifts):
+    """``vec``, the vector shifted by shifts[k] * m in entry k, and both
+    negated: one residue class mod m for each sign."""
+    shifted = [v + k * m for v, k in zip(vec, shifts)]
+    return [list(vec), shifted, [-v for v in vec], [-v for v in shifted]]
+
+
+@given(small_matrix, st.lists(st.integers(0, 8), min_size=3, max_size=3),
+       st.lists(st.integers(-3, 3), min_size=3, max_size=3), st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None)
+def test_contains_equals_reference_on_small_modules(case, entries, shifts, seed):
+    m, rows = case
+    module = SolutionModule.from_rows(m, 3, rows)
+    member = module.random_element(random.Random(seed))
+    other = [v % m for v in entries]
+    for vec in (member, other):
+        for v in unreduced_variants(vec, m, shifts):
+            assert module.contains(v) == contains_reference(module, v)
+    assert all(module.contains(v) for v in unreduced_variants(member, m, shifts))
+
+
+def membership_pairs():
+    """(label, source, target, whether source lies in target): the sampling
+    pairs, among them targets with pivot 3 over Z/9, and the wide-size
+    Jordan and derivation modules of M3(Z/3[eps]) (width 324)."""
+    ring = matrix_ring(3, dual_numbers(3))
+    deriv, jordan = solve_all("derivation", ring), solve_all("jordan", ring)
+    gd = solve_all("generalized_derivation", ring)
+    return sampling_pairs() + [
+        ("jordan in derivation @ M3(Z/3[eps])", jordan, deriv, True),
+        ("derivation in jordan @ M3(Z/3[eps])", deriv, jordan, True),
+        ("generalized_derivation in derivation @ M3(Z/3[eps])", gd, deriv, False),
+    ]
+
+
+def test_contains_equals_reference_on_solution_modules():
+    # vectors drawn from the source, the same bumped by one in a random
+    # entry (almost always outside the target), and each shifted by
+    # multiples of m and negated
+    rng = random.Random(3)
+    for label, source, target, member in membership_pairs():
+        m, width = target.modulus, target.ambient_rank
+        answers = {True: 0, False: 0}
+        for _ in range(12):
+            vec = list(source.random_element(rng))
+            bumped = list(vec)
+            bumped[rng.randrange(width)] += 1
+            shifts = [rng.randint(-3, 3) for _ in range(width)]
+            for v in unreduced_variants(vec, m, shifts) + unreduced_variants(bumped, m, shifts):
+                got = target.contains(v)
+                assert got == contains_reference(target, v), label
+                answers[got] += 1
+            if member:
+                assert target.contains(vec), label
+        assert answers[False], label
+        with pytest.raises(ValueError):
+            target.contains([0] * (width + 1))
 
 
 class ZerosFirst(random.Random):
