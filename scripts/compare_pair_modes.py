@@ -3,15 +3,16 @@
 the exhaustive pair set, per ring and per condition.
 
 For a condition on pairs (a, b), the exact span W is spanned by the tensors
-a (x) b of the pairs that meet it, built from the annihilator kernels, one
-per orbit of the scalar units (K_(u.a) = K_a for a unit u of Z/mZ); the
-structural span is the kernel of the condition's operator on
-A (x) A (ker mu, ker(mu + mu.tau), and Sym ker[mu; mu.tau] for two-sided, with
-the exact span symmetrised too).  Equal spans give equal solution modules in
-both pair modes for every identity with that condition.  Equality is not
-claimed anywhere; this script measures it, prints one row per ring and
-condition with the Howell generator counts of both spans, and exits 1 when
-any pair of spans differs.
+a (x) b of the pairs that meet it, built from the annihilator kernels: the
+walk counts one kernel per orbit of the scalar units (K_(u.a) = K_a for a
+unit u of Z/mZ), but solves them only until the tensors span the kernel of
+the condition's operator, which contains W.  The structural span is that
+kernel on A (x) A (ker mu, ker(mu + mu.tau), and Sym ker[mu; mu.tau] for
+two-sided, with the exact span symmetrised too).  Equal spans give equal
+solution modules in both pair modes for every identity with that condition.
+Equality is not claimed anywhere; this script measures it, prints one row
+per ring and condition with the Howell generator counts of both spans, and
+exits 1 when any pair of spans differs.
 
 Usage:
     python scripts/compare_pair_modes.py [--max-size 19683]
@@ -49,8 +50,9 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-size", type=int, default=19683,
                         help="skip rings with more elements than this "
-                             "(the exact span solves one annihilator kernel "
-                             "per orbit of the scalar units)")
+                             "(the exact span counts every orbit of the "
+                             "scalar units and solves annihilator kernels "
+                             "until its tensors span the structural kernel)")
     args = parser.parse_args(argv)
 
     print(f"{'ring':14s} {'condition':15s} {'structural':>10s} {'exact':>6s} "

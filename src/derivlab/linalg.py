@@ -26,10 +26,10 @@ reduction above the pivots visits only the pivot columns a row holds or gains
 on the way, so the work follows the nonzeros, not the width.  The dense
 ``ResidueMatrix`` is the public boundary: constraint systems, module
 generators, maps and JSON.  There is one solve routine,
-``solve_homogeneous_rows``, which takes the rows themselves;
-``solve_homogeneous``, ``howell_form`` and ``SolutionModule.from_rows`` take
-dense input and convert it.  Every row is checked against its stated width
-before elimination.
+``solve_homogeneous_rows``, which takes the rows themselves and hands their
+Howell form to the one kernel step, ``howell_kernel``; ``solve_homogeneous``,
+``howell_form`` and ``SolutionModule.from_rows`` take dense input and convert
+it.  Every row is checked against its stated width before elimination.
 
 Residues are stored reduced in [0, m).  Python integers keep all intermediate
 products exact; moduli are capped at 2**31 which keeps every product at desk
@@ -176,15 +176,16 @@ def _howell(rows, n):
     divides the entry, a multiple of the basis row is subtracted.  Otherwise
     the gcd step replaces the pair by a unimodular combination: a new basis row
     with pivot gcd(pivot, entry) and a remainder that vanishes in that column.
-    Whenever a pivot p is set, (n // p) * row is queued too, which saturates
-    the span.  Last, the entries above each pivot are reduced into [0, pivot):
-    from the bottom basis row up, each row visits the pivot columns it holds,
-    least first, and subtracting a multiple of a lower row adds the pivot
-    columns that row brings in.  Subtracting the row of pivot c changes only
-    columns after c, so no column is visited twice and the columns are
-    reduced in ascending order, as a walk over every later pivot would.  A
-    row holds few pivot columns, so ``min`` over a set finds the least.  The
-    result is canonical, so it does not depend on the order of the rows.
+    Whenever a pivot p other than 1 is set, (n // p) * row is queued too,
+    which saturates the span.  Last, the entries above each pivot are
+    reduced into [0, pivot): from the bottom basis row up, each row visits
+    the pivot columns it holds, least first, and subtracting a multiple of a
+    lower row adds the pivot columns that row brings in.  Subtracting the
+    row of pivot c changes only columns after c, so no column is visited
+    twice and the columns are reduced in ascending order, as a walk over
+    every later pivot would.  A row holds few pivot columns, so ``min`` over
+    a set finds the least.  The result is canonical, so it does not depend
+    on the order of the rows.
     """
     basis = {}
     todo = [dict(r) for r in rows]
@@ -206,7 +207,8 @@ def _howell(rows, n):
                 new = _combine(s, piv, t, row, n)
                 row = _combine(-(v // g), piv, a // g, row, n)
             basis[c] = new
-            extra = _combine(annihilator(new[c], n), new, 0, {}, n)
+            q = annihilator(new[c], n)  # 0 for a unit pivot
+            extra = _combine(q, new, 0, {}, n) if q else None
             if extra:
                 todo.append(extra)
     cols = sorted(basis)
@@ -530,12 +532,16 @@ def solve_homogeneous_rows(modulus, width, rows):
     """The solution module {x : row . x = 0 (mod m) for every row} over
     (Z/mZ)^width.  Rows are dense sequences of length ``width`` or
     {column: residue} dicts; zero and repeated rows are dropped as they are
-    read, and the rest are compressed to their Howell form H first (the
-    kernel only depends on the row span).  The kernel is read off the Howell
-    form of [H^T | I]: its rows whose leading column lies in the identity
-    block carry the kernel generators, already canonical, in that block.
+    read, and ``howell_kernel`` solves the Howell form of the rest.
     """
-    h = _howell(_sparse_rows(rows, width, modulus), modulus)
+    return howell_kernel(modulus, width, _howell(_sparse_rows(rows, width, modulus), modulus))
+
+
+def howell_kernel(modulus, width, h):
+    """The kernel in (Z/mZ)^width of the sparse rows h of a Howell form, read
+    off the Howell form of [h^T | I]: its rows whose leading column lies in
+    the identity block carry the kernel generators, canonical, in that block.
+    """
     nrows = len(h)
     aug = [{nrows + j: 1} for j in range(width)]
     for i, row in enumerate(h):

@@ -31,10 +31,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 from .errors import EvenModulusError, GuardError
-from .linalg import SolutionModule, _check_modulus, solve_homogeneous_rows
+from .linalg import (
+    SolutionModule,
+    _check_modulus,
+    _howell,
+    _sparse_rows,
+    howell_kernel,
+    module_equal,
+    solve_homogeneous_rows,
+)
 
 MAX_RANK = 64
 EXHAUSTIVE_ELEMENT_BUDGET = 10**5
@@ -628,10 +636,12 @@ _CONDITION_OPERATORS = {
 CONDITIONS = tuple(_CONDITION_OPERATORS)
 
 
-def _annihilator_solver(desc, condition):
-    """a |-> K_a for the condition, after the ring-size guard, which fires
-    here, before any kernel is solved.  Only the action sides the condition
-    reads are built."""
+def _annihilator_operator(desc, condition):
+    """a |-> (H_a, |K_a|): the Howell rows of the condition's operator A_a,
+    whose kernel is K_a, and |K_a| = m^r / prod(m // p over the pivots p),
+    as the row and column spans of A_a have the same size.  The ring-size
+    guard fires here, before any kernel is solved.  Only the action sides
+    the condition reads are built."""
     blocks = _CONDITION_OPERATORS[condition]
     size = ring_size(desc)
     if size > EXHAUSTIVE_ELEMENT_BUDGET:
@@ -641,18 +651,19 @@ def _annihilator_solver(desc, condition):
         )
     bim = Bimodule.regular(desc)
     sides = {side for block in blocks for side in block}
-    rank = ring_rank(desc)
+    n, rank = desc.m, ring_rank(desc)
 
-    def kernel(a):
+    def operator(a):
         ops = {side: action_rows(bim, side, a) for side in sides}
         rows = [
             _row_sum(parts)
             for block in blocks
             for parts in zip(*(ops[name] for name in block))
         ]
-        return solve_homogeneous_rows(desc.m, rank, rows)
+        h = _howell(_sparse_rows(rows, rank, n), n)
+        return h, size // prod(n // row[min(row)] for row in h)
 
-    return kernel
+    return operator
 
 
 def annihilator_kernels(desc, condition):
@@ -662,22 +673,26 @@ def annihilator_kernels(desc, condition):
     a walk that stops early solves no further kernel.
 
     The exhaustive pair set is the disjoint union of {a} x K_a.  This walk
-    solves one small kernel per element; ``pair_span`` solves one per orbit
-    of the scalar units, as K_(u.a) = K_a for a unit u of Z/mZ.  The guard
-    is on ring size and fires when this is called, before any kernel is
-    solved.
+    solves one small kernel per element; ``pair_span`` counts one per orbit
+    of the scalar units, as K_(u.a) = K_a for a unit u of Z/mZ, and solves
+    them only until its tensors span the structural kernel.  The guard is on
+    ring size and fires when this is called, before any kernel is solved.
     """
-    kernel_of = _annihilator_solver(desc, condition)
-    elements = itertools.product(range(desc.m), repeat=ring_rank(desc))
-    return ((a, kernel_of(a)) for a in elements)
+    operator, r = _annihilator_operator(desc, condition), ring_rank(desc)
+    elements = itertools.product(range(desc.m), repeat=r)
+    return ((a, howell_kernel(desc.m, r, operator(a)[0])) for a in elements)
 
 
 def _unit_orbits(desc):
     """(a, |orbit(a)|) for each orbit {u.a} of the scalar units u of Z/mZ
-    acting on the ring, a the orbit's least element in index order."""
+    acting on the ring, a the orbit's least element in index order.  Some
+    unit maps a leading nonzero entry x to gcd(x, m), so x = gcd(x, m) in a."""
     m = desc.m
     units = [u for u in range(1, m) if gcd(u, m) == 1]
     for a in itertools.product(range(m), repeat=ring_rank(desc)):
+        lead = next((x for x in a if x), m)  # m for the zero element
+        if lead != gcd(lead, m):
+            continue
         orbit = {tuple(u * x % m for x in a) for u in units}
         if min(orbit) == a:
             yield a, len(orbit)
@@ -693,6 +708,23 @@ def _symmetrised(span, r):
     return SolutionModule.from_rows(span.modulus, r * r, rows)
 
 
+def _structural_kernel(desc, condition):
+    """ker mu, ker(mu + mu.tau) or ker[mu; mu.tau] on A (x) A, by condition."""
+    r = ring_rank(desc)
+    table = structure(desc).prod
+    rows = []
+    for block in _CONDITION_OPERATORS[condition]:
+        for k in range(r):
+            row = {}
+            for i in range(r):
+                for j in range(r):
+                    v = sum(table[i][j][k] if side == "L" else table[j][i][k] for side in block)
+                    if v:
+                        row[i * r + j] = v
+            rows.append(row)
+    return solve_homogeneous_rows(desc.m, r * r, rows)
+
+
 @lru_cache(maxsize=None)
 def pair_span(desc, condition, mode):
     """(W, pair_count): the span W of {a (x) b : (a, b) meets the condition}
@@ -700,11 +732,15 @@ def pair_span(desc, condition, mode):
 
     ``exhaustive`` builds W exactly from the tensors a (x) g, g over the
     Howell generators of each K_a; ``pair_count`` is the sum of |K_a|.  For
-    a unit u of Z/mZ, K_(u.a) = K_a and (u.a) (x) g = u.(a (x) g), so one
-    kernel per orbit of the scalar units is solved, at the orbit's least
-    element, and counted |orbit| times.
-    ``structured`` takes the kernel of the condition's operator, one solve of
-    width r * r whatever the ring size: ker mu (``left_zero``),
+    a unit u of Z/mZ, K_(u.a) = K_a and (u.a) (x) g = u.(a (x) g), so only
+    the least element of each orbit of the scalar units is visited, and its
+    |K_a|, read off the Howell form of A_a, counted |orbit| times.  Every
+    orbit is counted, but kernels are solved only until the tensors span S
+    below: W lies in S, so a span of tensors equal to S proves W = S.  The
+    span is Howell-compacted, and compared with S, whenever more tensors are
+    pending than it has generators.
+    ``structured`` takes the kernel S of the condition's operator, one solve
+    of width r * r whatever the ring size: ker mu (``left_zero``),
     ker(mu + mu.tau) (``anti_commuting``) or Sym ker[mu; mu.tau]
     (``two_sided_zero``), with Sym w = w + tau.w; ``pair_count`` is None.
     The kernel contains every pair tensor; that it is no larger is measured
@@ -714,39 +750,26 @@ def pair_span(desc, condition, mode):
     whose constraint rows are the same for a tensor and its swap, over an
     odd modulus (see ``identities._assembly``).
     """
-    r = ring_rank(desc)
-    n = desc.m
+    r, n = ring_rank(desc), desc.m
     if mode == "exhaustive":
-        kernel_of = _annihilator_solver(desc, condition)
-        rows = []
-        pair_count = 0
+        operator = _annihilator_operator(desc, condition)
+        structural = _structural_kernel(desc, condition)
+        basis, rows, pair_count, spanned = [], [], 0, False
         for a, orbit in _unit_orbits(desc):
-            kernel = kernel_of(a)
-            pair_count += orbit * kernel.size()
-            for g in kernel.generators.to_rows():
-                rows.append({
-                    i * r + j: x * y
-                    for i, x in enumerate(a) if x
-                    for j, y in enumerate(g) if y
-                })
-        return SolutionModule.from_rows(n, r * r, rows), pair_count
+            h, size = operator(a)
+            pair_count += orbit * size
+            if spanned:
+                continue
+            rows += [{i * r + j: x * y for i, x in enumerate(a) if x for j, y in enumerate(g) if y}
+                     for g in howell_kernel(n, r, h).generators.to_rows()]
+            if len(rows) > len(basis):
+                span = SolutionModule.from_rows(n, r * r, basis + rows)
+                basis, rows, spanned = span.generators.to_rows(), [], module_equal(span, structural)
+        return SolutionModule.from_rows(n, r * r, basis + rows), pair_count
     if mode != "structured":
         raise ValueError(f"unknown pair mode {mode!r}")
-    prod = structure(desc).prod
-    rows = []
-    for block in _CONDITION_OPERATORS[condition]:
-        for k in range(r):
-            row = {}
-            for i in range(r):
-                for j in range(r):
-                    v = sum(prod[i][j][k] if side == "L" else prod[j][i][k] for side in block)
-                    if v:
-                        row[i * r + j] = v
-            rows.append(row)
-    kernel = solve_homogeneous_rows(n, r * r, rows)
-    if condition == "two_sided_zero":
-        kernel = _symmetrised(kernel, r)
-    return kernel, None
+    kernel = _structural_kernel(desc, condition)
+    return (_symmetrised(kernel, r) if condition == "two_sided_zero" else kernel), None
 
 
 def structural_and_exact_spans(desc, condition):

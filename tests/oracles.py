@@ -9,15 +9,18 @@ textbook RREF.  Routines the package used before it moved to sparse, shared
 work are kept here as references: the dense Howell routine, for the sparse
 one; the per-pair constraint block evaluator, for the one-sweep block
 builder; the membership test that reduces every entry before it reads a
-generator, for the one that follows the generators' nonzeros; and the
-element-at-a-time membership sampling loop, for the chunked sampler.  These
-routes stay deliberately separate from the code paths they check.
+generator, for the one that follows the generators' nonzeros; the
+element-at-a-time membership sampling loop, for the chunked sampler; and
+the unit-orbit walk that builds every element's orbit set, for the one that
+skips elements whose leading entry rules them out.  These routes stay
+deliberately separate from the code paths they check.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from math import gcd
 
 from derivlab.errors import GuardError
 from derivlab.linalg import annihilator, lift_unit, xgcd
@@ -227,6 +230,22 @@ def first_sample_outside_reference(source, target, rng, count):
         if not contains_reference(target, vec):
             return index, vec
     return None
+
+
+# ---------------------------------------------------------------------------
+# Unit orbits (reference for ``rings._unit_orbits``)
+# ---------------------------------------------------------------------------
+
+def unit_orbits_reference(desc):
+    """(a, |orbit(a)|) for each orbit {u.a} of the units u of Z/mZ, a the
+    orbit's least element in index order: every element's orbit set is
+    built and the element kept when it is the least of its set."""
+    m = desc.m
+    units = [u for u in range(1, m) if gcd(u, m) == 1]
+    for a in product(range(m), repeat=ring_rank(desc)):
+        orbit = {tuple(u * x % m for x in a) for u in units}
+        if min(orbit) == a:
+            yield a, len(orbit)
 
 
 # ---------------------------------------------------------------------------

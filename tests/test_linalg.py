@@ -471,10 +471,11 @@ def dense(m, width, rows):
     return ResidueMatrix(m, len(rows), width, tuple(v % m for r in rows for v in r))
 
 
-# Composite moduli up to 36 (non-unit pivots, annihilator rows), widths up
-# to 40, about 3% or 50% nonzero, with empty systems and zero rows.
+# Composite moduli up to 36 (non-unit pivots, annihilator rows) and prime
+# moduli (unit pivots only, no annihilator rows), widths up to 40, about 3%
+# or 50% nonzero, with empty systems and zero rows.
 sparse_case = st.tuples(
-    st.sampled_from([4, 6, 8, 9, 10, 12, 15, 16, 18, 20, 24, 25, 27, 30, 36]),
+    st.sampled_from([3, 5, 7, 31, 4, 6, 8, 9, 10, 12, 15, 16, 18, 20, 24, 25, 27, 30, 36]),
     st.integers(0, 40),
     st.integers(0, 40),
     st.sampled_from([0.03, 0.5]),

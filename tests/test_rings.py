@@ -40,7 +40,14 @@ from derivlab.rings import (
     zero_product_pairs,
     zmod,
 )
-from oracles import coords_to_mat2, mat2_is_zero, mat2_mul, mat2_to_coords, scan_pairs_mat2
+from oracles import (
+    coords_to_mat2,
+    mat2_is_zero,
+    mat2_mul,
+    mat2_to_coords,
+    scan_pairs_mat2,
+    unit_orbits_reference,
+)
 
 M2Z3 = matrix_ring(2, zmod(3))
 M2D3 = matrix_ring(2, dual_numbers(3))
@@ -465,6 +472,80 @@ def test_orbit_span_equals_all_element_walk(label, condition):
         rows += [[x * y for x in a for y in g] for g in kernel.generators.to_rows()]
     walked = SolutionModule.from_rows(ring.m, r * r, rows)
     assert pair_span(ring, condition, "exhaustive") == (walked, pair_count)
+
+
+ORBIT_WALK_RINGS = {
+    "Z/15": zmod(15),
+    "Z/27": zmod(27),
+    "M2(Z/4)": matrix_ring(2, zmod(4)),
+    "M2(Z/9)": matrix_ring(2, zmod(9)),
+    "M2(Z/3[eps])": M2D3,
+}
+
+
+@pytest.mark.parametrize("label", ORBIT_WALK_RINGS)
+def test_unit_orbits_equal_orbit_set_walk(label):
+    # the walk skips an element whose leading nonzero entry x is not
+    # gcd(x, m) before building its orbit set; the reference builds every set
+    ring = ORBIT_WALK_RINGS[label]
+    assert list(rings._unit_orbits(ring)) == list(unit_orbits_reference(ring))
+
+
+def _count_kernel_steps(monkeypatch):
+    calls = []
+    kernel_step = rings.howell_kernel
+
+    def counting(*args):
+        calls.append(args)
+        return kernel_step(*args)
+
+    monkeypatch.setattr(rings, "howell_kernel", counting)
+    return calls
+
+
+@pytest.mark.parametrize("condition", CONDITIONS)
+def test_exact_walk_stops_solving_once_tensors_span_the_structural_kernel(
+        monkeypatch, condition):
+    # On M2(Z/5) the tensors span S before the walk ends, so fewer kernels
+    # than orbits are solved.  On Z/3[eps], S holds 1 (x) eps - eps (x) 1,
+    # which no pair tensor reaches, so every orbit's kernel is solved.  The
+    # cached spans, made before the kernel step was wrapped, must agree.
+    for ring, walked_all in ((matrix_ring(2, zmod(5)), False), (dual_numbers(3), True)):
+        expected = pair_span(ring, condition, "exhaustive")
+        orbits = sum(1 for _ in rings._unit_orbits(ring))
+        calls = _count_kernel_steps(monkeypatch)
+        assert pair_span.__wrapped__(ring, condition, "exhaustive") == expected
+        monkeypatch.undo()
+        if walked_all:
+            assert len(calls) == orbits == 5
+        else:
+            assert 0 < len(calls) < orbits == 157
+
+
+PIVOT_COUNT_RINGS = {"M2(Z/4)": matrix_ring(2, zmod(4)), "Z/9[eps]": dual_numbers(9)}
+
+
+@pytest.mark.parametrize("condition", CONDITIONS)
+@pytest.mark.parametrize("label", PIVOT_COUNT_RINGS)
+def test_pivot_count_equals_kernel_size(label, condition):
+    # |K_a| = m^r / prod(m // p) over the Howell pivots p of A_a
+    ring = PIVOT_COUNT_RINGS[label]
+    operator = rings._annihilator_operator(ring, condition)
+    for a, kernel in annihilator_kernels(ring, condition):
+        assert operator(a)[1] == kernel.size()
+
+
+def test_exact_span_guard_fires_before_any_solve(monkeypatch):
+    # neither S nor any annihilator kernel is solved above the budget
+    def no_solve(*args):
+        raise AssertionError("the guard must fire before any solve")
+
+    monkeypatch.setattr(rings, "solve_homogeneous_rows", no_solve)
+    monkeypatch.setattr(rings, "howell_kernel", no_solve)
+    big = matrix_ring(2, zmod(101))
+    for condition in CONDITIONS:
+        with pytest.raises(GuardError, match="element budget"):
+            pair_span.__wrapped__(big, condition, "exhaustive")
 
 
 def test_exhaustive_pair_counts_on_m2_z9():
