@@ -12,8 +12,9 @@ Rings are assembled from flags: ``--base zmod:M | dual:M`` picks the base,
 ``--n N`` wraps it into the N x N matrix ring, ``--trivial-ext`` wraps that
 once more into the square-zero extension.  Structured pair mode is the default
 (exhaustive mode counts one annihilator kernel per orbit of the scalar units
-of Z/mZ, as K_(u.a) = K_a for a unit u, and solves them until the pair
-tensors span the structural kernel; its cost still grows with ring size).
+u of Z/mZ times monomial conjugation phi, as K_(u.phi(a)) = phi(K_a), and
+solves them until the pair tensors span the structural kernel; its cost
+still grows with ring size).
 Exit codes: 0 on success or skip, 1 when a verification is falsified or ends
 in error or a check fails, 2 on usage errors.
 """

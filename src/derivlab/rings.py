@@ -674,28 +674,64 @@ def annihilator_kernels(desc, condition):
 
     The exhaustive pair set is the disjoint union of {a} x K_a.  This walk
     solves one small kernel per element; ``pair_span`` counts one per orbit
-    of the scalar units, as K_(u.a) = K_a for a unit u of Z/mZ, and solves
-    them only until its tensors span the structural kernel.  The guard is on
-    ring size and fires when this is called, before any kernel is solved.
+    {u.phi(a)} of the scalar units u and monomial conjugations phi, as
+    K_(u.phi(a)) = phi(K_a), and solves them only until its tensors span
+    the structural kernel.  The ring-size guard fires when this is called,
+    before any kernel is solved.
     """
     operator, r = _annihilator_operator(desc, condition), ring_rank(desc)
     elements = itertools.product(range(desc.m), repeat=r)
     return ((a, howell_kernel(desc.m, r, operator(a)[0])) for a in elements)
 
 
-def _unit_orbits(desc):
-    """(a, |orbit(a)|) for each orbit {u.a} of the scalar units u of Z/mZ
-    acting on the ring, a the orbit's least element in index order.  Some
-    unit maps a leading nonzero entry x to gcd(x, m), so x = gcd(x, m) in a."""
-    m = desc.m
+def _symmetries(desc):
+    """Coordinate maps (perm, scale), x |-> y with y[perm[k]] = scale[k].x[k],
+    of ring automorphisms, which keep every pair condition.  On M_n(B) they
+    are the conjugations a |-> (PD).a.(PD)^-1 by a permutation matrix P of p
+    and D = diag(1, d_2, ..., d_n) over units d_i of Z/mZ, taking entry
+    (i, j, t) to (p(i), p(j), t) times d_i / d_j; any other ring is read as
+    one cell (n = 1), which leaves the identity alone."""
+    m, r = desc.m, ring_rank(desc)
+    n, rb = (desc.n, ring_rank(desc.base)) if desc.kind == "matrix" else (1, r)
     units = [u for u in range(1, m) if gcd(u, m) == 1]
-    for a in itertools.product(range(m), repeat=ring_rank(desc)):
-        lead = next((x for x in a if x), m)  # m for the zero element
-        if lead != gcd(lead, m):
+    cells = list(itertools.product(range(n), range(n), range(rb)))
+    maps = []
+    for p in itertools.permutations(range(n)):
+        for d in itertools.product(units, repeat=n - 1):
+            d = (1,) + d
+            maps.append((tuple((p[i] * n + p[j]) * rb + t for i, j, t in cells),
+                         tuple(d[i] * pow(d[j], -1, m) % m for i, j, _ in cells)))
+    return maps
+
+
+def _mapped(phi, x, m):
+    """phi(x) as {coordinate: residue}; phi scales by units, so no entry is 0."""
+    perm, scale = phi
+    return {perm[k]: scale[k] * v % m for k, v in enumerate(x) if v}
+
+
+def _orbits(desc, maps):
+    """(a, |orbit(a)|) for each orbit {u.phi(a)} of the scalar units u of
+    Z/mZ and the maps phi of ``_symmetries``, a the orbit's least element in
+    index order.  Visited elements are marked by index in a bytearray of m^r
+    bytes, so an element still unmarked when the walk reaches it is the
+    least of its orbit."""
+    m, r = desc.m, ring_rank(desc)
+    units = [u for u in range(1, m) if gcd(u, m) == 1]
+    weights = [m ** (r - 1 - k) for k in range(r)]
+    seen = bytearray(m ** r)
+    for index, a in enumerate(itertools.product(range(m), repeat=r)):
+        if seen[index]:
             continue
-        orbit = {tuple(u * x % m for x in a) for u in units}
-        if min(orbit) == a:
-            yield a, len(orbit)
+        size = 0
+        for phi in maps:
+            image = [(weights[k], x) for k, x in _mapped(phi, a, m).items()]
+            for u in units:
+                j = sum(w * (u * x % m) for w, x in image)
+                if not seen[j]:
+                    seen[j] = 1
+                    size += 1
+        yield a, size
 
 
 def _symmetrised(span, r):
@@ -732,13 +768,14 @@ def pair_span(desc, condition, mode):
 
     ``exhaustive`` builds W exactly from the tensors a (x) g, g over the
     Howell generators of each K_a; ``pair_count`` is the sum of |K_a|.  For
-    a unit u of Z/mZ, K_(u.a) = K_a and (u.a) (x) g = u.(a (x) g), so only
-    the least element of each orbit of the scalar units is visited, and its
-    |K_a|, read off the Howell form of A_a, counted |orbit| times.  Every
-    orbit is counted, but kernels are solved only until the tensors span S
-    below: W lies in S, so a span of tensors equal to S proves W = S.  The
-    span is Howell-compacted, and compared with S, whenever more tensors are
-    pending than it has generators.
+    a unit u of Z/mZ and a map phi of ``_symmetries``, K_(u.phi(a)) =
+    phi(K_a), so only the least element a of each orbit {u.phi(a)} is
+    visited: its |K_a|, read off the Howell form of A_a, counts |orbit|
+    times, and phi(a) (x) phi(g) over every phi stand for the orbit's
+    tensors.  Kernels are solved only until the tensors span S below: W
+    lies in S, so a span of tensors equal to S proves W = S.  The span is
+    Howell-compacted, and compared with S, whenever more tensors are pending
+    than it has generators.
     ``structured`` takes the kernel S of the condition's operator, one solve
     of width r * r whatever the ring size: ker mu (``left_zero``),
     ker(mu + mu.tau) (``anti_commuting``) or Sym ker[mu; mu.tau]
@@ -754,14 +791,17 @@ def pair_span(desc, condition, mode):
     if mode == "exhaustive":
         operator = _annihilator_operator(desc, condition)
         structural = _structural_kernel(desc, condition)
+        maps = _symmetries(desc)
         basis, rows, pair_count, spanned = [], [], 0, False
-        for a, orbit in _unit_orbits(desc):
+        for a, orbit in _orbits(desc, maps):
             h, size = operator(a)
             pair_count += orbit * size
             if spanned:
                 continue
-            rows += [{i * r + j: x * y for i, x in enumerate(a) if x for j, y in enumerate(g) if y}
-                     for g in howell_kernel(n, r, h).generators.to_rows()]
+            gens = howell_kernel(n, r, h).generators.to_rows()
+            rows += [{i * r + j: x * y for i, x in _mapped(phi, a, n).items()
+                      for j, y in _mapped(phi, g, n).items()}
+                     for phi in maps for g in gens]
             if len(rows) > len(basis):
                 span = SolutionModule.from_rows(n, r * r, basis + rows)
                 basis, rows, spanned = span.generators.to_rows(), [], module_equal(span, structural)

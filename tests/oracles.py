@@ -1,25 +1,25 @@
 """Independent brute-force oracles for the test suite.
 
 Nothing here goes through the package's Howell machinery, and apart from the
-per-pair constraint blocks below nothing goes through its structure-constant
-multiplication: spans are enumerated by closure, matrix products are computed
-entry by entry on explicit 2 x 2 representations (identities are evaluated on
-them pair by pair, term by term), and echelon forms over prime fields use a
-textbook RREF.  Routines the package used before it moved to sparse, shared
-work are kept here as references: the dense Howell routine, for the sparse
-one; the per-pair constraint block evaluator, for the one-sweep block
-builder; the membership test that reduces every entry before it reads a
-generator, for the one that follows the generators' nonzeros; the
-element-at-a-time membership sampling loop, for the chunked sampler; and
-the unit-orbit walk that builds every element's orbit set, for the one that
-skips elements whose leading entry rules them out.  These routes stay
-deliberately separate from the code paths they check.
+per-pair constraint blocks and the orbit walk below nothing goes through its
+structure-constant multiplication: spans are enumerated by closure, matrix
+products are computed entry by entry on explicit 2 x 2 representations
+(identities are evaluated on them pair by pair, term by term), and echelon
+forms over prime fields use a textbook RREF.  Routines the package used
+before it moved to sparse, shared work are kept here as references: the
+dense Howell routine, for the sparse one; the per-pair constraint block
+evaluator, for the one-sweep block builder; the membership test that reduces
+every entry before it reads a generator, for the one that follows the
+generators' nonzeros; and the element-at-a-time membership sampling loop,
+for the chunked sampler.  The orbit walk's reference conjugates by explicit
+monomial matrices, where the package permutes and scales coordinates.  These
+routes stay deliberately separate from the code paths they check.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 from math import gcd
 
 from derivlab.errors import GuardError
@@ -233,19 +233,54 @@ def first_sample_outside_reference(source, target, rng, count):
 
 
 # ---------------------------------------------------------------------------
-# Unit orbits (reference for ``rings._unit_orbits``)
+# Orbits (reference for ``rings._orbits`` over ``rings._symmetries``)
 # ---------------------------------------------------------------------------
 
+def _monomial_conjugators(desc):
+    """(M, M^-1) as coordinates for every monomial matrix
+    M = sum_i d_i E_(p(i), i) of a matrix ring, over every permutation p and
+    all units d_i of Z/mZ (d_1 included), with
+    M^-1 = sum_i d_i^-1 E_(i, p(i)); on any other ring (1, 1) alone."""
+    one = one_element(desc)
+    if desc.kind != "matrix":
+        return [(one.coords, one.coords)]
+    m, n = desc.m, desc.n
+    units = [u for u in range(1, m) if gcd(u, m) == 1]
+    pairs = []
+    for p in permutations(range(n)):
+        for d in product(units, repeat=n):
+            mat = inv = one - one
+            for i in range(n):
+                mat = mat + d[i] * matrix_unit(desc, p[i] + 1, i + 1)
+                inv = inv + pow(d[i], -1, m) * matrix_unit(desc, i + 1, p[i] + 1)
+            if (mat * inv).coords != one.coords:
+                raise AssertionError("a monomial matrix times its inverse is not 1")
+            pairs.append((mat.coords, inv.coords))
+    return pairs
+
+
 def unit_orbits_reference(desc):
-    """(a, |orbit(a)|) for each orbit {u.a} of the units u of Z/mZ, a the
-    orbit's least element in index order: every element's orbit set is
-    built and the element kept when it is the least of its set."""
+    """(a, |orbit(a)|) for each orbit {u.M.a.M^-1} of the scalar units u of
+    Z/mZ times conjugation by the monomial matrices M of a matrix ring (the
+    scalar units alone on any other ring), a the orbit's least element in
+    index order.  Each conjugate is the explicit product M.a.M^-1 through
+    ``mul_coords``.  Elements are read in index order; one that no built
+    orbit set holds yet is kept, and its orbit set built."""
     m = desc.m
     units = [u for u in range(1, m) if gcd(u, m) == 1]
+    conjugators = _monomial_conjugators(desc)
+    seen = set()
     for a in product(range(m), repeat=ring_rank(desc)):
-        orbit = {tuple(u * x % m for x in a) for u in units}
-        if min(orbit) == a:
-            yield a, len(orbit)
+        if a in seen:
+            continue
+        orbit = set()
+        for mat, inv in conjugators:
+            c = mul_coords(desc, mul_coords(desc, mat, a), inv)
+            orbit.update(tuple(u * x % m for x in c) for u in units)
+        if min(orbit) != a:
+            raise AssertionError(f"{a} is not the least element of its orbit")
+        seen |= orbit
+        yield a, len(orbit)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from derivlab.rings import (
     left_zero_pairs,
     matrix_ring,
     matrix_unit,
+    mul_coords,
     one_element,
     pair_span,
     peirce_split,
@@ -460,10 +462,11 @@ ORBIT_RINGS = {
 @pytest.mark.parametrize("condition", CONDITIONS)
 @pytest.mark.parametrize("label", ORBIT_RINGS)
 def test_orbit_span_equals_all_element_walk(label, condition):
-    # pair_span solves one kernel per orbit of the scalar units and counts
-    # it once per orbit member; the all-element walk solves one per element.
-    # Composite m is where an orbit can have fewer than phi(m) members (on
-    # M2(Z/9) the orbit of 3.E11 is {3.E11, 6.E11})
+    # pair_span solves one kernel per orbit of the scalar units times
+    # monomial conjugation and counts it once per orbit member; the
+    # all-element walk solves one per element.  Composite m is where a unit
+    # can fix an element (on M2(Z/9) the orbit of 3.E11 is {3.E11, 6.E11,
+    # 3.E22, 6.E22})
     ring = ORBIT_RINGS[label]
     r = ring_rank(ring)
     rows, pair_count = [], 0
@@ -480,15 +483,48 @@ ORBIT_WALK_RINGS = {
     "M2(Z/4)": matrix_ring(2, zmod(4)),
     "M2(Z/9)": matrix_ring(2, zmod(9)),
     "M2(Z/3[eps])": M2D3,
+    "M3(Z/3)": matrix_ring(3, zmod(3)),
+    "T(Z/3)": trivial_extension(zmod(3)),
 }
 
 
 @pytest.mark.parametrize("label", ORBIT_WALK_RINGS)
 def test_unit_orbits_equal_orbit_set_walk(label):
-    # the walk skips an element whose leading nonzero entry x is not
-    # gcd(x, m) before building its orbit set; the reference builds every set
+    # the walk permutes and scales coordinates and marks elements in a
+    # bytearray; the reference conjugates by explicit monomial matrices and
+    # keeps its orbits as sets
     ring = ORBIT_WALK_RINGS[label]
-    assert list(rings._unit_orbits(ring)) == list(unit_orbits_reference(ring))
+    walked = list(rings._orbits(ring, rings._symmetries(ring)))
+    assert walked == list(unit_orbits_reference(ring))
+    assert sum(size for _, size in walked) == ring_size(ring)
+
+
+@pytest.mark.parametrize("label", ORBIT_WALK_RINGS)
+def test_symmetries_are_ring_automorphisms(label):
+    # each coordinate map is a bijection that fixes 1 and is multiplicative
+    # on basis pairs, so it is a ring automorphism and keeps every condition
+    ring = ORBIT_WALK_RINGS[label]
+    r = ring_rank(ring)
+    one = one_element(ring).coords
+    basis = [e.coords for e in basis_elements(ring)]
+    maps = rings._symmetries(ring)
+    if ring.kind == "matrix":
+        units = sum(1 for u in range(1, ring.m) if gcd(u, ring.m) == 1)
+        assert len(maps) == factorial(ring.n) * units ** (ring.n - 1)
+    else:
+        assert maps == [(tuple(range(r)), (1,) * r)]
+    for phi in maps:
+        def image(x):
+            y = [0] * r
+            for k, v in rings._mapped(phi, x, ring.m).items():
+                y[k] = v
+            return tuple(y)
+
+        assert sorted(phi[0]) == list(range(r))
+        assert image(one) == one
+        for x in basis:
+            for y in basis:
+                assert image(mul_coords(ring, x, y)) == mul_coords(ring, image(x), image(y))
 
 
 def _count_kernel_steps(monkeypatch):
@@ -512,14 +548,14 @@ def test_exact_walk_stops_solving_once_tensors_span_the_structural_kernel(
     # cached spans, made before the kernel step was wrapped, must agree.
     for ring, walked_all in ((matrix_ring(2, zmod(5)), False), (dual_numbers(3), True)):
         expected = pair_span(ring, condition, "exhaustive")
-        orbits = sum(1 for _ in rings._unit_orbits(ring))
+        orbits = sum(1 for _ in rings._orbits(ring, rings._symmetries(ring)))
         calls = _count_kernel_steps(monkeypatch)
         assert pair_span.__wrapped__(ring, condition, "exhaustive") == expected
         monkeypatch.undo()
         if walked_all:
             assert len(calls) == orbits == 5
         else:
-            assert 0 < len(calls) < orbits == 157
+            assert 0 < len(calls) < orbits == 30
 
 
 PIVOT_COUNT_RINGS = {"M2(Z/4)": matrix_ring(2, zmod(4)), "Z/9[eps]": dual_numbers(9)}
@@ -552,6 +588,20 @@ def test_exhaustive_pair_counts_on_m2_z9():
     ring = ORBIT_RINGS["M2(Z/9)"]
     counts = [pair_span(ring, condition, "exhaustive")[1] for condition in CONDITIONS]
     assert counts == [35073, 123201, 123201]  # two-sided, anti-commuting, left zero
+
+
+# computed by the scalar-unit orbit walk and by the walk under scalar units
+# times monomial conjugation; two-sided, anti-commuting, left zero
+LARGE_PAIR_COUNTS = {
+    "M3(Z/3)": (matrix_ring(3, zmod(3)), [82629, 221157, 496341]),
+    "M2(Z/17)": (matrix_ring(2, zmod(17)), [249985, 1660033, 1660033]),
+}
+
+
+@pytest.mark.parametrize("label", LARGE_PAIR_COUNTS)
+def test_exhaustive_pair_counts_on_large_rings(label):
+    ring, expected = LARGE_PAIR_COUNTS[label]
+    assert [pair_span(ring, condition, "exhaustive")[1] for condition in CONDITIONS] == expected
 
 
 def test_anti_commuting_pairs():
