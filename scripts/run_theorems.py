@@ -4,6 +4,9 @@
 Usage:
     python scripts/run_theorems.py [--json out.json] [--pairs exhaustive] [--sample N]
 
+--sample N caps thm2_1's proof-step samples at min(N, 20); every module
+equality is decided exactly, without samples.
+
 Prints one line per (ring, result) pair and exits 1 if anything is falsified or
 errors.
 """

@@ -107,7 +107,7 @@ def build_parser():
                           choices=THEOREM_IDS + ("all",),
                           help="which result to verify (default all)")
     p_verify.add_argument("--sample", type=int, default=1000,
-                          help="membership spot-check sample size")
+                          help="cap on thm2_1's proof-step samples (at most 20 run)")
     p_verify.add_argument("--inflation-rank", type=int, default=0,
                           help="zero-action summand rank for the non-unital check")
 

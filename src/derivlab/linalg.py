@@ -46,7 +46,6 @@ from functools import cached_property
 from math import gcd, prod
 
 MAX_MODULUS = 1 << 31
-_SAMPLE_CHUNK = 128
 
 
 def _check_modulus(m):
@@ -428,71 +427,6 @@ class SolutionModule:
 
     def random_element(self, rng):
         return self._combination(_draws(rng, self.modulus, len(self._pivot_rows)))
-
-    @cached_property
-    def _columns(self):
-        """(column, ((generator index, residue), ...)) per nonzero column."""
-        cols = {}
-        for i, (_, _, items) in enumerate(self._pivot_rows):
-            for k, v in items:
-                cols.setdefault(k, []).append((i, v))
-        return tuple((k, tuple(entries)) for k, entries in sorted(cols.items()))
-
-    def first_sample_outside(self, target, rng, count):
-        """``(index, vector)`` of the first of ``count`` elements, drawn in
-        turn as ``random_element`` draws them, that ``target`` does not
-        contain; None when ``target`` contains all of them.
-
-        Samples are drawn and tested a chunk at a time.  A chunk's vectors
-        are built column by column, one list over the chunk per nonzero
-        column, and reduced against ``target``'s pivot rows as ``contains``
-        reduces one vector: one list of quotients per pivot, and a sample
-        whose pivot entry the pivot does not divide is outside.  Only the
-        first sample outside is rebuilt as a vector.  The draws are the ones
-        the element-at-a-time loop makes, but on a hit ``rng`` has already
-        drawn to the end of that chunk.
-        """
-        _compatible(self, target)
-        n = self.modulus
-        g = len(self._pivot_rows)
-        for start in range(0, count, _SAMPLE_CHUNK):
-            size = min(_SAMPLE_CHUNK, count - start)
-            draws = _draws(rng, n, size * g)
-            coefs = [draws[i::g] for i in range(g)]
-            # entries stay unreduced until a pivot or the last test reads them
-            w = {}
-            for k, ((i, v), *rest) in self._columns:
-                col = coefs[i] if v == 1 else [v * a for a in coefs[i]]
-                for i, v in rest:
-                    col = [x + v * a for x, a in zip(col, coefs[i])]
-                w[k] = col
-            first = size
-            for c, p, items in target._pivot_rows:
-                col = w.pop(c, None)
-                if col is None:
-                    continue
-                if p == 1:
-                    q = [x % n for x in col]
-                else:
-                    q = []
-                    for s, x in enumerate(col):
-                        x %= n
-                        if x % p:
-                            first = min(first, s)
-                        q.append(x // p)
-                for k, v in items[1:]:
-                    old = w.get(k)
-                    if old is None:
-                        w[k] = [-v * y for y in q]
-                    else:
-                        w[k] = [x - v * y for x, y in zip(old, q)]
-            for col in w.values():
-                residues = [x % n for x in col[:first]]
-                if any(residues):
-                    first = next(s for s, x in enumerate(residues) if x)
-            if first < size:
-                return start + first, self._combination(draws[first * g:(first + 1) * g])
-        return None
 
     def sum_with(self, other):
         _compatible(self, other)

@@ -734,6 +734,15 @@ def _orbits(desc, maps):
         yield a, size
 
 
+@lru_cache(maxsize=None)
+def _orbit_walk(desc):
+    """(maps, orbits): ``_symmetries(desc)`` and the ``_orbits`` over them,
+    walked once per ring and process; the orbits depend on the ring alone,
+    so every condition's exact span reads the same list."""
+    maps = _symmetries(desc)
+    return maps, tuple(_orbits(desc, maps))
+
+
 def _symmetrised(span, r):
     """Sym W = {w + tau.w : w in W}, where tau swaps the tensor factors
     (column i * r + j <-> j * r + i)."""
@@ -791,9 +800,9 @@ def pair_span(desc, condition, mode):
     if mode == "exhaustive":
         operator = _annihilator_operator(desc, condition)
         structural = _structural_kernel(desc, condition)
-        maps = _symmetries(desc)
+        maps, orbits = _orbit_walk(desc)
         basis, rows, pair_count, spanned = [], [], 0, False
-        for a, orbit in _orbits(desc, maps):
+        for a, orbit in orbits:
             h, size = operator(a)
             pair_count += orbit * size
             if spanned:

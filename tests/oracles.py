@@ -216,22 +216,6 @@ def contains_reference(module, vec):
     return not any(w)
 
 
-def first_sample_outside_reference(source, target, rng, count):
-    """(index, vector) of the first of ``count`` elements of ``source`` that
-    ``target`` does not contain, or None: one ``rng.randrange(m)`` per
-    generator of ``source``, combined entry by entry, then one
-    ``contains_reference`` per element."""
-    m = source.modulus
-    gens = source.generators.to_rows()
-    for index in range(count):
-        coefs = [rng.randrange(m) for _ in gens]
-        vec = tuple(sum(c * g[k] for c, g in zip(coefs, gens)) % m
-                    for k in range(source.ambient_rank))
-        if not contains_reference(target, vec):
-            return index, vec
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Orbits (reference for ``rings._orbits`` over ``rings._symmetries``)
 # ---------------------------------------------------------------------------

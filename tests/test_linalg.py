@@ -21,7 +21,6 @@ from derivlab.linalg import (
 from derivlab.rings import dual_numbers, matrix_ring, zmod
 from oracles import (
     contains_reference,
-    first_sample_outside_reference,
     howell_dense_reference,
     kernel_by_enumeration,
     kernel_dense_reference,
@@ -247,7 +246,7 @@ def test_module_sum():
 
 
 # ---------------------------------------------------------------------------
-# membership sampling a chunk at a time
+# seeded draws, and the module pairs that membership is tested on
 # ---------------------------------------------------------------------------
 
 @given(
@@ -274,7 +273,7 @@ def sampling_pairs():
     M2(Z/9) and M2(Z/3[eps]), with zero modules on either side.  Over Z/3
     and Z/3[eps] the modulus is 3, so every pivot is 1, and the solution
     modules over Z/9 have unit pivots too; the pairs into 3 * derivation
-    give targets with pivot 3, where a sample can fail at a pivot that does
+    give targets with pivot 3, where a vector can fail at a pivot that does
     not divide its entry."""
     out = []
     for label, ring in [("M2(Z/3)", matrix_ring(2, zmod(3))),
@@ -297,51 +296,6 @@ def sampling_pairs():
         out += [(f"{s} in {t} @ {label}", source, target, member)
                 for s, source, t, target, member in pairs]
     return out
-
-
-def test_sampling_pairs_reach_a_non_unit_pivot():
-    assert any(p > 1 for _, _, target, _ in sampling_pairs()
-               for _, p, _ in target._pivot_rows)
-
-
-@pytest.mark.parametrize("count", [0, 1, 127, 128, 129, 1000])
-def test_chunked_sampler_equals_element_loop(count):
-    chunk = linalg._SAMPLE_CHUNK
-    for label, source, target, member in sampling_pairs():
-        for seed in (0, 5):
-            mine, theirs = random.Random(seed), random.Random(seed)
-            got = source.first_sample_outside(target, mine, count)
-            assert got == first_sample_outside_reference(source, target, theirs, count), label
-            if count >= chunk:
-                assert (got is None) == member, label
-            if got is not None:
-                # the chunk holding the hit has been drawn to its end
-                end = min(count, (got[0] // chunk + 1) * chunk)
-                first_sample_outside_reference(source, source, theirs, end - got[0] - 1)
-            assert mine.getstate() == theirs.getstate(), label
-
-
-def small_rows(m):
-    return st.lists(st.lists(st.integers(0, m - 1), min_size=3, max_size=3), max_size=3)
-
-
-# composite moduli give non-unit pivots, and narrow rows give targets where
-# a sample outside differs from a member in its pivot entry alone
-small_module_pair = st.sampled_from([4, 6, 8, 9, 12, 27]).flatmap(
-    lambda m: st.tuples(st.just(m), small_rows(m), small_rows(m)))
-
-
-@given(small_module_pair, st.integers(0, 300), st.integers(0, 2**32))
-@settings(max_examples=150, deadline=None)
-def test_chunked_sampler_equals_element_loop_on_small_modules(case, count, seed):
-    m, source_rows, target_rows = case
-    source = SolutionModule.from_rows(m, 3, source_rows)
-    target = SolutionModule.from_rows(m, 3, target_rows)
-    mine, theirs = random.Random(seed), random.Random(seed)
-    got = source.first_sample_outside(target, mine, count)
-    assert got == first_sample_outside_reference(source, target, theirs, count)
-    if got is None:
-        assert mine.getstate() == theirs.getstate()
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +338,12 @@ def membership_pairs():
     ]
 
 
+def test_sampling_pairs_reach_a_non_unit_pivot():
+    # ``contains`` is tested on a target with pivot 3
+    assert any(p > 1 for _, _, target, _ in membership_pairs()
+               for _, p, _ in target._pivot_rows)
+
+
 def test_contains_equals_reference_on_solution_modules():
     # vectors drawn from the source, the same bumped by one in a random
     # entry (almost always outside the target), and each shifted by
@@ -406,31 +366,6 @@ def test_contains_equals_reference_on_solution_modules():
         assert answers[False], label
         with pytest.raises(ValueError):
             target.contains([0] * (width + 1))
-
-
-class ZerosFirst(random.Random):
-    """Draws zero bits for the first ``zeros`` calls of ``getrandbits``,
-    which ``randrange`` makes too, so the first samples are zero vectors."""
-
-    def __init__(self, seed, zeros):
-        self.zeros = zeros
-        super().__init__(seed)
-
-    def getrandbits(self, k):
-        if self.zeros:
-            self.zeros -= 1
-            return 0
-        return super().getrandbits(k)
-
-
-def test_chunked_sampler_finds_a_hit_in_a_later_chunk():
-    pairs = {label: (source, target) for label, source, target, _ in sampling_pairs()}
-    for label in ("star in derivation @ M2(Z/3)", "derivation in 3 * derivation @ M2(Z/9)"):
-        source, target = pairs[label]
-        zeros = 300 * source.generators.rows
-        got = source.first_sample_outside(target, ZerosFirst(1, zeros), 1000)
-        assert got == first_sample_outside_reference(source, target, ZerosFirst(1, zeros), 1000)
-        assert got[0] >= 300
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 import json
 import os
-import random
 
 import pytest
 
@@ -99,27 +98,48 @@ def stripped_report(rep):
     return json.dumps(payload, sort_keys=True)
 
 
-def test_battery_reports_match_the_recorded_ones():
-    # the 30 battery reports at seed 1 and the default 1000 membership
-    # samples, as the element-at-a-time sampler produced them
+@pytest.fixture(scope="module")
+def battery_reports():
+    """The 30 battery reports at seed 1 and the default sample."""
     battery = [matrix_ring(2, zmod(3)), matrix_ring(2, dual_numbers(3)),
                matrix_ring(2, zmod(5))]
-    lines = [stripped_report(verify_theorem(tid, ring, seed=1))
-             for tid in THEOREM_IDS for ring in battery]
+    return [verify_theorem(tid, ring, seed=1) for tid in THEOREM_IDS for ring in battery]
+
+
+def test_battery_reports_match_the_recorded_ones(battery_reports):
+    # recorded from the element-at-a-time membership sampler, whose
+    # ``membership_samples`` count was then dropped from 15 of the lines; the
+    # rest of every report, proof-step draws included, is unchanged
+    lines = [stripped_report(rep) for rep in battery_reports]
     path = os.path.join(os.path.dirname(__file__), "battery_seed1_reports.jsonl")
     with open(path, encoding="utf-8") as fh:
         assert "\n".join(lines) + "\n" == fh.read()
 
 
-def test_sampled_falsification_is_pinned():
+def test_no_battery_report_counts_membership_samples(battery_reports):
+    # module equalities are decided on canonical generators, not sampled
+    assert all(rep.status == "verified" for rep in battery_reports)
+    assert not any("membership_samples" in rep.counts for rep in battery_reports)
+
+
+def test_module_mismatch_witness_is_pinned():
     star, deriv = solve_all("star", M2Z3), solve_all("derivation", M2Z3)
     with pytest.raises(theorems._Falsified) as exc:
-        theorems._sample_membership(star, deriv, random.Random(0), 1000,
-                                    "zero_product_maps")
-    assert exc.value.counterexample == {
-        "sampled_from": "zero_product_maps",
-        "vector": [1, 1, 0, 0, 0, 1, 0, 0, 2, 0, 1, 1, 0, 2, 0, 1],
-    }
+        theorems._require_equal(star, deriv, "zero_product_maps", "derivations",
+                                M2Z3, M2Z3, "star", "derivation")
+    found = exc.value.counterexample
+    assert (found["found_in"], found["missing_from"]) == ("zero_product_maps", "derivations")
+    assert found["passed"] is False
+    assert found["map"]["matrix"]["data"] == [1, 0, 0, 0, 0, 0, 0, 0,
+                                              0, 0, 2, 0, 0, 0, 0, 1]
+    flat = found["map"]["matrix"]["data"]
+    assert star.contains(flat) and not deriv.contains(flat)
+
+
+def test_sample_sets_the_proof_step_samples():
+    rep = verify_theorem("thm2_1", M2Z3, sample=5)
+    assert rep.status == "verified"
+    assert rep.counts["proof_step_samples"] == 5
 
 
 def test_reports_are_deterministic_except_elapsed():
