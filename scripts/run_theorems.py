@@ -18,7 +18,7 @@ import json
 import sys
 
 from derivlab.rings import dual_numbers, matrix_ring, zmod
-from derivlab.theorems import THEOREM_IDS, exit_status, verify_theorem
+from derivlab.theorems import DEFAULT_SAMPLE, THEOREM_IDS, exit_status, verify_theorem
 
 DESK_RINGS = [
     ("M2(Z/3)", matrix_ring(2, zmod(3))),
@@ -33,7 +33,7 @@ def main(argv=None):
     parser.add_argument("--pairs", choices=("structured", "exhaustive"),
                         default="structured")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--sample", type=int, default=200)
+    parser.add_argument("--sample", type=int, default=DEFAULT_SAMPLE)
     args = parser.parse_args(argv)
 
     all_reports = []

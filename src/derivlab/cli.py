@@ -48,7 +48,7 @@ from .rings import (
     zero_product_pairs,
     zmod,
 )
-from .theorems import THEOREM_IDS, exit_status, run_all, verify_theorem
+from .theorems import DEFAULT_SAMPLE, THEOREM_IDS, exit_status, run_all, verify_theorem
 
 
 def _parse_base(text):
@@ -106,7 +106,7 @@ def build_parser():
     p_verify.add_argument("--theorem", default="all",
                           choices=THEOREM_IDS + ("all",),
                           help="which result to verify (default all)")
-    p_verify.add_argument("--sample", type=int, default=1000,
+    p_verify.add_argument("--sample", type=int, default=DEFAULT_SAMPLE,
                           help="cap on thm2_1's proof-step samples (at most 20 run)")
     p_verify.add_argument("--inflation-rank", type=int, default=0,
                           help="zero-action summand rank for the non-unital check")

@@ -26,11 +26,12 @@ tables of the same kind.  There is one evaluation route: constraint assembly
 combines them by the generators of the quantifier's span, and the solution
 module of those rows is memoised per process, keyed by the identity's value
 (its terms and quantifier, not its tag), the ring, the bimodule and the pair
-mode.  Every row block comes from one builder per assembly
-(``_block_builder``), whose pairs share memoised word values and action
-operators and whose work follows their nonzeros.  ``check`` is membership of
-the flattened map in that module; only a failing map walks the elements or
-pairs, with a builder of its own, to find the first one whose row block does
+mode.  Every row block comes from one builder (``_block_builder``), whose
+work follows the nonzeros: the word values and action operators of basis
+pairs are read from tables built once per (ring, bimodule) and process
+(``_Tables``), shared by every identity, assembly and check over them.
+``check`` is membership of the flattened map in that module; only a failing
+map walks the elements or pairs to find the first one whose row block does
 not annihilate it.  The test suite plays this route against independent
 evaluators on explicit 2 x 2 matrices and against the per-pair block
 evaluator it replaced (``tests/oracles.py``).
@@ -159,14 +160,84 @@ def _nonzero(coords):
     return tuple((k, v) for k, v in enumerate(coords) if v)
 
 
+class _Tables:
+    """The word values and action operators read by the row blocks over one
+    (ring, bimodule).  A value is the ``_nonzero`` form of ring coordinates,
+    interned as a small integer: basis element i is value i, then come the
+    basis products, the letters 1, e and f (e and f on matrix rings only) and
+    every product a word has needed.  ``prod`` memoises products of values
+    (prod[i, j] = basis_i * basis_j) and ``ops`` the operators m |-> x.m.y as
+    (row, column, value) triples, both keyed by value numbers (None: no
+    factor); ``coords`` maps the coordinate tuples seen to their values.
+    The tables take no lock: the package calls them from one thread."""
+
+    def __init__(self, ring, bim):
+        st = structure(ring)
+        self.r, self.m, self.actions = st.rank, ring.m, bimodule_tables(bim)
+        self.values, self.ids = [], {}
+        self.coords = {x.coords: self.intern(((i, 1),)) for i, x in enumerate(basis_elements(ring))}
+        self.prod = {(i, j): self.intern(_nonzero(p))
+                     for i, row in enumerate(st.prod) for j, p in enumerate(row)}
+        letters = {"1": st.one}
+        if ring.kind == "matrix":
+            e = matrix_unit(ring, 1, 1)
+            letters.update(e=e.coords, f=(one_element(ring) - e).coords)
+        self.letters = {k: self.intern(_nonzero(v)) for k, v in letters.items()}
+        self.ops = {(None, None): tuple((e, e, 1) for e in range(self.actions.rank))}
+
+    def intern(self, value):
+        k = self.ids.get(value)
+        if k is None:
+            k = self.ids[value] = len(self.values)
+            self.values.append(value)
+        return k
+
+    def element(self, coords):
+        k = self.coords.get(coords)
+        if k is None:
+            k = self.coords[coords] = self.intern(_nonzero(coords))
+        return k
+
+    def mul(self, x, y):
+        z = self.prod.get((x, y))
+        if z is None:
+            acc = {}
+            values, prod = self.values, self.prod
+            for i, xi in values[x]:
+                for j, yj in values[y]:
+                    c = xi * yj
+                    for k, v in values[prod[i, j]]:
+                        acc[k] = acc.get(k, 0) + c * v
+            m = self.m
+            z = self.prod[x, y] = self.intern(tuple(sorted((k, v % m) for k, v in acc.items() if v % m)))
+        return z
+
+    def op(self, x, y):
+        """Triples of m |-> x.m.y; one-sided ones come from the action
+        tables, two-sided ones are the left triples times the right rows."""
+        ops = self.ops.get((x, y))
+        if ops is None:
+            acc = {}
+            if x is None or y is None:
+                coords, side = (x, "L") if y is None else (y, "R")
+                for i, c in self.values[coords]:
+                    for e, u, w in self.actions.triples[side][i]:
+                        acc[e, u] = acc.get((e, u), 0) + c * w
+            else:
+                right = {}
+                for k, u, rv in self.op(None, y):
+                    right.setdefault(k, []).append((u, rv))
+                for e, k, lv in self.op(x, None):
+                    for u, rv in right.get(k, ()):
+                        acc[e, u] = acc.get((e, u), 0) + lv * rv
+            m = self.m
+            ops = self.ops[x, y] = tuple((e, u, v % m) for (e, u), v in acc.items() if v % m)
+        return ops
+
+
 @lru_cache(maxsize=None)
-def _constant_letters(ring):
-    letters = {"1": _nonzero(structure(ring).one)}
-    if ring.kind == "matrix":
-        e = matrix_unit(ring, 1, 1)
-        letters["e"] = _nonzero(e.coords)
-        letters["f"] = _nonzero((one_element(ring) - e).coords)
-    return letters
+def _tables(ring, bim):
+    return _Tables(ring, bim)
 
 
 # ---------------------------------------------------------------------------
@@ -262,102 +333,60 @@ class ConstraintSystem:
 
 def _block_builder(spec, ring, bim):
     """block(a, b): the rank(M) reduced {column: residue} rows of the pair of
-    ring coordinates (a, b) (b is None under the ``basis`` quantifier), zero
-    rows included as empty dicts.  Column u * rank(A) + v holds D[u][v]; a
-    term coef * x.D(w).y adds coef * (x.-.y)[e][u] * w[v] to row e.
+    ring coordinate tuples (a, b) (b is None under the ``basis``
+    quantifier), zero rows included as empty dicts.  Column u * rank(A) + v
+    holds D[u][v]; a term coef * x.D(w).y adds coef * (x.-.y)[e][u] * w[v]
+    to row e.
 
-    The pairs of one assembly or one check share the builder's memos, which
-    hold nonzeros only and live as long as the builder: word values as
-    products over the nonzero structure constants, and the operators
-    m |-> x.m.y as (row, column, value) triples; one-sided ones come from the
-    action tables, two-sided ones are the left triples times the right rows.
-    A pair's rows accumulate only where a term contributes."""
-    st = structure(ring)
-    tables = bimodule_tables(bim)
-    r = st.rank
-    m = ring.m
-    rank_m = tables.rank
-    constants = {}  # i -> the nonzero (index, residue) pairs of basis_i * basis_j, by j
-    products = {}
-    ops = {(None, None): tuple((e, e, 1) for e in range(rank_m))}
-
-    def mul(x, y):
-        if (x, y) not in products:
-            acc = {}
-            for i, xi in x:
-                if i not in constants:
-                    constants[i] = [_nonzero(p) for p in st.prod[i]]
-                row = constants[i]
-                for j, yj in y:
-                    c = xi * yj
-                    for k, v in row[j]:
-                        acc[k] = acc.get(k, 0) + c * v
-            products[x, y] = tuple(sorted((k, v % m) for k, v in acc.items() if v % m))
-        return products[x, y]
-
-    def one_sided(x, y):
-        """Triples of m |-> x.m (y None) or m |-> m.y (x None)."""
-        if (x, y) not in ops:
-            coords, table = (x, tables.left) if y is None else (y, tables.right)
-            acc = {}
-            for i, c in coords:
-                for e, row in enumerate(table[i]):
-                    for u, w in row.items():
-                        acc[e, u] = acc.get((e, u), 0) + c * w
-            ops[x, y] = tuple((e, u, v % m) for (e, u), v in acc.items() if v % m)
-        return ops[x, y]
-
-    def op(x, y):
-        """Triples of m |-> x.m.y (x or y None: no factor on that side)."""
-        if x is None or y is None:
-            return one_sided(x, y)
-        if (x, y) not in ops:
-            right = {}
-            for k, u, rv in one_sided(None, y):
-                right.setdefault(k, []).append((u, rv))
-            acc = {}
-            for e, k, lv in one_sided(x, None):
-                for u, rv in right.get(k, ()):
-                    acc[e, u] = acc.get((e, u), 0) + lv * rv
-            ops[x, y] = tuple((e, u, v % m) for (e, u), v in acc.items() if v % m)
-        return ops[x, y]
+    Word values and operators come from ``_Tables``: a pair of basis
+    elements reads the ones of its (ring, bimodule), shared by every spec,
+    builder and check in the process; a pair with any other element reads
+    tables of the builder's own, which live as long as it does.  A pair's
+    rows accumulate only where a term contributes."""
+    shared, own = _tables(ring, bim), []
+    r, m, rank_m = shared.r, shared.m, shared.actions.rank
+    # the letters in the order a term's words are read (arg, left, right),
+    # and every word of two or more letters as word: (prefix, last letter),
+    # each after its prefixes
+    letters, words = {}, {}
+    for term in spec.terms:
+        for word in (term[2], term[1], term[3]):
+            letters.update(dict.fromkeys(word or ""))
+            for k in range(2, len(word or "") + 1):
+                words.setdefault(word[:k], (word[:k - 1], word[k - 1]))
 
     def block(a, b):
-        values = dict(_constant_letters(ring), a=_nonzero(a))
+        t = shared
+        if a not in shared.coords or (b is not None and b not in shared.coords):
+            if not own:
+                own.append(_Tables(ring, bim))
+            t = own[0]
+        values = dict(t.letters, a=t.element(a))
+        values[None] = None
         if b is not None:
-            values["b"] = _nonzero(b)
-
-        def value(word):
-            if word is None:
-                return None
-            if word not in values:
-                for letter in word:
-                    if letter not in values:
-                        if letter in "ef":
-                            raise GuardError("letters e and f (E11, 1 - E11) need a matrix ring")
-                        raise ValueError(f"letter {letter!r} has no value here")
-                acc = values[word[0]]
-                for letter in word[1:]:
-                    acc = mul(acc, values[letter])
-                values[word] = acc
-            return values[word]
-
-        rows = {}
+            values["b"] = t.element(b)
+        for letter in letters:
+            if letter not in values:
+                if letter in "ef":
+                    raise GuardError("letters e and f (E11, 1 - E11) need a matrix ring")
+                raise ValueError(f"letter {letter!r} has no value here")
+        mul, op, tv = t.mul, t.op, t.values
+        for word, (prefix, last) in words.items():
+            values[word] = mul(values[prefix], values[last])
+        acc = {}
         for coef, lft, arg, rgt in spec.terms:
-            w, x, y = value(arg), value(lft), value(rgt)
+            w = tv[values[arg]]
             if not w:
                 continue
-            for e, u, pu in op(x, y):
-                row = rows.get(e)
-                if row is None:
-                    row = rows[e] = {}
+            for e, u, pu in op(values[lft], values[rgt]):
                 cc = coef * pu
                 off = u * r
                 for v, wv in w:
-                    row[off + v] = row.get(off + v, 0) + cc * wv
+                    acc[e, off + v] = acc.get((e, off + v), 0) + cc * wv
         out = [{} for _ in range(rank_m)]
-        for e, row in rows.items():
-            out[e] = {k: v % m for k, v in row.items() if v % m}
+        for (e, k), v in acc.items():
+            if v % m:
+                out[e][k] = v % m
         return out
 
     return block
@@ -381,8 +410,8 @@ def _assembly(spec, ring, bim, pair_mode):
     image of W = span{a (x) b} under w |-> sum_ij w_ij block(e_i, e_j).  The
     rows are rank(M) per generator of W, streamed lazily, over the width
     rank(M) * rank(A), zero rows as empty dicts.  All blocks come from one
-    ``_block_builder``, whose memos and the r^2 conditional blocks live as
-    long as the returned rows.  W is the full span for the unconditional
+    ``_block_builder``; the r^2 conditional blocks live as long as the
+    returned rows.  W is the full span for the unconditional
     quantifiers, whose rows are then the blocks of the basis elements or
     basis pairs in order, built one pair at a time as the rows are read, and
     ``rings.pair_span`` otherwise, exact or structural by pair mode.  The

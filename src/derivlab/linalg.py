@@ -244,7 +244,7 @@ class ResidueMatrix:
             raise ValueError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
-        if any(not (0 <= v < self.modulus) for v in self.entries):
+        if self.entries and (min(self.entries) < 0 or max(self.entries) >= self.modulus):
             raise ValueError("entries must be reduced residues in [0, modulus)")
 
     @classmethod

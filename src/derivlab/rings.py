@@ -461,13 +461,16 @@ def bimodule_rank(bim):
 
 
 class _BimoduleTables:
-    __slots__ = ("rank", "m", "left", "right")
+    __slots__ = ("rank", "m", "left", "right", "triples")
 
     def __init__(self, rank, m, left, right):
         self.rank = rank
         self.m = m
         self.left = left    # left[i]  = rank sparse rows: action of ring basis i
         self.right = right  # right[i] = rank sparse rows: right action
+        # triples[side][i]: the (row, column, value) entries of side's table i
+        self.triples = {side: [tuple((e, j, w) for e, row in enumerate(t) for j, w in row.items())
+                               for t in tables] for side, tables in (("L", left), ("R", right))}
 
 
 def _zero_mat(r):
@@ -551,12 +554,15 @@ def action_rows(bim, side, ring_coords):
 
 def act(bim, side, ring_coords, vec):
     """a.m (side "L") or m.a (side "R"), with a given by ring coordinates and
-    m by module coordinates."""
-    n = bim.ring.m
-    return tuple(
-        sum(w * vec[j] for j, w in row.items()) % n
-        for row in action_rows(bim, side, ring_coords)
-    )
+    m by module coordinates: for each nonzero coordinate of a, the rows of
+    its action table dotted with m, summed and reduced once."""
+    tb = bimodule_tables(bim)
+    out = [0] * tb.rank
+    for c, triples in zip(ring_coords, tb.triples["L" if side == "L" else "R"]):
+        if c:
+            for e, j, w in triples:
+                out[e] += c * w * vec[j]
+    return tuple([x % tb.m for x in out])
 
 
 def is_unital(bim):

@@ -68,7 +68,7 @@ THEOREM_IDS = (
     "remark1_2",
 )
 
-DEFAULT_SAMPLE = 1000
+DEFAULT_SAMPLE = 20  # thm2_1's proof-step samples: the default and the cap
 _MODE_COMPARE_SIZE = 128
 
 
@@ -244,7 +244,7 @@ def _verify_zero_product_decomposition(ring, report, *, pair_mode, rng, sample, 
     bim = Bimodule.regular(ring)
     for gen in maps_from_module(star, ring, ring):
         decompose_theorem21(gen, pair_mode=pair_mode)
-    step_samples = min(sample, 20)
+    step_samples = min(sample, DEFAULT_SAMPLE)
     report.counts["proof_step_samples"] = step_samples
     for _ in range(step_samples):
         fmap = AdditiveMap.from_flat(ring, bim, star.random_element(rng))

@@ -10,8 +10,8 @@ before it moved to sparse, shared work are kept here as references: the
 dense Howell routine, for the sparse one; the per-pair constraint block
 evaluator, for the one-sweep block builder; the membership test that reduces
 every entry before it reads a generator, for the one that follows the
-generators' nonzeros; and the element-at-a-time membership sampling loop,
-for the chunked sampler.  The orbit walk's reference conjugates by explicit
+generators' nonzeros; and the module action through the materialised
+action matrix, for the one that dots the action tables with the vector.  The orbit walk's reference conjugates by explicit
 monomial matrices, where the package permutes and scales coordinates.  These
 routes stay deliberately separate from the code paths they check.
 """
@@ -195,7 +195,7 @@ def kernel_dense_reference(rows, ncols, n):
 
 
 # ---------------------------------------------------------------------------
-# Membership (references for ``contains`` and the chunked sampler)
+# Membership (reference for ``contains``)
 # ---------------------------------------------------------------------------
 
 def contains_reference(module, vec):
@@ -265,6 +265,20 @@ def unit_orbits_reference(desc):
             raise AssertionError(f"{a} is not the least element of its orbit")
         seen |= orbit
         yield a, len(orbit)
+
+
+# ---------------------------------------------------------------------------
+# Module actions (reference for ``rings.act``)
+# ---------------------------------------------------------------------------
+
+def act_reference(bim, side, ring_coords, vec):
+    """a.m (side "L") or m.a (side "R") as the reduced rows of the action
+    matrix of a (``action_rows``), each dotted with m."""
+    n = bim.ring.m
+    return tuple(
+        sum(w * vec[j] for j, w in row.items()) % n
+        for row in action_rows(bim, side, ring_coords)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import json
 import subprocess
 import sys
 
-from derivlab.cli import run
+from derivlab.cli import build_parser, run
 from derivlab.maps import AdditiveMap, inner_derivation, right_multiplier
 from derivlab.rings import (
     Bimodule,
@@ -13,9 +13,14 @@ from derivlab.rings import (
     trivial_extension,
     zmod,
 )
+from derivlab.theorems import DEFAULT_SAMPLE
 
 M2Z3 = matrix_ring(2, zmod(3))
 REG = Bimodule.regular(M2Z3)
+
+
+def test_verify_sample_defaults_to_the_library_default():
+    assert build_parser().parse_args(["verify"]).sample == DEFAULT_SAMPLE
 
 
 def test_verify_single_theorem(capsys):

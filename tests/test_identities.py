@@ -466,6 +466,71 @@ def test_symmetric_specs_solve_from_unordered_pairs(label):
         assert solve_all(spec, ring, bim) == want, spec.tag
 
 
+def _reference_module(kind, bim):
+    # the module solved from the reference blocks of every ordered basis pair
+    ring = bim.ring
+    basis = basis_elements(ring)
+    actions = {}
+    rows = [row for a in basis for b in basis
+            for row in pair_block_reference(IDENTITY_TERMS[kind], ring, bim, a, b, actions)]
+    return solve_homogeneous_rows(ring.m, bimodule_rank(bim) * ring_rank(ring), rows)
+
+
+@pytest.mark.parametrize("order", ["forward", "reverse"])
+def test_shared_tables_keep_rings_and_bimodules_apart(order):
+    # one process solves derivation and jordan over the regular and rank-3
+    # inflated bimodules of M2(Z/3[eps]) and over T(Z/3), from cleared
+    # memos, in either order; a table read under the wrong ring or bimodule
+    # would change a module
+    cases = [(kind, bim)
+             for bim in (Bimodule.regular(M2D3), Bimodule.inflated(Bimodule.regular(M2D3), 3),
+                         Bimodule.regular(trivial_extension(zmod(3))))
+             for kind in ("derivation", "jordan")]
+    identities._solved.cache_clear()
+    identities._tables.cache_clear()
+    for kind, bim in cases if order == "forward" else reversed(cases):
+        assert solve_all(kind, bim.ring, bim) == _reference_module(kind, bim), (kind, bim)
+
+
+# first witness (a, b, residual) of the negated map below against each
+# proof-step part on M2(Z/3[eps]); a and b as basis indices
+FLIPPED_WITNESSES = {
+    "corner_ee": (0, None, (0, 0, 0, 0, 2, 2, 2, 0)),
+    "corner_ff": (6, None, (2, 2, 0, 1, 1, 0, 0, 0)),
+    "corner_ef": (2, None, (0, 1, 0, 0, 2, 2, 1, 2)),
+    "corner_fe": (4, None, (1, 1, 1, 2, 0, 0, 0, 0)),
+    "rule_ee_ef": (0, 2, (0, 0, 0, 2, 0, 0, 0, 0)),
+    "rule_ef_ff": (2, 7, (0, 0, 2, 1, 0, 0, 0, 0)),
+    "rule_fe_ee": (4, 0, (0, 0, 0, 0, 0, 2, 0, 0)),
+    "rule_ff_fe": (7, 4, (0, 0, 0, 0, 1, 1, 0, 0)),
+    "rule_ee_ee": (1, 1, (0, 2, 0, 0, 0, 0, 0, 0)),
+    "rule_ff_ff": (7, 7, (0, 0, 0, 0, 0, 0, 0, 2)),
+    "central_image_of_one": (0, None, (0, 0, 0, 1, 0, 1, 0, 0)),
+    "rule_ef_fe": (2, 4, (1, 0, 0, 0, 0, 0, 0, 0)),
+    "rule_fe_ef": (2, 4, (0, 0, 0, 0, 0, 0, 1, 1)),
+}
+
+
+def test_witnesses_are_unchanged_once_the_tables_are_warm():
+    # every proof-step part is solved first, so the scans read tables that
+    # the solves filled; the witnesses are the ones recorded from the
+    # per-check builder these tables replaced
+    for _, spec in _PROOF_STEPS:
+        solve_all(spec, M2D3)
+    bim = Bimodule.regular(M2D3)
+    report = check(right_multiplier(bim, one_element(M2D3).coords), "derivation")
+    assert _witness_tuple(report.witness) == (
+        matrix_unit(M2D3, 1, 1).coords, matrix_unit(M2D3, 1, 1).coords, (2,) + (0,) * 7)
+    rng = random.Random(0)
+    fmap = AdditiveMap.from_flat(M2D3, bim, [rng.randrange(3) for _ in range(64)])
+    flipped = zero_map(M2D3, bim) - fmap
+    basis = basis_elements(M2D3)
+    for _, spec in _PROOF_STEPS:
+        a, b, residual = FLIPPED_WITNESSES[spec.tag]
+        want = (basis[a].coords, None if b is None else basis[b].coords, residual)
+        assert _witness_tuple(check(flipped, spec).witness) == want, spec.tag
+
+
 WIDE_KINDS = ("derivation", "jordan", "generalized_derivation", "generalized_jordan", "phi")
 
 

@@ -398,6 +398,20 @@ def test_residue_matrix_validation():
         ResidueMatrix(2**31 + 1, 1, 1, (0,))
 
 
+@pytest.mark.parametrize("bad", [-1, 6, 10**40, -(10**40)])
+def test_residue_matrix_rejects_unreduced_entries(bad):
+    # the range check reads the least and greatest entry: one bad entry
+    # anywhere, reduced entries around it, still raises
+    with pytest.raises(ValueError, match="reduced residues"):
+        ResidueMatrix(6, 2, 3, (0, 5, 1, bad, 2, 3))
+    with pytest.raises(ValueError, match="reduced residues"):
+        ResidueMatrix(6, 1, 1, (bad,))
+    assert ResidueMatrix(6, 2, 3, (0, 5, 1, 4, 2, 3)).entry(0, 1) == 5
+    # no entries: nothing to check
+    assert ResidueMatrix(6, 0, 3, ()).to_rows() == []
+    assert ResidueMatrix(6, 2, 0, ()).rows == 2
+
+
 # ---------------------------------------------------------------------------
 # sparse elimination against the dense reference
 # ---------------------------------------------------------------------------

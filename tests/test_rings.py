@@ -43,6 +43,7 @@ from derivlab.rings import (
     zmod,
 )
 from oracles import (
+    act_reference,
     coords_to_mat2,
     mat2_is_zero,
     mat2_mul,
@@ -271,6 +272,27 @@ def test_inflated_bimodule_zero_action():
     for a in basis_elements(M2Z3):
         assert act(bim, "L", a.coords, v) == (0,) * 8
         assert act(bim, "R", a.coords, v) == (0,) * 8
+
+
+ACT_BIMODULES = [
+    Bimodule.regular(M2Z3),
+    Bimodule.regular(T2Z3),
+    Bimodule.inflated(Bimodule.regular(M2D3), 3),
+    Bimodule.matrix_over(M2D3, Bimodule.regular(dual_numbers(3))),
+    Bimodule.matrix_over(matrix_ring(2, zmod(5)), Bimodule.inflated(Bimodule.regular(zmod(5)), 2)),
+]
+
+
+@given(st.sampled_from(ACT_BIMODULES), st.sampled_from("LR"), st.data())
+@settings(max_examples=150, deadline=None)
+def test_act_equals_action_matrix_reference(bim, side, data):
+    # any ring element, basis or not, and a module vector with unreduced and
+    # negative entries: the tables dotted with the vector and reduced once,
+    # against the reduced action matrix dotted row by row
+    m = bim.ring.m
+    a = data.draw(st.tuples(*[st.integers(0, m - 1)] * ring_rank(bim.ring)))
+    vec = data.draw(st.tuples(*[st.integers(-3 * m, 3 * m)] * bimodule_rank(bim)))
+    assert act(bim, side, a, vec) == act_reference(bim, side, a, vec)
 
 
 def test_bimodule_json_round_trip():

@@ -142,6 +142,15 @@ def test_sample_sets_the_proof_step_samples():
     assert rep.counts["proof_step_samples"] == 5
 
 
+def test_default_sample_runs_the_most_proof_step_samples():
+    # the default is the cap: a larger sample runs no more
+    assert theorems.DEFAULT_SAMPLE == 20
+    for sample in ({}, {"sample": 1000}):
+        rep = verify_theorem("thm2_1", M2Z3, **sample)
+        assert rep.status == "verified"
+        assert rep.counts["proof_step_samples"] == 20
+
+
 def test_reports_are_deterministic_except_elapsed():
     a = verify_theorem("thm3_2i", M2Z3, seed=0)
     b = verify_theorem("thm3_2i", M2Z3, seed=0)
