@@ -26,8 +26,8 @@ reduction above the pivots visits only the pivot columns a row holds or gains
 on the way, so the work follows the nonzeros, not the width.  The dense
 ``ResidueMatrix`` is the public boundary: constraint systems, module
 generators, maps and JSON.  There is one solve routine,
-``solve_homogeneous_rows``, which takes the rows themselves and hands their
-Howell form to the one kernel step, ``howell_kernel``; ``solve_homogeneous``,
+``solve_homogeneous_rows``, which hands the deduplicated rows to the one
+kernel step, ``howell_kernel``, a single elimination; ``solve_homogeneous``,
 ``howell_form`` and ``SolutionModule.from_rows`` take dense input and convert
 it.  Every row is checked against its stated width before elimination.
 
@@ -164,10 +164,12 @@ def _combine(s, x, t, y, n):
     return out
 
 
-def _howell(rows, n):
-    """Howell normal form of the span of ``rows`` (sparse rows from
-    ``_sparse_rows``), as new sparse rows in pivot order; the input is not
-    modified.
+def _howell(rows, n, start=0):
+    """Howell normal form of the elements of the span of ``rows`` (sparse
+    rows from ``_sparse_rows``) that vanish before column ``start``, as new
+    sparse rows in pivot order; the input is not modified.  By saturation
+    these are the basis rows with pivot >= ``start``, the only ones
+    back-reduced.
 
     Each row is reduced against a basis keyed by pivot column, leftmost column
     first.  Where its leading column has no basis row yet, the row becomes one,
@@ -198,7 +200,9 @@ def _howell(rows, n):
                 _add_multiple(row, -(v // piv[c]), piv, n)
                 continue
             if piv is None:
-                new = _combine(lift_unit(v, n), row, 0, {}, n)
+                # row is a private copy; a unit keeps every entry nonzero
+                u = lift_unit(v, n)
+                new = row if u == 1 else {k: u * x % n for k, x in row.items()}
                 row = None
             else:
                 a = piv[c]
@@ -207,10 +211,11 @@ def _howell(rows, n):
                 row = _combine(-(v // g), piv, a // g, row, n)
             basis[c] = new
             q = annihilator(new[c], n)  # 0 for a unit pivot
-            extra = _combine(q, new, 0, {}, n) if q else None
-            if extra:
-                todo.append(extra)
-    cols = sorted(basis)
+            if q:
+                extra = {k: y for k, x in new.items() if (y := q * x % n)}
+                if extra:
+                    todo.append(extra)
+    cols = sorted(c for c in basis if c >= start)
     for c0 in reversed(cols):
         row = basis[c0]
         pending = row.keys() & basis.keys()
@@ -466,26 +471,25 @@ def solve_homogeneous_rows(modulus, width, rows):
     """The solution module {x : row . x = 0 (mod m) for every row} over
     (Z/mZ)^width.  Rows are dense sequences of length ``width`` or
     {column: residue} dicts; zero and repeated rows are dropped as they are
-    read, and ``howell_kernel`` solves the Howell form of the rest.
+    read, and ``howell_kernel`` solves the rest with one elimination.
     """
-    return howell_kernel(modulus, width, _howell(_sparse_rows(rows, width, modulus), modulus))
+    return howell_kernel(modulus, width, _sparse_rows(rows, width, modulus))
 
 
-def howell_kernel(modulus, width, h):
-    """The kernel in (Z/mZ)^width of the sparse rows h of a Howell form, read
-    off the Howell form of [h^T | I]: its rows whose leading column lies in
-    the identity block carry the kernel generators, canonical, in that block.
+def howell_kernel(modulus, width, rows):
+    """The kernel in (Z/mZ)^width of the sparse rows A (any rows, a Howell
+    form or not), read off one Howell form of [A^T | I].  Its row span is
+    {(A.x, x)}, so the kernel is the part of it that vanishes on the A^T
+    block: the Howell rows whose pivot lies in the identity block, which are
+    canonical there (Storjohann and Mulders, "Fast algorithms for linear
+    algebra modulo N", ESA 1998).
     """
-    nrows = len(h)
+    nrows = len(rows)
     aug = [{nrows + j: 1} for j in range(width)]
-    for i, row in enumerate(h):
+    for i, row in enumerate(rows):
         for j, v in row.items():
             aug[j][i] = v
-    kernel = [
-        {k - nrows: v for k, v in r.items()}
-        for r in _howell(aug, modulus)
-        if min(r) >= nrows
-    ]
+    kernel = [{k - nrows: v for k, v in r.items()} for r in _howell(aug, modulus, nrows)]
     return SolutionModule(modulus, width, ResidueMatrix.from_sparse(modulus, width, kernel))
 
 

@@ -609,8 +609,10 @@ def _row_sum(rows, coefs=None):
 # Centres
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def bimodule_center(bim):
-    """Solution module {c in M : a.c = c.a for every ring basis element a}."""
+    """Solution module {c in M : a.c = c.a for every ring basis element a},
+    solved once per bimodule and process."""
     tb = bimodule_tables(bim)
     rows = [
         _row_sum((lt, rt), (1, -1))

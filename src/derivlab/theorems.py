@@ -372,9 +372,10 @@ def _verify_generalized_shift(ring, report, **_):
         rep = check(shifted, "derivation")
         if not rep.passed:
             raise _Falsified(_witness_from_check(shifted, "derivation"))
+    shifts = [right_multiplier(bim, c.coords) for c in basis_elements(ring)]
     for gen in maps_from_module(deriv, ring, ring):
-        for c in basis_elements(ring):
-            lifted = gen + right_multiplier(bim, c.coords)
+        for shift in shifts:
+            lifted = gen + shift
             if not gd.contains(lifted.to_flat()):
                 raise _Falsified(_witness_from_check(lifted, "generalized_derivation"))
 

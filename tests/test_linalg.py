@@ -462,6 +462,36 @@ def test_sparse_kernel_equals_dense_reference(case):
     assert solve_homogeneous_rows(m, width, sparse).generators.to_rows() == want
 
 
+@given(sparse_case, st.integers(0, 2**32))
+@settings(max_examples=120, deadline=None)
+def test_kernel_of_any_rows_equals_two_step_reference(case, seed):
+    # howell_kernel takes rows as they come, in no normal form: drawn rows
+    # with some of them repeated and the zero rows dropped, against the
+    # reference that eliminates twice
+    m, width, rows = draw_rows(case)
+    rng = random.Random(seed)
+    rows = rows + [rng.choice(rows) for _ in range(len(rows) // 3)]
+    rng.shuffle(rows)
+    sparse = [{k: v for k, v in enumerate(r) if v} for r in rows]
+    got = linalg.howell_kernel(m, width, [r for r in sparse if r])
+    assert got.generators.to_rows() == kernel_dense_reference(rows, width, m)
+
+
+@given(sparse_case)
+@settings(max_examples=80, deadline=None)
+def test_howell_from_a_start_column_keeps_the_rows_pivoted_there(case):
+    # the elements vanishing before column s are spanned by the Howell rows
+    # with pivot >= s; the input is left as it was, on prime moduli (where
+    # a unit-1 pivot row is kept as it is) and composite ones alike
+    m, width, rows = draw_rows(case)
+    sparse = [{k: v for k, v in enumerate(r) if v} for r in rows if any(r)]
+    before = [dict(r) for r in sparse]
+    full = linalg._howell(sparse, m)
+    for s in range(width + 2):
+        assert linalg._howell(sparse, m, s) == [r for r in full if min(r) >= s]
+    assert sparse == before
+
+
 @given(
     st.sampled_from([4, 6, 8, 9, 12, 27]),
     st.integers(1, 24),

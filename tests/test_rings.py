@@ -677,6 +677,16 @@ def test_element_enumeration_round_trip():
 # bimodule centre
 # ---------------------------------------------------------------------------
 
+def test_bimodule_center_is_solved_once_per_bimodule():
+    # equal bimodules built apart share one solved centre, which is the one
+    # a fresh solve gives
+    bim = Bimodule.inflated(Bimodule.regular(M2Z3), 2)
+    center = bimodule_center(bim)
+    assert bimodule_center(Bimodule.inflated(Bimodule.regular(matrix_ring(2, zmod(3))), 2)) is center
+    assert center == bimodule_center.__wrapped__(bim)
+    assert center_basis(matrix_ring(2, zmod(3))) is bimodule_center(Bimodule.regular(M2Z3))
+
+
 def test_bimodule_center_inflated_contains_summand():
     bim = Bimodule.inflated(Bimodule.regular(M2Z3), 2)
     center = bimodule_center(bim)

@@ -270,6 +270,36 @@ def test_composite_odd_moduli_verify():
         assert rep.counts["derivation_module_size"] == expected
 
 
+def _composite_counts(m):
+    # every count of the ten reports on M2(Z/m), recorded for m = 9 and 15
+    return {
+        "thm2_1": {"center_size": m, "derivation_module_size": m**3, "proof_step_samples": 20,
+                   "span_rank": 6, "star_module_size": m**4},
+        "thm2_2": {"derivation_module_size": m**3, "span_rank": 6, "star_star_module_size": m**7},
+        "cor2_3": {"derivation_module_size": m**3, "generators": 3,
+                   "generators_with_nonzero_base_part": 0},
+        "lemma3_1": {"derivation_module_size": m**3, "inflation_rank": 4,
+                     "jordan_module_size": m**3},
+        "thm3_2i": {"derivation_module_size": m**3, "jordan_module_size": m**3},
+        "thm3_2ii": {"generalized_derivation_module_size": m**7,
+                     "generalized_jordan_module_size": m**7},
+        "thm4_2": {"center_size": m, "central_multiplier_module_size": m, "one_sided_module_size": m},
+        "thm4_4": {"derivation_module_size": m**7, "extension_rank": 8, "jordan_module_size": m**7},
+        "remark1_1": {"derivation_module_size": m**3, "generalized_derivation_module_size": m**7},
+        "remark1_2": {"anticommuting_module_size": m**4, "one_sided_zero_module_size": m**3,
+                      "star_module_size": m**4},
+    }
+
+
+@pytest.mark.parametrize("m", [9, 15])
+def test_every_report_on_composite_moduli_is_pinned(m):
+    # non-unit pivots in every solve of all ten procedures
+    reports = run_all(matrix_ring(2, zmod(m)))
+    assert [rep.theorem_id for rep in reports] == list(THEOREM_IDS)
+    assert all(rep.status == "verified" for rep in reports)
+    assert {rep.theorem_id: rep.counts for rep in reports} == _composite_counts(m)
+
+
 def test_inflation_rank_option():
     rep = verify_theorem("lemma3_1", M2Z3, inflation_rank=2)
     assert rep.status == "verified"
