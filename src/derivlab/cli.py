@@ -48,7 +48,7 @@ from .rings import (
     zero_product_pairs,
     zmod,
 )
-from .theorems import DEFAULT_SAMPLE, THEOREM_IDS, exit_status, run_all, verify_theorem
+from .theorems import THEOREM_IDS, exit_status, run_all, verify_theorem
 
 
 def _parse_base(text):
@@ -64,6 +64,13 @@ def _parse_base(text):
     if kind == "dual":
         return dual_numbers(m)
     raise argparse.ArgumentTypeError(f"unknown base kind {kind!r}")
+
+
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {value}")
+    return value
 
 
 def _ring_from_args(args):
@@ -106,9 +113,7 @@ def build_parser():
     p_verify.add_argument("--theorem", default="all",
                           choices=THEOREM_IDS + ("all",),
                           help="which result to verify (default all)")
-    p_verify.add_argument("--sample", type=int, default=DEFAULT_SAMPLE,
-                          help="cap on thm2_1's proof-step samples (at most 20 run)")
-    p_verify.add_argument("--inflation-rank", type=int, default=0,
+    p_verify.add_argument("--inflation-rank", type=_nonnegative_int, default=0,
                           help="zero-action summand rank for the non-unital check")
 
     p_solve = sub.add_parser("solve", help="solve for a full map space")
@@ -162,7 +167,6 @@ def _cmd_verify(args):
     options = dict(
         pair_mode=args.pairs,
         seed=args.seed,
-        sample=args.sample,
         inflation_rank=args.inflation_rank or None,
     )
     if args.theorem == "all":

@@ -176,8 +176,13 @@ class _Tables:
         self.r, self.m, self.actions = st.rank, ring.m, bimodule_tables(bim)
         self.values, self.ids = [], {}
         self.coords = {x.coords: self.intern(((i, 1),)) for i, x in enumerate(basis_elements(ring))}
-        self.prod = {(i, j): self.intern(_nonzero(p))
-                     for i, row in enumerate(st.prod) for j, p in enumerate(row)}
+        # basis_i * basis_j is column j of the regular bimodule's left table i
+        columns = [[[] for _ in range(st.rank)] for _ in range(st.rank)]
+        for i, triples in enumerate(bimodule_tables(Bimodule.regular(ring)).triples["L"]):
+            for k, j, v in triples:
+                columns[i][j].append((k, v))
+        self.prod = {(i, j): self.intern(tuple(p))
+                     for i, row in enumerate(columns) for j, p in enumerate(row)}
         letters = {"1": st.one}
         if ring.kind == "matrix":
             e = matrix_unit(ring, 1, 1)

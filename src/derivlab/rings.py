@@ -12,15 +12,15 @@ Supported ring shapes:
                              square-zero ideal.
 
 Every ring is a free Z/mZ-module of finite rank with a fixed canonical basis
-(order documented on each constructor), so elements are coordinate tuples and
-multiplication is driven by a cached structure-constant table.
+(order documented on each constructor), so elements are coordinate tuples.
 
-Bimodules over these rings are described by ``Bimodule`` values carrying
-precomputed left/right action matrices per ring basis element, stored as
-sparse {column: value} rows: the ring acting on itself (``regular``),
-matrices over a base bimodule (``matrix_over``), and direct sums with a
-summand on which the ring acts as zero on both sides (``inflated`` -
-deliberately non-unital).
+Bimodules over these rings are described by ``Bimodule`` values: the ring
+acting on itself (``regular``), matrices over a base bimodule
+(``matrix_over``), and direct sums with a summand on which the ring acts as
+zero on both sides (``inflated`` - deliberately non-unital).  Each has one
+cached table per ring basis element and side, the (row, column, value)
+entries of its action (``bimodule_tables``).  Multiplication is one of them:
+the product of a ring is the left action of its regular bimodule.
 
 Even moduli are constructible here for exploration; entry points that need
 2-torsion freeness reject them explicitly (see ``require_odd``).
@@ -147,18 +147,19 @@ def require_odd(desc, what="this operation"):
 
 
 # ---------------------------------------------------------------------------
-# Structure constants
+# Structure
 # ---------------------------------------------------------------------------
 
 class _Structure:
-    """Cached multiplication table and labels for one ring descriptor."""
+    """Rank, modulus, identity and basis labels of one ring descriptor.  Its
+    multiplication is the left action of its regular bimodule: e_i.e_j is
+    column j of left table i in ``bimodule_tables``."""
 
-    __slots__ = ("rank", "m", "prod", "one", "labels")
+    __slots__ = ("rank", "m", "one", "labels")
 
-    def __init__(self, rank, m, prod, one, labels):
+    def __init__(self, rank, m, one, labels):
         self.rank = rank
         self.m = m
-        self.prod = prod      # prod[i][j] = coords of basis_i * basis_j
         self.one = one        # coords of the ring identity
         self.labels = labels  # printable basis labels
 
@@ -171,91 +172,31 @@ def _unit_coords(rank, idx):
 def structure(desc):
     m = desc.m
     if desc.kind == "zmod":
-        return _Structure(1, m, (((1,),),), (1,), ("1",))
+        return _Structure(1, m, (1,), ("1",))
     if desc.kind == "dual":
-        prod = (
-            ((1, 0), (0, 1)),
-            ((0, 1), (0, 0)),
-        )
-        return _Structure(2, m, prod, (1, 0), ("1", "eps"))
+        return _Structure(2, m, (1, 0), ("1", "eps"))
+    bs = structure(desc.base)
     if desc.kind == "matrix":
-        bs = structure(desc.base)
         n, rb = desc.n, bs.rank
-        rank = n * n * rb
-        zero = (0,) * rank
-
-        def slot(i, j, t):
-            return (i * n + j) * rb + t
-
-        prod = [[zero] * rank for _ in range(rank)]
+        one = [0] * (n * n * rb)
         for i in range(n):
-            for j in range(n):
-                for b in range(rb):
-                    left = slot(i, j, b)
-                    # E_ij x E_kl vanishes unless k = j
-                    for l in range(n):
-                        for c in range(rb):
-                            coords = [0] * rank
-                            for t, v in enumerate(bs.prod[b][c]):
-                                if v:
-                                    coords[slot(i, l, t)] = v
-                            prod[left][slot(j, l, c)] = tuple(coords)
-        one = [0] * rank
-        for i in range(n):
-            for t, v in enumerate(bs.one):
-                one[slot(i, i, t)] = v
+            one[(i * n + i) * rb:(i * n + i + 1) * rb] = bs.one
         labels = []
         for i in range(n):
             for j in range(n):
-                for t in range(rb):
-                    bl = bs.labels[t]
-                    cell = f"E{i + 1}{j + 1}"
-                    labels.append(cell if bl == "1" else f"{bl}*{cell}")
-        return _Structure(rank, m, tuple(tuple(r) for r in prod), tuple(one), tuple(labels))
+                cell = f"E{i + 1}{j + 1}"
+                labels += [cell if bl == "1" else f"{bl}*{cell}" for bl in bs.labels]
+        return _Structure(n * n * rb, m, tuple(one), tuple(labels))
     if desc.kind == "trivial_ext":
-        bs = structure(desc.base)
-        ra = bs.rank
-        rank = 2 * ra
-        zero = (0,) * rank
-
-        def first(coords):
-            return tuple(coords) + (0,) * ra
-
-        def second(coords):
-            return (0,) * ra + tuple(coords)
-
-        prod = [[zero] * rank for _ in range(rank)]
-        for a in range(ra):
-            for b in range(ra):
-                p = bs.prod[a][b]
-                prod[a][b] = first(p)
-                prod[a][ra + b] = second(p)
-                prod[ra + a][b] = second(p)
-                # (0,x)(0,y) = (0,0)
-        one = first(bs.one)
         labels = tuple(f"({l},0)" for l in bs.labels) + tuple(
             f"(0,{l})" for l in bs.labels
         )
-        return _Structure(rank, m, tuple(tuple(r) for r in prod), one, labels)
+        return _Structure(2 * bs.rank, m, bs.one + (0,) * bs.rank, labels)
     raise ValueError(f"unknown ring kind {desc.kind!r}")
 
 
 def mul_coords(desc, x, y):
-    st = structure(desc)
-    m = st.m
-    out = [0] * st.rank
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        row = st.prod[i]
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            coeff = xi * yj
-            for k, v in enumerate(row[j]):
-                if v:
-                    out[k] = (out[k] + coeff * v) % m
-    return tuple(out)
+    return act(Bimodule.regular(desc), "L", x, y)
 
 
 def add_coords(desc, x, y, coef=1):
@@ -461,79 +402,69 @@ def bimodule_rank(bim):
 
 
 class _BimoduleTables:
-    __slots__ = ("rank", "m", "left", "right", "triples")
+    __slots__ = ("rank", "m", "triples")
 
-    def __init__(self, rank, m, left, right):
+    def __init__(self, rank, m, triples):
         self.rank = rank
         self.m = m
-        self.left = left    # left[i]  = rank sparse rows: action of ring basis i
-        self.right = right  # right[i] = rank sparse rows: right action
-        # triples[side][i]: the (row, column, value) entries of side's table i
-        self.triples = {side: [tuple((e, j, w) for e, row in enumerate(t) for j, w in row.items())
-                               for t in tables] for side, tables in (("L", left), ("R", right))}
-
-
-def _zero_mat(r):
-    return [{} for _ in range(r)]
+        # triples[side][i]: the (row, column, value) entries, sorted, of the
+        # matrix of side "L" (m |-> e_i.m) or "R" (m |-> m.e_i)
+        self.triples = triples
 
 
 @lru_cache(maxsize=None)
 def bimodule_tables(bim):
-    st = structure(bim.ring)
-    ra = st.rank
-    if bim.kind == "regular":
-        rank = ra
-        left = []
-        right = []
-        for i in range(ra):
-            li = _zero_mat(rank)
-            ri = _zero_mat(rank)
-            for j in range(ra):
-                for t, v in enumerate(st.prod[i][j]):
-                    if v:
-                        li[t][j] = v
-                for t, v in enumerate(st.prod[j][i]):
-                    if v:
-                        ri[t][j] = v
-            left.append(li)
-            right.append(ri)
-    elif bim.kind == "matrix_over":
+    """The action tables of ``bim``, built once per bimodule and process.  A
+    ring's own multiplication is its regular bimodule's left action, so the
+    regular tables of Z/m and Z/m[eps] are literal, those of T(A) come from
+    A's by the square-zero rule, and those of M_n(B) come from B's by the
+    matrix rule, exactly as for ``matrix_over`` (the layouts are identical)."""
+    ring = bim.ring
+    if bim.kind == "inflated":  # the zero summand adds no entries
         base = bimodule_tables(bim.base)
-        n = bim.ring.n
-        rb = structure(bim.ring.base).rank
-        rn = base.rank
-        rank = n * n * rn
+        return _BimoduleTables(base.rank + bim.extra_rank, ring.m, base.triples)
+    if bim.kind == "matrix_over" or ring.kind == "matrix":
+        base = bimodule_tables(bim.base or Bimodule.regular(ring.base))
+        n = ring.n
+        rank = n * n * base.rank
 
-        def mslot(k, l, t):
-            return (k * n + l) * rn + t
+        def slot(k, l, t):
+            return (k * n + l) * base.rank + t
 
-        left = []
-        right = []
-        for i in range(n):
-            for j in range(n):
-                for b in range(rb):
-                    # (E_ij b).(E_jl x) = E_il (b.x) and (E_ki x).(E_ij b) = E_kj (x.b)
-                    li = _zero_mat(rank)
-                    ri = _zero_mat(rank)
-                    for t, row in enumerate(base.left[b]):
-                        for v, w in row.items():
-                            for l in range(n):
-                                li[mslot(i, l, t)][mslot(j, l, v)] = w
-                    for t, row in enumerate(base.right[b]):
-                        for v, w in row.items():
-                            for k in range(n):
-                                ri[mslot(k, j, t)][mslot(k, i, v)] = w
-                    left.append(li)
-                    right.append(ri)
-    else:  # inflated
-        base = bimodule_tables(bim.base)
-        rank = base.rank + bim.extra_rank
-        left = []
-        right = []
-        for i in range(ra):
-            left.append(base.left[i] + _zero_mat(bim.extra_rank))
-            right.append(base.right[i] + _zero_mat(bim.extra_rank))
-    return _BimoduleTables(rank, st.m, left, right)
+        tables = {"L": [], "R": []}
+        for i, j in itertools.product(range(n), repeat=2):
+            # (E_ij b).(E_jl x) = E_il (b.x) and (E_ki x).(E_ij b) = E_kj (x.b)
+            for lt, rt in zip(base.triples["L"], base.triples["R"]):
+                tables["L"].append([(slot(i, l, t), slot(j, l, v), w) for t, v, w in lt for l in range(n)])
+                tables["R"].append([(slot(k, j, t), slot(k, i, v), w) for t, v, w in rt for k in range(n)])
+    elif ring.kind == "trivial_ext":
+        # (a, x)(b, y) = (ab, ay + xb) on the basis (e_i, 0), then (0, e_i):
+        # (e_i, 0) acts on both components, and (0, e_i) carries the first
+        # component into the second
+        base = bimodule_tables(Bimodule.regular(ring.base))
+        r = base.rank
+        rank = 2 * r
+        tables = {side: [[*t, *((r + e, r + j, w) for e, j, w in t)] for t in ts]
+                  + [[(r + e, j, w) for e, j, w in t] for t in ts]
+                  for side, ts in base.triples.items()}
+    elif ring.kind == "zmod":
+        rank, tables = 1, {"L": [[(0, 0, 1)]], "R": [[(0, 0, 1)]]}
+    else:  # Z/m[eps] on the basis [1, eps]: 1 acts as the identity, eps.1 = eps
+        one, eps = [(0, 0, 1), (1, 1, 1)], [(1, 0, 1)]
+        rank, tables = 2, {"L": [one, eps], "R": [one, eps]}
+    return _BimoduleTables(rank, ring.m, {side: tuple(tuple(sorted(t)) for t in ts)
+                                          for side, ts in tables.items()})
+
+
+def _table_rows(rank, parts):
+    """Sparse rows, unreduced, of the sum of the tables in ``parts``: each a
+    (triples, coefficient, column offset)."""
+    out = [{} for _ in range(rank)]
+    for triples, c, offset in parts:
+        for e, j, w in triples:
+            row = out[e]
+            row[offset + j] = row.get(offset + j, 0) + c * w
+    return out
 
 
 def action_rows(bim, side, ring_coords):
@@ -542,13 +473,8 @@ def action_rows(bim, side, ring_coords):
     {column: value} dicts of nonzero entries."""
     tb = bimodule_tables(bim)
     n = tb.m
-    out = _zero_mat(tb.rank)
-    for c, table in zip(ring_coords, tb.left if side == "L" else tb.right):
-        if not c:
-            continue
-        for ot, row in zip(out, table):
-            for j, w in row.items():
-                ot[j] = ot.get(j, 0) + c * w
+    tables = tb.triples["L" if side == "L" else "R"]
+    out = _table_rows(tb.rank, [(t, c, 0) for c, t in zip(ring_coords, tables) if c])
     return [{j: v % n for j, v in ot.items() if v % n} for ot in out]
 
 
@@ -596,15 +522,6 @@ def peirce_split(bim, vec):
     return PeirceComponents(m1, m2, m3, m4)
 
 
-def _row_sum(rows, coefs=None):
-    """Sum of sparse rows, each times its coefficient (default 1), unreduced."""
-    out = {}
-    for row, c in zip(rows, coefs or (1,) * len(rows)):
-        for j, v in row.items():
-            out[j] = out.get(j, 0) + c * v
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Centres
 # ---------------------------------------------------------------------------
@@ -615,9 +532,9 @@ def bimodule_center(bim):
     solved once per bimodule and process."""
     tb = bimodule_tables(bim)
     rows = [
-        _row_sum((lt, rt), (1, -1))
-        for li, ri in zip(tb.left, tb.right)
-        for lt, rt in zip(li, ri)
+        row
+        for lt, rt in zip(tb.triples["L"], tb.triples["R"])
+        for row in _table_rows(tb.rank, ((lt, 1, 0), (rt, -1, 0)))
     ]
     return solve_homogeneous_rows(tb.m, tb.rank, rows)
 
@@ -648,8 +565,8 @@ def _annihilator_operator(desc, condition):
     """a |-> (H_a, |K_a|): the Howell rows of the condition's operator A_a,
     whose kernel is K_a, and |K_a| = m^r / prod(m // p over the pivots p),
     as the row and column spans of A_a have the same size.  The ring-size
-    guard fires here, before any kernel is solved.  Only the action sides
-    the condition reads are built."""
+    guard fires here, before any kernel is solved.  Each block of A_a sums
+    the action tables of the sides it names, weighted by a's coordinates."""
     blocks = _CONDITION_OPERATORS[condition]
     size = ring_size(desc)
     if size > EXHAUSTIVE_ELEMENT_BUDGET:
@@ -657,16 +574,15 @@ def _annihilator_operator(desc, condition):
             f"exhaustive pairs need one annihilator kernel per element: ring "
             f"size {size} is over the {EXHAUSTIVE_ELEMENT_BUDGET}-element budget"
         )
-    bim = Bimodule.regular(desc)
-    sides = {side for block in blocks for side in block}
+    tables = bimodule_tables(Bimodule.regular(desc)).triples
     n, rank = desc.m, ring_rank(desc)
 
     def operator(a):
-        ops = {side: action_rows(bim, side, a) for side in sides}
         rows = [
-            _row_sum(parts)
+            row
             for block in blocks
-            for parts in zip(*(ops[name] for name in block))
+            for row in _table_rows(rank, [(t, c, 0) for side in block
+                                          for c, t in zip(a, tables[side]) if c])
         ]
         h = _howell(_sparse_rows(rows, rank, n), n)
         return h, size // prod(n // row[min(row)] for row in h)
@@ -764,17 +680,15 @@ def _symmetrised(span, r):
 def _structural_kernel(desc, condition):
     """ker mu, ker(mu + mu.tau) or ker[mu; mu.tau] on A (x) A, by condition."""
     r = ring_rank(desc)
-    table = structure(desc).prod
-    rows = []
-    for block in _CONDITION_OPERATORS[condition]:
-        for k in range(r):
-            row = {}
-            for i in range(r):
-                for j in range(r):
-                    v = sum(table[i][j][k] if side == "L" else table[j][i][k] for side in block)
-                    if v:
-                        row[i * r + j] = v
-            rows.append(row)
+    tables = bimodule_tables(Bimodule.regular(desc)).triples
+    # e_i.e_j is column j of left table i, e_j.e_i column j of right table i:
+    # both land in column i * r + j of A (x) A
+    rows = [
+        row
+        for block in _CONDITION_OPERATORS[condition]
+        for row in _table_rows(r, [(t, 1, i * r) for side in block
+                                   for i, t in enumerate(tables[side])])
+    ]
     return solve_homogeneous_rows(desc.m, r * r, rows)
 
 

@@ -6,8 +6,8 @@ generator.  Generator-level verification is complete for the module-identity
 conclusions because every conclusion checked here is linear in the map, and
 the Howell form is unique per span, so two modules with equal canonical
 generators are equal; nothing is sampled to test an equality already
-decided.  The proof-step samples of ``thm2_1`` (at most ``min(sample, 20)``)
-run the corner-peeling argument on members that are not generators.
+decided.  The ``PROOF_STEP_SAMPLES`` proof-step samples of ``thm2_1`` run
+the corner-peeling argument on members that are not generators.
 Solution modules come from the per-process memo of
 ``identities.solve_counted``, which ``check`` reads as well, so no system is
 assembled twice.
@@ -68,7 +68,7 @@ THEOREM_IDS = (
     "remark1_2",
 )
 
-DEFAULT_SAMPLE = 20  # thm2_1's proof-step samples: the default and the cap
+PROOF_STEP_SAMPLES = 20  # random star members thm2_1 runs the proof steps on
 _MODE_COMPARE_SIZE = 128
 
 
@@ -145,7 +145,7 @@ def _require_equal(s1, s2, name1, name2, ring, codomain, kind1, kind2, pair_mode
 
 
 def verify_theorem(theorem_id, ring, *, pair_mode="structured", seed=0,
-                   sample=DEFAULT_SAMPLE, inflation_rank=None):
+                   inflation_rank=None):
     """Run one verification procedure and return its report.
 
     Guard violations (wrong ring shape, even modulus, pair budget) surface as
@@ -158,7 +158,7 @@ def verify_theorem(theorem_id, ring, *, pair_mode="structured", seed=0,
     report = TheoremReport(theorem_id, ring, "skipped", seed=seed)
     rng = random.Random(seed)
     try:
-        _dispatch(theorem_id, ring, report, pair_mode, rng, sample, inflation_rank)
+        _dispatch(theorem_id, ring, report, pair_mode, rng, inflation_rank)
         report.status = "verified"
     except _Falsified as exc:
         report.status = "falsified"
@@ -180,7 +180,7 @@ def verify_theorem(theorem_id, ring, *, pair_mode="structured", seed=0,
     return report
 
 
-def _dispatch(theorem_id, ring, report, pair_mode, rng, sample, inflation_rank):
+def _dispatch(theorem_id, ring, report, pair_mode, rng, inflation_rank):
     if ring.m % 2 == 0:
         raise EvenModulusError(
             f"modulus not 2-torsion free (m={ring.m}); construct the ring for "
@@ -198,8 +198,7 @@ def _dispatch(theorem_id, ring, report, pair_mode, rng, sample, inflation_rank):
         "remark1_1": _verify_generalized_shift,
         "remark1_2": _verify_hypothesis_weakenings,
     }[theorem_id]
-    handler(ring, report, pair_mode=pair_mode, rng=rng, sample=sample,
-            inflation_rank=inflation_rank)
+    handler(ring, report, pair_mode=pair_mode, rng=rng, inflation_rank=inflation_rank)
 
 
 def _need_matrix(ring):
@@ -225,7 +224,7 @@ def _compare_pair_modes(kind, ring, requested_mode):
     return int(module_equal(structural, exact)), module, counts
 
 
-def _verify_zero_product_decomposition(ring, report, *, pair_mode, rng, sample, **_):
+def _verify_zero_product_decomposition(ring, report, *, pair_mode, rng, **_):
     _need_matrix(ring)
     modes_equal, star, pair_counts = _compare_pair_modes("star", ring, pair_mode)
     deriv = solve_all("derivation", ring)
@@ -244,9 +243,8 @@ def _verify_zero_product_decomposition(ring, report, *, pair_mode, rng, sample, 
     bim = Bimodule.regular(ring)
     for gen in maps_from_module(star, ring, ring):
         decompose_theorem21(gen, pair_mode=pair_mode)
-    step_samples = min(sample, DEFAULT_SAMPLE)
-    report.counts["proof_step_samples"] = step_samples
-    for _ in range(step_samples):
+    report.counts["proof_step_samples"] = PROOF_STEP_SAMPLES
+    for _ in range(PROOF_STEP_SAMPLES):
         fmap = AdditiveMap.from_flat(ring, bim, star.random_element(rng))
         steps = verify_proof_steps(fmap, pair_mode=pair_mode)
         if not steps.all_passed:

@@ -2,18 +2,21 @@
 
 Nothing here goes through the package's Howell machinery, and apart from the
 per-pair constraint blocks and the orbit walk below nothing goes through its
-structure-constant multiplication: spans are enumerated by closure, matrix
-products are computed entry by entry on explicit 2 x 2 representations
-(identities are evaluated on them pair by pair, term by term), and echelon
-forms over prime fields use a textbook RREF.  Routines the package used
-before it moved to sparse, shared work are kept here as references: the
-dense Howell routine, for the sparse one; the per-pair constraint block
-evaluator, for the one-sweep block builder; the membership test that reduces
-every entry before it reads a generator, for the one that follows the
-generators' nonzeros; and the module action through the materialised
-action matrix, for the one that dots the action tables with the vector.  The orbit walk's reference conjugates by explicit
-monomial matrices, where the package permutes and scales coordinates.  These
-routes stay deliberately separate from the code paths they check.
+action tables: spans are enumerated by closure, matrix products are computed
+entry by entry on explicit 2 x 2 representations (identities are evaluated
+on them pair by pair, term by term), and echelon forms over prime fields use
+a textbook RREF.  Routines the package used before it moved to sparse, shared
+work are kept here as references: the dense Howell routine, for the sparse
+one; the per-pair constraint block evaluator, for the one-sweep block
+builder; the membership test that reduces every entry before it reads a
+generator, for the one that follows the generators' nonzeros; the dense
+structure-constant table and the per-basis sparse action rows built from it,
+for the (row, column, value) action triples that serve as both the ring's
+multiplication and its bimodules' actions; and the module action through the
+materialised action matrix, for the one that dots the action tables with the
+vector.  The orbit walk's reference conjugates by explicit monomial
+matrices, where the package permutes and scales coordinates.  These routes
+stay deliberately separate from the code paths they check.
 """
 
 from __future__ import annotations
@@ -268,16 +271,157 @@ def unit_orbits_reference(desc):
 
 
 # ---------------------------------------------------------------------------
-# Module actions (reference for ``rings.act``)
+# Products and module actions (reference for ``rings.bimodule_tables``)
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def dense_products_reference(desc):
+    """prod[i][j] = coords of basis_i * basis_j, built densely: literal for
+    Z/m and Z/m[eps], cell by cell for matrix rings, component by component
+    for trivial extensions."""
+    if desc.kind == "zmod":
+        return (((1,),),)
+    if desc.kind == "dual":
+        return (
+            ((1, 0), (0, 1)),
+            ((0, 1), (0, 0)),
+        )
+    if desc.kind == "matrix":
+        bprod = dense_products_reference(desc.base)
+        n, rb = desc.n, len(bprod)
+        rank = n * n * rb
+        zero = (0,) * rank
+
+        def slot(i, j, t):
+            return (i * n + j) * rb + t
+
+        prod = [[zero] * rank for _ in range(rank)]
+        for i in range(n):
+            for j in range(n):
+                for b in range(rb):
+                    left = slot(i, j, b)
+                    # E_ij x E_kl vanishes unless k = j
+                    for l in range(n):
+                        for c in range(rb):
+                            coords = [0] * rank
+                            for t, v in enumerate(bprod[b][c]):
+                                if v:
+                                    coords[slot(i, l, t)] = v
+                            prod[left][slot(j, l, c)] = tuple(coords)
+        return tuple(tuple(r) for r in prod)
+    if desc.kind == "trivial_ext":
+        bprod = dense_products_reference(desc.base)
+        ra = len(bprod)
+        rank = 2 * ra
+        zero = (0,) * rank
+
+        def first(coords):
+            return tuple(coords) + (0,) * ra
+
+        def second(coords):
+            return (0,) * ra + tuple(coords)
+
+        prod = [[zero] * rank for _ in range(rank)]
+        for a in range(ra):
+            for b in range(ra):
+                p = bprod[a][b]
+                prod[a][b] = first(p)
+                prod[a][ra + b] = second(p)
+                prod[ra + a][b] = second(p)
+                # (0,x)(0,y) = (0,0)
+        return tuple(tuple(r) for r in prod)
+    raise ValueError(f"unknown ring kind {desc.kind!r}")
+
+
+def _zero_mat(r):
+    return [{} for _ in range(r)]
+
+
+@lru_cache(maxsize=None)
+def action_tables_reference(bim):
+    """(left, right): left[i] and right[i] are the rank sparse {column:
+    value} rows of the left and right actions of ring basis i, read off
+    ``dense_products_reference`` for the regular bimodule and built from the
+    base's rows for ``matrix_over`` and ``inflated``."""
+    ra = ring_rank(bim.ring)
+    if bim.kind == "regular":
+        rank = ra
+        prod = dense_products_reference(bim.ring)
+        left = []
+        right = []
+        for i in range(ra):
+            li = _zero_mat(rank)
+            ri = _zero_mat(rank)
+            for j in range(ra):
+                for t, v in enumerate(prod[i][j]):
+                    if v:
+                        li[t][j] = v
+                for t, v in enumerate(prod[j][i]):
+                    if v:
+                        ri[t][j] = v
+            left.append(li)
+            right.append(ri)
+    elif bim.kind == "matrix_over":
+        base_left, base_right = action_tables_reference(bim.base)
+        n = bim.ring.n
+        rb = ring_rank(bim.ring.base)
+        rn = bimodule_rank(bim.base)
+        rank = n * n * rn
+
+        def mslot(k, l, t):
+            return (k * n + l) * rn + t
+
+        left = []
+        right = []
+        for i in range(n):
+            for j in range(n):
+                for b in range(rb):
+                    # (E_ij b).(E_jl x) = E_il (b.x) and (E_ki x).(E_ij b) = E_kj (x.b)
+                    li = _zero_mat(rank)
+                    ri = _zero_mat(rank)
+                    for t, row in enumerate(base_left[b]):
+                        for v, w in row.items():
+                            for l in range(n):
+                                li[mslot(i, l, t)][mslot(j, l, v)] = w
+                    for t, row in enumerate(base_right[b]):
+                        for v, w in row.items():
+                            for k in range(n):
+                                ri[mslot(k, j, t)][mslot(k, i, v)] = w
+                    left.append(li)
+                    right.append(ri)
+    else:  # inflated
+        base_left, base_right = action_tables_reference(bim.base)
+        left = []
+        right = []
+        for i in range(ra):
+            left.append(base_left[i] + _zero_mat(bim.extra_rank))
+            right.append(base_right[i] + _zero_mat(bim.extra_rank))
+    return left, right
+
+
+def action_rows_reference(bim, side, ring_coords):
+    """Rows of the action matrix of the ring element a with coordinates
+    ring_coords: the reference tables of the basis, times a's coordinates,
+    summed and reduced, as sparse {column: value} dicts."""
+    left, right = action_tables_reference(bim)
+    n = bim.ring.m
+    out = _zero_mat(bimodule_rank(bim))
+    for c, table in zip(ring_coords, left if side == "L" else right):
+        if not c:
+            continue
+        for ot, row in zip(out, table):
+            for j, w in row.items():
+                ot[j] = ot.get(j, 0) + c * w
+    return [{j: v % n for j, v in ot.items() if v % n} for ot in out]
+
 
 def act_reference(bim, side, ring_coords, vec):
     """a.m (side "L") or m.a (side "R") as the reduced rows of the action
-    matrix of a (``action_rows``), each dotted with m."""
+    matrix of a (``action_rows_reference``), each dotted with m."""
     n = bim.ring.m
     return tuple(
         sum(w * vec[j] for j, w in row.items()) % n
-        for row in action_rows(bim, side, ring_coords)
+        for row in action_rows_reference(bim, side, ring_coords)
     )
 
 

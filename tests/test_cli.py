@@ -2,7 +2,7 @@ import json
 import subprocess
 import sys
 
-from derivlab.cli import build_parser, run
+from derivlab.cli import run
 from derivlab.maps import AdditiveMap, inner_derivation, right_multiplier
 from derivlab.rings import (
     Bimodule,
@@ -13,14 +13,9 @@ from derivlab.rings import (
     trivial_extension,
     zmod,
 )
-from derivlab.theorems import DEFAULT_SAMPLE
 
 M2Z3 = matrix_ring(2, zmod(3))
 REG = Bimodule.regular(M2Z3)
-
-
-def test_verify_sample_defaults_to_the_library_default():
-    assert build_parser().parse_args(["verify"]).sample == DEFAULT_SAMPLE
 
 
 def test_verify_single_theorem(capsys):
@@ -171,6 +166,23 @@ def test_malformed_flags_exit_two(capsys):
     # structured mode quantifies over a span and lists no pairs
     assert run(["pairs", "--base", "zmod:3", "--n", "2", "--pairs", "structured"]) == 2
     assert "exhaustive mode only" in capsys.readouterr().err
+
+
+def test_verify_sample_flag_is_a_usage_error(capsys):
+    # thm2_1 always runs its 20 proof-step samples; no flag sets the count
+    assert run(["verify", "--theorem", "thm2_1", "--n", "2", "--sample", "5"]) == 2
+    assert "--sample" in capsys.readouterr().err
+
+
+def test_negative_inflation_rank_is_a_usage_error(capsys):
+    args = ["verify", "--theorem", "lemma3_1", "--n", "2", "--json", "--inflation-rank"]
+    assert run(args + ["-2"]) == 2
+    assert "--inflation-rank" in capsys.readouterr().err
+    # 0 keeps the default, the ring rank; a positive rank is used as given
+    for text, rank in (("0", 4), ("2", 2)):
+        assert run(args + [text]) == 0
+        report, = json.loads(capsys.readouterr().out)
+        assert (report["status"], report["counts"]["inflation_rank"]) == ("verified", rank)
 
 
 def test_missing_input_file_exits_two(capsys):

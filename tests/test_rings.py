@@ -16,6 +16,7 @@ from derivlab.rings import (
     RingDescriptor,
     RingElement,
     act,
+    action_rows,
     all_elements,
     annihilator_kernels,
     anti_commuting_pairs,
@@ -44,7 +45,9 @@ from derivlab.rings import (
 )
 from oracles import (
     act_reference,
+    action_rows_reference,
     coords_to_mat2,
+    dense_products_reference,
     mat2_is_zero,
     mat2_mul,
     mat2_to_coords,
@@ -293,6 +296,30 @@ def test_act_equals_action_matrix_reference(bim, side, data):
     a = data.draw(st.tuples(*[st.integers(0, m - 1)] * ring_rank(bim.ring)))
     vec = data.draw(st.tuples(*[st.integers(-3 * m, 3 * m)] * bimodule_rank(bim)))
     assert act(bim, side, a, vec) == act_reference(bim, side, a, vec)
+
+
+TABLE_RINGS = RINGS + [
+    matrix_ring(3, zmod(9)),
+    trivial_extension(M2D3),
+    trivial_extension(dual_numbers(3)),
+]
+
+
+@pytest.mark.parametrize("ring", TABLE_RINGS)
+def test_basis_products_equal_dense_reference(ring):
+    # the ring's product is its regular bimodule's left action table; the
+    # reference is the dense structure-constant table, built without it
+    basis = basis_elements(ring)
+    assert [[(x * y).coords for y in basis] for x in basis] == [
+        list(row) for row in dense_products_reference(ring)
+    ]
+
+
+@pytest.mark.parametrize("bim", [Bimodule.regular(ring) for ring in TABLE_RINGS] + ACT_BIMODULES)
+def test_action_rows_equal_reference_rows(bim):
+    for x in basis_elements(bim.ring):
+        for side in "LR":
+            assert action_rows(bim, side, x.coords) == action_rows_reference(bim, side, x.coords)
 
 
 def test_bimodule_json_round_trip():

@@ -100,7 +100,7 @@ def stripped_report(rep):
 
 @pytest.fixture(scope="module")
 def battery_reports():
-    """The 30 battery reports at seed 1 and the default sample."""
+    """The 30 battery reports at seed 1."""
     battery = [matrix_ring(2, zmod(3)), matrix_ring(2, dual_numbers(3)),
                matrix_ring(2, zmod(5))]
     return [verify_theorem(tid, ring, seed=1) for tid in THEOREM_IDS for ring in battery]
@@ -136,19 +136,14 @@ def test_module_mismatch_witness_is_pinned():
     assert star.contains(flat) and not deriv.contains(flat)
 
 
-def test_sample_sets_the_proof_step_samples():
-    rep = verify_theorem("thm2_1", M2Z3, sample=5)
-    assert rep.status == "verified"
-    assert rep.counts["proof_step_samples"] == 5
-
-
 def test_default_sample_runs_the_most_proof_step_samples():
-    # the default is the cap: a larger sample runs no more
-    assert theorems.DEFAULT_SAMPLE == 20
-    for sample in ({}, {"sample": 1000}):
-        rep = verify_theorem("thm2_1", M2Z3, **sample)
-        assert rep.status == "verified"
-        assert rep.counts["proof_step_samples"] == 20
+    # the proof-step sample count is a constant, not a parameter
+    assert theorems.PROOF_STEP_SAMPLES == 20
+    rep = verify_theorem("thm2_1", M2Z3)
+    assert rep.status == "verified"
+    assert rep.counts["proof_step_samples"] == 20
+    with pytest.raises(TypeError):
+        verify_theorem("thm2_1", M2Z3, sample=5)
 
 
 def test_reports_are_deterministic_except_elapsed():
@@ -193,7 +188,7 @@ def test_corrupted_jordan_identity_falsifies_with_witness(monkeypatch):
 def test_one_sided_zero_maps_are_the_derivations(ring, size):
     # the one-sided hypothesis ab = 0 leaves exactly Der; structured mode
     # once fed it the two-sided pairs and read the star module instead
-    rep = verify_theorem("remark1_2", ring, sample=20)
+    rep = verify_theorem("remark1_2", ring)
     assert rep.status == "verified"
     assert rep.counts["one_sided_zero_module_size"] == size
 
@@ -220,7 +215,7 @@ def test_every_sign_flip_is_caught(monkeypatch):
             continue
         with monkeypatch.context() as patch:
             patch.setitem(IDENTITY_TERMS, kind, _sign_flipped(IDENTITY_TERMS[kind], index))
-            statuses = {r.status for r in run_all(M2Z3, sample=20)}
+            statuses = {r.status for r in run_all(M2Z3)}
         assert "error" not in statuses, (kind, index)
         if "falsified" not in statuses:
             escaped.append((kind, index))
@@ -246,7 +241,7 @@ def test_corrupted_star_above_the_budget_still_falsifies(monkeypatch):
     monkeypatch.setitem(IDENTITY_TERMS, "star",
                         IdentitySpec("star", spec.terms + extra, "two_sided_zero"))
     big = matrix_ring(2, zmod(19))
-    rep = verify_theorem("thm2_1", big, sample=20)
+    rep = verify_theorem("thm2_1", big)
     assert rep.status == "falsified"
     assert rep.reason is None
     assert "budget" in rep.counterexample["witness_unavailable"]
@@ -255,7 +250,7 @@ def test_corrupted_star_above_the_budget_still_falsifies(monkeypatch):
 
 
 def test_all_theorem_ids_run_verified_on_m2z3():
-    reports = run_all(M2Z3, pair_mode="exhaustive", sample=50)
+    reports = run_all(M2Z3, pair_mode="exhaustive")
     assert len(reports) == len(THEOREM_IDS)
     assert all(r.status == "verified" for r in reports)
 
@@ -265,7 +260,7 @@ def test_composite_odd_moduli_verify():
     # which exercises the composite-modulus solver path end to end
     for m, expected in ((9, 9**4 // 9), (15, 15**4 // 15)):
         ring = matrix_ring(2, zmod(m))
-        rep = verify_theorem("thm3_2i", ring, sample=100)
+        rep = verify_theorem("thm3_2i", ring)
         assert rep.status == "verified"
         assert rep.counts["derivation_module_size"] == expected
 
@@ -310,13 +305,13 @@ def test_inflation_rank_option():
 
 def test_three_by_three_matrices_verify():
     ring = matrix_ring(3, zmod(3))
-    rep = verify_theorem("thm3_2i", ring, sample=100)
+    rep = verify_theorem("thm3_2i", ring)
     assert rep.status == "verified"
     assert rep.counts["derivation_module_size"] == 3**9 // 3
     # the argument steps are built from E = E11 and its complement, which is
     # a sum of two units when n = 3; structured mode quantifies over the
     # symmetrised kernel of [mu; mu.tau] on A (x) A, 36 Howell generators
-    rep = verify_theorem("thm2_1", ring, pair_mode="structured", sample=10)
+    rep = verify_theorem("thm2_1", ring, pair_mode="structured")
     assert rep.status == "verified"
     assert rep.counts["span_rank"] == 36
     assert "pair_count" not in rep.counts
