@@ -74,8 +74,8 @@ def main(argv=None):
             seconds = time.perf_counter() - start
             same = structural == exact
             unequal += not same
-            print(f"{label:14s} {condition:15s} {structural.generators.rows:10d} "
-                  f"{exact.generators.rows:6d} {seconds:8.2f} {same}")
+            print(f"{label:14s} {condition:15s} {len(structural.rows):10d} "
+                  f"{len(exact.rows):6d} {seconds:8.2f} {same}")
     return 1 if unequal else 0
 
 

@@ -34,7 +34,6 @@ from .identities import (
 from .linalg import (
     ResidueMatrix,
     SolutionModule,
-    howell_form,
     module_equal,
     solve_homogeneous,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "decompose_theorem21",
     "decompose_trivial_extension",
     "dual_numbers",
-    "howell_form",
     "identity_map",
     "inner_derivation",
     "inner_derivation_module",

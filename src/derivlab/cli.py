@@ -201,7 +201,7 @@ def _cmd_solve(args):
     }
     lines = [
         f"kind={args.kind} ring={_ring_label(ring)} pairs={args.pairs}",
-        f"generators={module.generators.rows} module_size={module.size()}",
+        f"generators={len(module.rows)} module_size={module.size()}",
     ]
     _emit(args, payload, lines)
     return 0

@@ -474,12 +474,11 @@ def _assembly(spec, ring, bim, pair_mode):
         ))
         source = "structured" if symmetric else "exhaustive"
     span, pair_count = pair_span(ring, quantifier, source)
-    gens = span.generators.to_rows()
-    counts = {"pair_count": pair_count} if pair_mode == "exhaustive" else {"span_rank": len(gens)}
+    counts = {"pair_count": pair_count} if pair_mode == "exhaustive" else {"span_rank": len(span.rows)}
 
     def rows():
-        for gen in gens:
-            terms = [(blocks[k], c) for k, c in enumerate(gen) if c]
+        for gen in span.rows:
+            terms = [(blocks[k], c) for k, c in gen]
             for e in range(rank_m):
                 acc = {}
                 for blk, c in terms:

@@ -23,13 +23,13 @@ only its nonzero entries, and a row's pivot is its smallest key.  Constraint
 rows have a handful of nonzeros in hundreds of columns, and their Howell forms
 stay sparse.  Elimination touches only the entries a row holds, and the final
 reduction above the pivots visits only the pivot columns a row holds or gains
-on the way, so the work follows the nonzeros, not the width.  The dense
-``ResidueMatrix`` is the public boundary: constraint systems, module
-generators, maps and JSON.  There is one solve routine,
-``solve_homogeneous_rows``, which hands the deduplicated rows to the one
-kernel step, ``howell_kernel``, a single elimination; ``solve_homogeneous``,
-``howell_form`` and ``SolutionModule.from_rows`` take dense input and convert
-it.  Every row is checked against its stated width before elimination.
+on the way, so the work follows the nonzeros, not the width.  A
+``SolutionModule`` is its Howell rows in that sparse form.  There is one
+solve routine, ``solve_homogeneous_rows``, which hands the deduplicated rows
+to the one kernel step, ``howell_kernel``, a single elimination.  The dense
+``ResidueMatrix`` is built only on demand: for constraint systems, maps and
+JSON, and for a module's ``generators`` when they are first read.  Every row
+is checked against its stated width before elimination.
 
 Residues are stored reduced in [0, m).  Python integers keep all intermediate
 products exact; moduli are capped at 2**31 which keeps every product at desk
@@ -349,93 +349,89 @@ def mat_add(a, b, coef=1):
     return ResidueMatrix(n, a.rows, a.cols, ent)
 
 
-def howell_form(matrix):
-    """Canonical Howell form of the row span of `matrix`.
-
-    Idempotent; two inputs with equal row span produce identical output.
-    Zero rows are dropped, so the zero span yields a 0-row matrix.
-    """
-    n, cols = matrix.modulus, matrix.cols
-    rows = _sparse_rows(matrix.to_rows(), cols, n)
-    return ResidueMatrix.from_sparse(n, cols, _howell(rows, n))
+def _frozen(rows, shift=0):
+    """Dict rows as the ``SolutionModule.rows`` tuples, columns less ``shift``."""
+    return tuple(tuple(sorted((k - shift, v) for k, v in r.items())) for r in rows)
 
 
 @dataclass(frozen=True)
 class SolutionModule:
-    """A submodule of (Z/mZ)^ambient_rank with canonical Howell generators."""
+    """A submodule of (Z/mZ)^ambient_rank as its canonical Howell rows: tuples
+    of nonzero (column, residue) entries in column order, pivot first.  A
+    dense matrix given for ``rows`` is read as given and kept as ``generators``."""
 
     modulus: int
     ambient_rank: int
-    generators: ResidueMatrix
+    rows: tuple
 
     def __post_init__(self):
-        g = self.generators
-        if g.modulus != self.modulus or g.cols != self.ambient_rank:
-            raise ValueError("generator matrix does not match module header")
+        g = self.rows
+        if isinstance(g, ResidueMatrix):
+            if g.modulus != self.modulus or g.cols != self.ambient_rank:
+                raise ValueError("generator matrix does not match module header")
+            rows = ({k: v for k, v in enumerate(r) if v} for r in g.to_rows())
+            object.__setattr__(self, "rows", _frozen(rows))
+            self.__dict__["generators"] = g
 
     @classmethod
     def from_rows(cls, modulus, ambient_rank, rows):
         """The module spanned by ``rows``: dense sequences of length
         ``ambient_rank`` or {column: residue} dicts."""
         h = _howell(_sparse_rows(rows, ambient_rank, modulus), modulus)
-        return cls(modulus, ambient_rank, ResidueMatrix.from_sparse(modulus, ambient_rank, h))
+        return cls(modulus, ambient_rank, _frozen(h))
 
     @cached_property
-    def _pivot_rows(self):
-        """(pivot column, pivot, nonzero (column, residue) items) per
-        generator, read once from the dense generators."""
-        out = []
-        for i in range(self.generators.rows):
-            items = tuple((k, v) for k, v in enumerate(self.generators.row(i)) if v)
-            out.append((items[0][0], items[0][1], items))
-        return tuple(out)
+    def generators(self):
+        """The Howell rows as a dense ``ResidueMatrix``, built when first read."""
+        return ResidueMatrix.from_sparse(self.modulus, self.ambient_rank, map(dict, self.rows))
 
     def contains(self, vec):
         """Whether ``vec`` (integers, reduced or not) lies in the module.
 
-        Only the entries the generators hold are read and reduced: each
-        pivot entry, read mod m, must be a multiple of its pivot, as later
-        generators vanish in its column.  The other entries are reduced only
-        when one is left nonzero: an unreduced input or a non-member."""
+        Only the entries the rows hold are read and reduced: each pivot
+        entry, read mod m, must be a multiple of its pivot, as later rows
+        vanish in its column.  The other entries are reduced only when one
+        is left nonzero: an unreduced input or a non-member."""
         if len(vec) != self.ambient_rank:
             raise ValueError("vector length does not match ambient rank")
         n = self.modulus
         w = list(vec)
-        for c, p, items in self._pivot_rows:
+        for row in self.rows:
+            c, p = row[0]
             q, r = divmod(w[c] % n, p)
             if r:
                 return False
             if q:
-                for k, v in items:
+                for k, v in row:
                     w[k] = (w[k] - q * v) % n
         return not any(w) or not any(x % n for x in w)
 
     def size(self):
         """Number of elements: product over pivots p of (m // p)."""
         n = self.modulus
-        return prod(n // p for _, p, _ in self._pivot_rows)
+        return prod(n // row[0][1] for row in self.rows)
 
     def _combination(self, coefs):
         n = self.modulus
         acc = [0] * self.ambient_rank
-        for lam, (_, _, items) in zip(coefs, self._pivot_rows):
+        for lam, row in zip(coefs, self.rows):
             if lam:
-                for k, v in items:
+                for k, v in row:
                     acc[k] = (acc[k] + lam * v) % n
         return tuple(acc)
 
     def elements(self):
         """Iterate every element exactly once (coefficients run mod m//pivot)."""
-        ranges = [range(self.modulus // p) for _, p, _ in self._pivot_rows]
+        ranges = [range(self.modulus // row[0][1]) for row in self.rows]
         for idx in itertools.product(*ranges):
             yield self._combination(idx)
 
     def random_element(self, rng):
-        return self._combination(_draws(rng, self.modulus, len(self._pivot_rows)))
+        return self._combination(_draws(rng, self.modulus, len(self.rows)))
 
     def sum_with(self, other):
         _compatible(self, other)
-        rows = [dict(items) for _, _, items in self._pivot_rows + other._pivot_rows]
+        rows = [dict(row) for row in self.rows + other.rows]
         return SolutionModule.from_rows(self.modulus, self.ambient_rank, rows)
 
     def to_json(self):
@@ -447,11 +443,7 @@ class SolutionModule:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(
-            obj["modulus"],
-            obj["ambient_rank"],
-            ResidueMatrix.from_json(obj["generators"]),
-        )
+        return cls(obj["modulus"], obj["ambient_rank"], ResidueMatrix.from_json(obj["generators"]))
 
 
 def _compatible(s1, s2):
@@ -462,9 +454,9 @@ def _compatible(s1, s2):
 
 
 def module_equal(s1, s2):
-    """Equality of submodules; sound because generators are canonical."""
+    """Equality of submodules; sound because Howell rows are canonical."""
     _compatible(s1, s2)
-    return s1.generators == s2.generators
+    return s1.rows == s2.rows
 
 
 def solve_homogeneous_rows(modulus, width, rows):
@@ -489,8 +481,7 @@ def howell_kernel(modulus, width, rows):
     for i, row in enumerate(rows):
         for j, v in row.items():
             aug[j][i] = v
-    kernel = [{k - nrows: v for k, v in r.items()} for r in _howell(aug, modulus, nrows)]
-    return SolutionModule(modulus, width, ResidueMatrix.from_sparse(modulus, width, kernel))
+    return SolutionModule(modulus, width, _frozen(_howell(aug, modulus, nrows), nrows))
 
 
 def solve_homogeneous(matrix):

@@ -411,6 +411,12 @@ class _BimoduleTables:
         # matrix of side "L" (m |-> e_i.m) or "R" (m |-> m.e_i)
         self.triples = triples
 
+    def side(self, side):
+        """The tables of side "L" or "R"; any other side raises ValueError."""
+        if side not in ("L", "R"):
+            raise ValueError(f"side must be 'L' or 'R', got {side!r}")
+        return self.triples[side]
+
 
 @lru_cache(maxsize=None)
 def bimodule_tables(bim):
@@ -473,8 +479,7 @@ def action_rows(bim, side, ring_coords):
     {column: value} dicts of nonzero entries."""
     tb = bimodule_tables(bim)
     n = tb.m
-    tables = tb.triples["L" if side == "L" else "R"]
-    out = _table_rows(tb.rank, [(t, c, 0) for c, t in zip(ring_coords, tables) if c])
+    out = _table_rows(tb.rank, [(t, c, 0) for c, t in zip(ring_coords, tb.side(side)) if c])
     return [{j: v % n for j, v in ot.items() if v % n} for ot in out]
 
 
@@ -484,7 +489,7 @@ def act(bim, side, ring_coords, vec):
     its action table dotted with m, summed and reduced once."""
     tb = bimodule_tables(bim)
     out = [0] * tb.rank
-    for c, triples in zip(ring_coords, tb.triples["L" if side == "L" else "R"]):
+    for c, triples in zip(ring_coords, tb.side(side)):
         if c:
             for e, j, w in triples:
                 out[e] += c * w * vec[j]
@@ -628,10 +633,11 @@ def _symmetries(desc):
     return maps
 
 
-def _mapped(phi, x, m):
-    """phi(x) as {coordinate: residue}; phi scales by units, so no entry is 0."""
+def _mapped(phi, items, m):
+    """phi(x) as {coordinate: residue}, x given by its (coordinate, residue)
+    items; phi scales by units, so no entry is 0."""
     perm, scale = phi
-    return {perm[k]: scale[k] * v % m for k, v in enumerate(x) if v}
+    return {perm[k]: scale[k] * v % m for k, v in items if v}
 
 
 def _orbits(desc, maps):
@@ -649,7 +655,7 @@ def _orbits(desc, maps):
             continue
         size = 0
         for phi in maps:
-            image = [(weights[k], x) for k, x in _mapped(phi, a, m).items()]
+            image = [(weights[k], x) for k, x in _mapped(phi, enumerate(a), m).items()]
             for u in units:
                 j = sum(w * (u * x % m) for w, x in image)
                 if not seen[j]:
@@ -670,10 +676,11 @@ def _orbit_walk(desc):
 def _symmetrised(span, r):
     """Sym W = {w + tau.w : w in W}, where tau swaps the tensor factors
     (column i * r + j <-> j * r + i)."""
-    rows = [
-        [w[k] + w[(k % r) * r + k // r] for k in range(r * r)]
-        for w in span.generators.to_rows()
-    ]
+    rows = [dict(w) for w in span.rows]
+    for row, w in zip(rows, span.rows):
+        for k, v in w:
+            t = (k % r) * r + k // r
+            row[t] = row.get(t, 0) + v
     return SolutionModule.from_rows(span.modulus, r * r, rows)
 
 
@@ -723,20 +730,21 @@ def pair_span(desc, condition, mode):
         operator = _annihilator_operator(desc, condition)
         structural = _structural_kernel(desc, condition)
         maps, orbits = _orbit_walk(desc)
-        basis, rows, pair_count, spanned = [], [], 0, False
+        span, rows, pair_count, spanned = SolutionModule(n, r * r, ()), [], 0, False
         for a, orbit in orbits:
             h, size = operator(a)
             pair_count += orbit * size
             if spanned:
                 continue
-            gens = howell_kernel(n, r, h).generators.to_rows()
-            rows += [{i * r + j: x * y for i, x in _mapped(phi, a, n).items()
-                      for j, y in _mapped(phi, g, n).items()}
-                     for phi in maps for g in gens]
-            if len(rows) > len(basis):
-                span = SolutionModule.from_rows(n, r * r, basis + rows)
-                basis, rows, spanned = span.generators.to_rows(), [], module_equal(span, structural)
-        return SolutionModule.from_rows(n, r * r, basis + rows), pair_count
+            gens = howell_kernel(n, r, h).rows
+            for phi in maps:
+                image = _mapped(phi, enumerate(a), n).items()
+                rows += [{i * r + j: x * y for i, x in image for j, y in g_image.items()}
+                         for g_image in (_mapped(phi, g, n) for g in gens)]
+            if len(rows) > len(span.rows):
+                span = SolutionModule.from_rows(n, r * r, [dict(w) for w in span.rows] + rows)
+                rows, spanned = [], module_equal(span, structural)
+        return SolutionModule.from_rows(n, r * r, [dict(w) for w in span.rows] + rows), pair_count
     if mode != "structured":
         raise ValueError(f"unknown pair mode {mode!r}")
     kernel = _structural_kernel(desc, condition)

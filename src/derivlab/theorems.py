@@ -45,6 +45,7 @@ from .identities import (
 from .linalg import module_equal
 from .maps import AdditiveMap, right_multiplier
 from .rings import (
+    CONDITIONS,
     Bimodule,
     basis_elements,
     center_basis,
@@ -213,14 +214,15 @@ def _compare_pair_modes(kind, ring, requested_mode):
     makes the structured and exhaustive modules equal.
 
     Equality is measured, not assumed; the flag lands in the counts as 0/1
-    when the comparison runs, which it does on rings of at most
-    ``_MODE_COMPARE_SIZE`` elements (``scripts/compare_pair_modes.py``
+    when the comparison runs, which it does for pair conditions on rings of
+    at most ``_MODE_COMPARE_SIZE`` elements (``scripts/compare_pair_modes.py``
     measures larger ones); else it is None.
     """
     module, counts = solve_counted(kind, ring, pair_mode=requested_mode)
-    if ring_size(ring) > _MODE_COMPARE_SIZE:
+    quantifier = IDENTITY_TERMS[kind].quantifier
+    if ring_size(ring) > _MODE_COMPARE_SIZE or quantifier not in CONDITIONS:
         return None, module, counts
-    structural, exact = structural_and_exact_spans(ring, IDENTITY_TERMS[kind].quantifier)
+    structural, exact = structural_and_exact_spans(ring, quantifier)
     return int(module_equal(structural, exact)), module, counts
 
 
@@ -278,7 +280,7 @@ def _verify_inner_plus_lift(ring, report, **_):
             nonzero_base_parts += 1
     report.counts = {
         "derivation_module_size": deriv.size(),
-        "generators": deriv.generators.rows,
+        "generators": len(deriv.rows),
         "generators_with_nonzero_base_part": nonzero_base_parts,
     }
 

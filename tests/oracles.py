@@ -1,22 +1,24 @@
 """Independent brute-force oracles for the test suite.
 
-Nothing here goes through the package's Howell machinery, and apart from the
-per-pair constraint blocks and the orbit walk below nothing goes through its
-action tables: spans are enumerated by closure, matrix products are computed
-entry by entry on explicit 2 x 2 representations (identities are evaluated
-on them pair by pair, term by term), and echelon forms over prime fields use
-a textbook RREF.  Routines the package used before it moved to sparse, shared
-work are kept here as references: the dense Howell routine, for the sparse
-one; the per-pair constraint block evaluator, for the one-sweep block
-builder; the membership test that reduces every entry before it reads a
-generator, for the one that follows the generators' nonzeros; the dense
-structure-constant table and the per-basis sparse action rows built from it,
-for the (row, column, value) action triples that serve as both the ring's
-multiplication and its bimodules' actions; and the module action through the
-materialised action matrix, for the one that dots the action tables with the
-vector.  The orbit walk's reference conjugates by explicit monomial
-matrices, where the package permutes and scales coordinates.  These routes
-stay deliberately separate from the code paths they check.
+Apart from ``howell_form``, the dense view through which the tests read the
+package's sparse Howell routine, nothing here goes through the package's
+Howell machinery, and apart from the per-pair constraint blocks and the
+orbit walk below nothing goes through its action tables: spans are
+enumerated by closure, matrix products are computed entry by entry on
+explicit 2 x 2 representations (identities are evaluated on them pair by
+pair, term by term), and echelon forms over prime fields use a textbook
+RREF.  Routines the package used before it moved to sparse, shared work are
+kept here as references: the dense Howell routine, for the sparse one; the
+per-pair constraint block evaluator, for the one-sweep block builder; the
+membership test that reduces every entry before it reads a generator, for
+the one that follows the generators' nonzeros; the dense structure-constant
+table and the per-basis sparse action rows built from it, for the (row,
+column, value) action triples that serve as both the ring's multiplication
+and its bimodules' actions; and the module action through the materialised
+action matrix, for the one that dots the action tables with the vector.  The
+orbit walk's reference conjugates by explicit monomial matrices, where the
+package permutes and scales coordinates.  These routes stay deliberately
+separate from the code paths they check.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from itertools import permutations, product
 from math import gcd
 
 from derivlab.errors import GuardError
-from derivlab.linalg import annihilator, lift_unit, xgcd
+from derivlab.linalg import ResidueMatrix, _howell, _sparse_rows, annihilator, lift_unit, xgcd
 from derivlab.rings import (
     action_rows,
     bimodule_rank,
@@ -36,6 +38,17 @@ from derivlab.rings import (
     ring_rank,
     structure,
 )
+
+
+def howell_form(matrix):
+    """Canonical Howell form of the row span of ``matrix``, as a dense matrix.
+
+    Idempotent; two inputs with equal row span produce identical output.
+    Zero rows are dropped, so the zero span yields a 0-row matrix.
+    """
+    n, cols = matrix.modulus, matrix.cols
+    rows = _sparse_rows(matrix.to_rows(), cols, n)
+    return ResidueMatrix.from_sparse(n, cols, _howell(rows, n))
 
 
 def span_elements(rows, m):

@@ -22,7 +22,7 @@ from derivlab.identities import (
     solve_all,
     verify_proof_steps,
 )
-from derivlab.linalg import ResidueMatrix, howell_form, module_equal, solve_homogeneous
+from derivlab.linalg import ResidueMatrix, module_equal, solve_homogeneous
 from derivlab.maps import AdditiveMap, lift_map, right_multiplier, inner_derivation
 from derivlab.rings import (
     Bimodule,
@@ -35,7 +35,7 @@ from derivlab.rings import (
     zmod,
 )
 from derivlab.theorems import verify_theorem
-from oracles import rewrite_span
+from oracles import howell_form, rewrite_span
 
 M2Z3 = matrix_ring(2, zmod(3))
 REG = Bimodule.regular(M2Z3)

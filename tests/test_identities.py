@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from derivlab import identities
+from derivlab import identities, rings
 from derivlab.errors import EvenModulusError, GuardError, PreconditionError
 from derivlab.identities import (
     _PEIRCE_CHECKS,
@@ -599,6 +599,30 @@ def test_even_modulus_solves_are_allowed_for_exploration():
 # ---------------------------------------------------------------------------
 # zero-product decomposition and proof steps
 # ---------------------------------------------------------------------------
+
+def test_solves_build_no_dense_matrix(monkeypatch):
+    # a solution module is its sparse Howell rows: solving, membership,
+    # size, sums, equality and sampling build no dense matrix; only reading
+    # the generators does
+    def dense(*args):
+        raise AssertionError("dense matrix built")
+
+    monkeypatch.setattr(ResidueMatrix, "from_sparse", classmethod(dense))
+    identities._solved.cache_clear()
+    rings.pair_span.cache_clear()
+    m3z3 = matrix_ring(3, zmod(3))
+    wide = [solve_all(kind, m3z3) for kind in
+            ("derivation", "jordan", "generalized_derivation", "generalized_jordan", "phi")]
+    star = solve_all("star", M2Z3, pair_mode="exhaustive")
+    assert module_equal(wide[0], wide[1])
+    rng = random.Random(4)
+    for module in wide + [star]:
+        doubled = module.sum_with(module)
+        assert module_equal(doubled, module) and doubled.size() == module.size()
+        assert module.contains(module.random_element(rng))
+    with pytest.raises(AssertionError, match="dense"):
+        star.generators
+
 
 def test_decompose_inner_input():
     g = matrix_unit(M2Z3, 1, 2) + matrix_unit(M2Z3, 2, 1)

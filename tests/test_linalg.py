@@ -11,7 +11,6 @@ from derivlab.linalg import (
     ResidueMatrix,
     SolutionModule,
     annihilator,
-    howell_form,
     lift_unit,
     module_equal,
     solve_homogeneous,
@@ -22,6 +21,7 @@ from derivlab.rings import dual_numbers, matrix_ring, zmod
 from oracles import (
     contains_reference,
     howell_dense_reference,
+    howell_form,
     kernel_by_enumeration,
     kernel_dense_reference,
     rewrite_span,
@@ -340,8 +340,8 @@ def membership_pairs():
 
 def test_sampling_pairs_reach_a_non_unit_pivot():
     # ``contains`` is tested on a target with pivot 3
-    assert any(p > 1 for _, _, target, _ in membership_pairs()
-               for _, p, _ in target._pivot_rows)
+    assert any(row[0][1] > 1 for _, _, target, _ in membership_pairs()
+               for row in target.rows)
 
 
 def test_contains_equals_reference_on_solution_modules():
@@ -383,8 +383,23 @@ def test_residue_matrix_round_trip():
 
 
 def test_solution_module_round_trip():
-    s = SolutionModule.from_rows(6, 2, [[2, 1], [0, 3]])
-    assert SolutionModule.from_json(s.to_json()) == s
+    # the JSON holds the dense generators; read back, they give the same
+    # sparse rows, so the same members and size
+    rng = random.Random(5)
+    modules = [
+        SolutionModule.from_rows(6, 2, [[2, 1], [0, 3]]),
+        solve_all("star", matrix_ring(2, zmod(3))),
+        solve_all("derivation", matrix_ring(2, zmod(9))),
+    ]
+    for s in modules:
+        back = SolutionModule.from_json(s.to_json())
+        assert back == s and back.size() == s.size()
+        for _ in range(10):
+            vec = list(s.random_element(rng))
+            bumped = list(vec)
+            bumped[rng.randrange(len(vec))] += 1
+            for v in (vec, bumped):
+                assert back.contains(v) == s.contains(v)
 
 
 def test_residue_matrix_validation():

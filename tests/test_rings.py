@@ -322,6 +322,19 @@ def test_action_rows_equal_reference_rows(bim):
             assert action_rows(bim, side, x.coords) == action_rows_reference(bim, side, x.coords)
 
 
+@pytest.mark.parametrize("side", ["l", "x"])
+def test_unknown_action_side_raises(side):
+    # a mistyped side raises instead of acting from the other side: on
+    # M2(Z/3), E12.E21 = E11 while E21.E12 = E22
+    bim = Bimodule.regular(M2Z3)
+    e12, e21 = matrix_unit(M2Z3, 1, 2).coords, matrix_unit(M2Z3, 2, 1).coords
+    assert act(bim, "L", e12, e21) == matrix_unit(M2Z3, 1, 1).coords
+    with pytest.raises(ValueError, match="side"):
+        act(bim, side, e12, e21)
+    with pytest.raises(ValueError, match="side"):
+        action_rows(bim, side, e12)
+
+
 def test_bimodule_json_round_trip():
     for bim in (
         Bimodule.regular(M2Z3),
@@ -565,7 +578,7 @@ def test_symmetries_are_ring_automorphisms(label):
     for phi in maps:
         def image(x):
             y = [0] * r
-            for k, v in rings._mapped(phi, x, ring.m).items():
+            for k, v in rings._mapped(phi, enumerate(x), ring.m).items():
                 y[k] = v
             return tuple(y)
 

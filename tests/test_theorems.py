@@ -249,6 +249,19 @@ def test_corrupted_star_above_the_budget_still_falsifies(monkeypatch):
     assert exit_status([rep]) == 1
 
 
+def test_unconditional_quantifier_skips_the_pair_mode_comparison(monkeypatch):
+    # star_star rebound to the basis pairs is a corruption to catch, not a
+    # span comparison to run: the report falsifies with no mode flag
+    spec = IDENTITY_TERMS["star_star"]
+    monkeypatch.setitem(IDENTITY_TERMS, "star_star",
+                        IdentitySpec("star_star", spec.terms, "basis_pairs"))
+    rep = verify_theorem("thm2_2", M2Z3)
+    assert rep.status == "falsified"
+    assert rep.counts["star_star_module_size"] == 1
+    assert rep.counts["derivation_module_size"] == 27
+    assert "structured_equals_exhaustive" not in rep.counts
+
+
 def test_all_theorem_ids_run_verified_on_m2z3():
     reports = run_all(M2Z3, pair_mode="exhaustive")
     assert len(reports) == len(THEOREM_IDS)
