@@ -75,7 +75,7 @@ def _nonnegative_int(text):
 
 def _ring_from_args(args):
     ring = args.base
-    if args.n:
+    if args.n is not None:  # matrix_ring refuses n < 2, a usage error
         ring = matrix_ring(args.n, ring)
     if args.trivial_ext:
         ring = trivial_extension(ring)
@@ -85,7 +85,7 @@ def _ring_from_args(args):
 def _add_ring_flags(parser):
     parser.add_argument("--base", type=_parse_base, default=zmod(3),
                         help="base ring, zmod:M or dual:M (default zmod:3)")
-    parser.add_argument("--n", type=int, default=0,
+    parser.add_argument("--n", type=int, default=None,
                         help="wrap the base into the n x n matrix ring")
     parser.add_argument("--trivial-ext", action="store_true",
                         help="wrap the ring into its square-zero extension")

@@ -23,18 +23,20 @@ The catalogue ``IDENTITY_TERMS`` holds the identities keyed by tag; the steps
 of the corner-peeling argument and the Peirce component checks are term
 tables of the same kind.  There is one evaluation route: constraint assembly
 (``_assembly``) turns the terms into the row blocks of the basis pairs and
-combines them by the generators of the quantifier's span, and the solution
-module of those rows is memoised per process, keyed by the identity's value
-(its terms and quantifier, not its tag), the ring, the bimodule and the pair
-mode.  Every row block comes from one builder (``_block_builder``), whose
-work follows the nonzeros: the word values and action operators of basis
-pairs are read from tables built once per (ring, bimodule) and process
-(``_Tables``), shared by every identity, assembly and check over them.
-``check`` is membership of the flattened map in that module; only a failing
-map walks the elements or pairs to find the first one whose row block does
-not annihilate it.  The test suite plays this route against independent
+combines them by the generators of the quantifier's span; the rows enter
+the kernel step deduplicated, and their module is memoised per process,
+keyed by the identity's value (its terms and quantifier, not its tag), the
+ring, the bimodule and the pair mode.  Every row block comes from one
+builder (``_block_builder``): only its nonzero rows, each built once as the
+canonical tuple of its nonzero (column, residue) pairs.  Its work follows
+the nonzeros: the word values and action operators of basis pairs are read
+from tables built once per (ring, bimodule) and process (``_Tables``),
+shared by every identity, assembly and check over them.  ``check`` is
+membership of the flattened map in that module; only a failing map walks
+the elements or pairs to find the first one whose row block does not
+annihilate it.  The test suite plays this route against independent
 evaluators on explicit 2 x 2 matrices and against the per-pair block
-evaluator it replaced (``tests/oracles.py``).
+evaluator and assembly it replaced (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import GuardError, InternalVerificationError, PreconditionError
-from .linalg import ResidueMatrix, SolutionModule, solve_homogeneous_rows
+from .linalg import ResidueMatrix, SolutionModule, howell_kernel
 from .maps import AdditiveMap, as_bimodule, inner_derivation, lift_map, right_multiplier
 from .rings import (
     CONDITIONS,
@@ -297,12 +299,12 @@ def check(fmap, kind, pair_mode="structured"):
     module, _ = solve_counted(spec, ring, bim, pair_mode)
     if module.contains(flat):
         return CheckReport(True)
-    m = ring.m
+    m, rank_m = ring.m, bimodule_rank(bim)
     block = _block_builder(spec, ring, bim)
 
     def residual(a, b):
         rows = block(a.coords, None if b is None else b.coords)
-        return tuple(sum(v * flat[k] for k, v in row.items()) % m for row in rows)
+        return tuple(sum(v * flat[k] for k, v in rows.get(e, ())) % m for e in range(rank_m))
 
     for a, b in _scan(spec, ring, residual):
         res = residual(a, b)
@@ -337,11 +339,12 @@ class ConstraintSystem:
 
 
 def _block_builder(spec, ring, bim):
-    """block(a, b): the rank(M) reduced {column: residue} rows of the pair of
-    ring coordinate tuples (a, b) (b is None under the ``basis``
-    quantifier), zero rows included as empty dicts.  Column u * rank(A) + v
-    holds D[u][v]; a term coef * x.D(w).y adds coef * (x.-.y)[e][u] * w[v]
-    to row e.
+    """block(a, b): the nonzero constraint rows of the pair of ring
+    coordinate tuples (a, b) (b is None under the ``basis`` quantifier) as
+    {e: row}, e < rank(M), each row the tuple of its nonzero (column,
+    residue) pairs in column order as in ``SolutionModule.rows``, so equal
+    rows compare and hash equal.  Column u * rank(A) + v holds D[u][v]; a
+    term coef * x.D(w).y adds coef * (x.-.y)[e][u] * w[v] to row e.
 
     Word values and operators come from ``_Tables``: a pair of basis
     elements reads the ones of its (ring, bimodule), shared by every spec,
@@ -349,7 +352,7 @@ def _block_builder(spec, ring, bim):
     tables of the builder's own, which live as long as it does.  A pair's
     rows accumulate only where a term contributes."""
     shared, own = _tables(ring, bim), []
-    r, m, rank_m = shared.r, shared.m, shared.actions.rank
+    r, m, width = shared.r, shared.m, shared.actions.rank * shared.r
     # the letters in the order a term's words are read (arg, left, right),
     # and every word of two or more letters as word: (prefix, last letter),
     # each after its prefixes
@@ -385,14 +388,15 @@ def _block_builder(spec, ring, bim):
                 continue
             for e, u, pu in op(values[lft], values[rgt]):
                 cc = coef * pu
-                off = u * r
+                off = e * width + u * r
                 for v, wv in w:
-                    acc[e, off + v] = acc.get((e, off + v), 0) + cc * wv
-        out = [{} for _ in range(rank_m)]
-        for (e, k), v in acc.items():
-            if v % m:
-                out[e][k] = v % m
-        return out
+                    acc[off + v] = acc.get(off + v, 0) + cc * wv
+        out = {}  # acc is keyed e * width + column
+        for k in sorted(acc):
+            if v := acc[k] % m:
+                e, col = divmod(k, width)
+                out.setdefault(e, []).append((col, v))
+        return {e: tuple(row) for e, row in out.items()}
 
     return block
 
@@ -409,16 +413,16 @@ def _symmetric(spec):
 
 
 def _assembly(spec, ring, bim, pair_mode):
-    """(rows, width, counts) of an identity's constraint system.
+    """(blocks, width, counts) of an identity's constraint system.
 
     Every term is bilinear in (a, b), so the rows of a pair set span the
     image of W = span{a (x) b} under w |-> sum_ij w_ij block(e_i, e_j).  The
-    rows are rank(M) per generator of W, streamed lazily, over the width
-    rank(M) * rank(A), zero rows as empty dicts.  All blocks come from one
+    blocks, one per generator of W in the format of ``_block_builder``, are
+    streamed lazily over the width rank(M) * rank(A).  All come from one
     ``_block_builder``; the r^2 conditional blocks live as long as the
-    returned rows.  W is the full span for the unconditional
-    quantifiers, whose rows are then the blocks of the basis elements or
-    basis pairs in order, built one pair at a time as the rows are read, and
+    returned stream.  W is the full span for the unconditional quantifiers,
+    whose blocks are then those of the basis elements or basis pairs in
+    order, built one pair at a time as the stream is read, and
     ``rings.pair_span`` otherwise, exact or structural by pair mode.  The
     structural span is the kernel of the condition's operator, which is the
     pair span on matrix rings (the zero product determined property of
@@ -439,20 +443,20 @@ def _assembly(spec, ring, bim, pair_mode):
     if bim.ring != ring:
         raise ValueError("bimodule is not over the given ring")
     quantifier = spec.quantifier
-    r = ring_rank(ring)
-    rank_m = bimodule_rank(bim)
+    r, rank_m = ring_rank(ring), bimodule_rank(bim)
+    width = rank_m * r
     m = ring.m
     basis = [x.coords for x in basis_elements(ring)]
     block = _block_builder(spec, ring, bim)
     if quantifier == "basis":
-        return (row for a in basis for row in block(a, None)), rank_m * r, {"pair_count": r}
+        return (block(a, None) for a in basis), width, {"pair_count": r}
     symmetric = _symmetric(spec)
     if symmetric:
         pairs = itertools.combinations_with_replacement(basis, 2)
     else:
         pairs = itertools.product(basis, basis)
     if quantifier == "basis_pairs":
-        return (row for a, b in pairs for row in block(a, b)), rank_m * r, {"pair_count": r * r}
+        return itertools.starmap(block, pairs), width, {"pair_count": r * r}
     if quantifier not in CONDITIONS:
         raise ValueError(f"unknown quantifier {quantifier!r}")
     for term in spec.terms:
@@ -476,28 +480,32 @@ def _assembly(spec, ring, bim, pair_mode):
     span, pair_count = pair_span(ring, quantifier, source)
     counts = {"pair_count": pair_count} if pair_mode == "exhaustive" else {"span_rank": len(span.rows)}
 
-    def rows():
+    def combined():
         for gen in span.rows:
-            terms = [(blocks[k], c) for k, c in gen]
+            out = {}
             for e in range(rank_m):
                 acc = {}
-                for blk, c in terms:
-                    for col, v in blk[e].items():
+                for k, c in gen:
+                    for col, v in blocks[k].get(e, ()):
                         acc[col] = acc.get(col, 0) + c * v
-                yield {col: v % m for col, v in acc.items() if v % m}
+                if row := tuple(sorted((col, x) for col, v in acc.items() if (x := v % m))):
+                    out[e] = row
+            yield out
 
-    return rows(), rank_m * r, counts
+    return combined(), width, counts
 
 
 def constraint_system(kind, ring, bimodule=None, pair_mode="structured"):
     """Homogeneous system over the flattened map matrix whose solution set is
-    exactly the maps satisfying the identity, as a dense matrix (the rows of
-    ``_assembly``).  ``kind`` is a catalogue tag or an ``IdentitySpec``.
-    Solving does not build this matrix; see ``_solved``.
+    exactly the maps satisfying the identity, as a dense matrix with one row
+    per block of ``_assembly`` and row e < rank(M), zero rows included.
+    ``kind`` is a catalogue tag or an ``IdentitySpec``.  Solving does not
+    build this matrix; see ``_solved``.
     """
     spec = _spec_for(kind)
     bim = as_bimodule(bimodule if bimodule is not None else ring)
-    rows, width, counts = _assembly(spec, ring, bim, pair_mode)
+    blocks, width, counts = _assembly(spec, ring, bim, pair_mode)
+    rows = (dict(blk.get(e, ())) for blk in blocks for e in range(bimodule_rank(bim)))
     mat = ResidueMatrix.from_sparse(ring.m, width, rows)
     return ConstraintSystem(spec.tag, ring, bim, pair_mode, mat, counts)
 
@@ -521,10 +529,13 @@ def solve_counted(kind, ring, bimodule=None, pair_mode="structured"):
 @lru_cache(maxsize=None)
 def _solved(spec, ring, bim, pair_mode):
     # Keyed on the spec's value, so a catalogue entry replaced under the same
-    # tag gets its own module.  The rows stream straight into the solve, which
-    # drops repeats as they arrive; no dense matrix is built.
-    rows, width, counts = _assembly(spec, ring, bim, pair_mode)
-    return solve_homogeneous_rows(ring.m, width, rows), counts
+    # tag gets its own module.  The rows are canonical tuples: one ordered
+    # dict drops repeats and fixes the elimination order; no dense matrix.
+    blocks, width, counts = _assembly(spec, ring, bim, pair_mode)
+    rows = list(dict.fromkeys(row for blk in blocks for row in blk.values()))
+    if rows and (min(row[0][0] for row in rows) < 0 or max(row[-1][0] for row in rows) >= width):
+        raise ValueError(f"a constraint row has a column outside width {width}")
+    return howell_kernel(ring.m, width, rows), counts
 
 
 def solve_all(kind, ring, bimodule=None, pair_mode="structured"):

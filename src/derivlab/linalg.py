@@ -24,12 +24,15 @@ rows have a handful of nonzeros in hundreds of columns, and their Howell forms
 stay sparse.  Elimination touches only the entries a row holds, and the final
 reduction above the pivots visits only the pivot columns a row holds or gains
 on the way, so the work follows the nonzeros, not the width.  A
-``SolutionModule`` is its Howell rows in that sparse form.  There is one
-solve routine, ``solve_homogeneous_rows``, which hands the deduplicated rows
-to the one kernel step, ``howell_kernel``, a single elimination.  The dense
-``ResidueMatrix`` is built only on demand: for constraint systems, maps and
-JSON, and for a module's ``generators`` when they are first read.  Every row
-is checked against its stated width before elimination.
+``SolutionModule`` is its Howell rows as tuples of (column, residue) pairs.
+There is one kernel step, ``howell_kernel``, a single elimination.  Identity
+solves hand it their constraint rows, built once as such tuples and
+deduplicated as they arrive (``identities._solved``); any other rows go
+through ``solve_homogeneous_rows``, which drops zero and repeated rows
+first.  The dense ``ResidueMatrix`` is built only on demand: for constraint
+systems, maps and JSON, and for a module's ``generators`` when they are
+first read.  Every row is checked against its stated width before
+elimination.
 
 Residues are stored reduced in [0, m).  Python integers keep all intermediate
 products exact; moduli are capped at 2**31 which keeps every product at desk
@@ -96,12 +99,12 @@ def annihilator(a, n):
 
 
 def _sparse_rows(rows, width, n):
-    """The nonzero rows among ``rows`` as reduced {column: residue} dicts.
-    A row repeated as given is read once; rows from constraint assembly
-    arrive reduced, so this drops their repeats without reducing them
-    first.  A row is a sequence of exactly ``width`` residues or a
-    dict with columns in [0, width); any other row raises ``ValueError``
-    naming its index, before any elimination starts."""
+    """The nonzero rows among ``rows`` as reduced {column: residue} dicts,
+    for solves and spans outside identity assembly, whose rows are already
+    canonical tuples.  A row repeated as given is read once.  A row is a
+    sequence of exactly ``width`` residues or a dict with columns in
+    [0, width); any other row raises ``ValueError`` naming its index, before
+    any elimination starts."""
     _check_modulus(n)
     seen = set()
     out = []
@@ -470,16 +473,17 @@ def solve_homogeneous_rows(modulus, width, rows):
 
 def howell_kernel(modulus, width, rows):
     """The kernel in (Z/mZ)^width of the sparse rows A (any rows, a Howell
-    form or not), read off one Howell form of [A^T | I].  Its row span is
-    {(A.x, x)}, so the kernel is the part of it that vanishes on the A^T
-    block: the Howell rows whose pivot lies in the identity block, which are
-    canonical there (Storjohann and Mulders, "Fast algorithms for linear
-    algebra modulo N", ESA 1998).
+    form or not; each a {column: residue} dict or a sequence of (column,
+    residue) pairs, columns in [0, width), residues reduced), read off one
+    Howell form of [A^T | I].  Its row span is {(A.x, x)}, so the kernel is
+    the part of it that vanishes on the A^T block: the Howell rows whose
+    pivot lies in the identity block, which are canonical there (Storjohann
+    and Mulders, "Fast algorithms for linear algebra modulo N", ESA 1998).
     """
     nrows = len(rows)
     aug = [{nrows + j: 1} for j in range(width)]
     for i, row in enumerate(rows):
-        for j, v in row.items():
+        for j, v in row.items() if isinstance(row, dict) else row:
             aug[j][i] = v
     return SolutionModule(modulus, width, _frozen(_howell(aug, modulus, nrows), nrows))
 

@@ -1,15 +1,18 @@
 """Independent brute-force oracles for the test suite.
 
 Apart from ``howell_form``, the dense view through which the tests read the
-package's sparse Howell routine, nothing here goes through the package's
-Howell machinery, and apart from the per-pair constraint blocks and the
-orbit walk below nothing goes through its action tables: spans are
+package's sparse Howell routine, and the package's pair spans, which the
+reference assembly combines its blocks by, nothing here goes through the
+package's Howell machinery, and apart from the per-pair constraint blocks
+and the orbit walk below nothing goes through its action tables: spans are
 enumerated by closure, matrix products are computed entry by entry on
 explicit 2 x 2 representations (identities are evaluated on them pair by
 pair, term by term), and echelon forms over prime fields use a textbook
 RREF.  Routines the package used before it moved to sparse, shared work are
 kept here as references: the dense Howell routine, for the sparse one; the
-per-pair constraint block evaluator, for the one-sweep block builder; the
+per-pair constraint block evaluator and the assembly of its dict rows, zero
+rows included, for the one-sweep block builder and its canonical row
+tuples, deduplicated on the way into the kernel step; the
 membership test that reduces every entry before it reads a generator, for
 the one that follows the generators' nonzeros; the dense structure-constant
 table and the per-basis sparse action rows built from it, for the (row,
@@ -31,10 +34,12 @@ from derivlab.errors import GuardError
 from derivlab.linalg import ResidueMatrix, _howell, _sparse_rows, annihilator, lift_unit, xgcd
 from derivlab.rings import (
     action_rows,
+    basis_elements,
     bimodule_rank,
     matrix_unit,
     mul_coords,
     one_element,
+    pair_span,
     ring_rank,
     structure,
 )
@@ -515,6 +520,37 @@ def pair_block_reference(spec, ring, bim, a, b, actions):
                 for v, x in w:
                     row[off + v] = row.get(off + v, 0) + cc * x
     return [{k: v % m for k, v in row.items() if v % m} for row in block]
+
+
+def assembly_reference(spec, ring, bim, pair_mode):
+    """The constraint rows of an identity as the assembly streamed them
+    before its blocks became sparse tuples: rank(M) {column: residue} rows
+    per basis element, ordered basis pair or span generator, zero rows
+    included, every block from ``pair_block_reference``.  The span is the
+    package's, chosen by its rule (see ``identities._assembly``)."""
+    r, rank_m, m = ring_rank(ring), bimodule_rank(bim), ring.m
+    basis, actions = basis_elements(ring), {}
+    if spec.quantifier == "basis":
+        return [row for a in basis for row in pair_block_reference(spec, ring, bim, a, None, actions)]
+    blocks = [pair_block_reference(spec, ring, bim, a, b, actions) for a in basis for b in basis]
+    if spec.quantifier == "basis_pairs":
+        return [row for block in blocks for row in block]
+    source = pair_mode
+    if pair_mode == "structured" and ring.kind != "matrix":
+        source = "exhaustive"
+    elif pair_mode == "structured" and spec.quantifier == "two_sided_zero":
+        mirrored = all(blocks[i * r + j] == blocks[j * r + i] for i in range(r) for j in range(i))
+        source = "structured" if m % 2 == 1 and mirrored else "exhaustive"
+    span, _ = pair_span(ring, spec.quantifier, source)
+    rows = []
+    for gen in span.rows:
+        for e in range(rank_m):
+            acc = {}
+            for k, c in gen:
+                for col, v in blocks[k][e].items():
+                    acc[col] = acc.get(col, 0) + c * v
+            rows.append({col: v % m for col, v in acc.items() if v % m})
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from derivlab.cli import run
 from derivlab.maps import AdditiveMap, inner_derivation, right_multiplier
 from derivlab.rings import (
@@ -183,6 +185,15 @@ def test_negative_inflation_rank_is_a_usage_error(capsys):
         assert run(args + [text]) == 0
         report, = json.loads(capsys.readouterr().out)
         assert (report["status"], report["counts"]["inflation_rank"]) == ("verified", rank)
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--theorem", "thm3_2i"], ["solve", "--kind", "jordan"], ["pairs"]])
+def test_matrix_size_below_two_is_a_usage_error(command, capsys):
+    # --n 0 once fell through to the base ring and exited 0
+    for n in ("0", "1", "-2"):
+        assert run(command + ["--base", "zmod:3", "--n", n]) == 2, n
+        assert "n >= 2" in capsys.readouterr().err, n
 
 
 def test_missing_input_file_exits_two(capsys):

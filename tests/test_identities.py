@@ -1,9 +1,10 @@
 import functools
+import itertools
 import random
 
 import pytest
 
-from derivlab import identities, rings
+from derivlab import identities, linalg, rings
 from derivlab.errors import EvenModulusError, GuardError, PreconditionError
 from derivlab.identities import (
     _PEIRCE_CHECKS,
@@ -24,7 +25,13 @@ from derivlab.identities import (
     solve_all,
     verify_proof_steps,
 )
-from derivlab.linalg import ResidueMatrix, module_equal, solve_homogeneous, solve_homogeneous_rows
+from derivlab.linalg import (
+    ResidueMatrix,
+    _sparse_rows,
+    module_equal,
+    solve_homogeneous,
+    solve_homogeneous_rows,
+)
 from derivlab.maps import AdditiveMap, inner_derivation, lift_map, right_multiplier, zero_map
 from derivlab.rings import (
     CONDITIONS,
@@ -45,6 +52,7 @@ from derivlab.rings import (
     zmod,
 )
 from derivlab.theorems import verify_theorem
+import oracles
 from oracles import (
     coords_to_mat2,
     first_failing_pair_mat2,
@@ -360,9 +368,11 @@ ALL_SPECS = (
 @pytest.mark.parametrize("label", BLOCK_RINGS)
 def test_block_builder_equals_per_pair_reference(label, extra):
     # one builder per spec, shared by all its pairs as in an assembly, against
-    # the per-pair reference, row by row with zero rows included: every basis
-    # element or ordered basis pair, then random element pairs as a failing
-    # check's witness scan meets them; e and f raise off matrix rings in both
+    # the per-pair reference with its zero rows dropped and each row as its
+    # sorted (column, residue) tuple: every basis element or ordered basis
+    # pair, then random element pairs as a failing check's witness scan meets
+    # them; e and f raise off matrix rings in both.  A spec flagged
+    # symmetric gets one block for (e_i, e_j) and (e_j, e_i).
     ring = BLOCK_RINGS[label]
     bim = Bimodule.regular(ring) if extra == 0 else Bimodule.inflated(Bimodule.regular(ring), extra)
     basis = [RingElement(ring, tuple(int(k == i) for k in range(ring_rank(ring))))
@@ -385,8 +395,14 @@ def test_block_builder_equals_per_pair_reference(label, extra):
                 with pytest.raises(GuardError):
                     pair_block_reference(spec, ring, bim, a, b, actions)
                 continue
-            want = pair_block_reference(spec, ring, bim, a, b, actions)
+            want = {e: tuple(sorted(row.items()))
+                    for e, row in enumerate(pair_block_reference(spec, ring, bim, a, b, actions))
+                    if row}
             assert block(a.coords, None if b is None else b.coords) == want, (spec.tag, a, b)
+        if spec.quantifier != "basis" and identities._symmetric(spec) and not (
+                uses_corners and ring.kind != "matrix"):
+            for a, b in itertools.combinations(basis, 2):
+                assert block(a.coords, b.coords) == block(b.coords, a.coords), (spec.tag, a, b)
 
 
 SYMMETRIC_TAGS = {
@@ -544,6 +560,73 @@ def test_solve_all_equals_dense_reference_route(kind):
     reference = solve_homogeneous(ResidueMatrix(3, len(normalised), matrix.cols,
                                                 tuple(v for r in normalised for v in r)))
     assert solve_all(kind, ring) == reference
+
+
+ROUTE_CODOMAINS = {
+    "M2(Z/3)": REG,
+    "M2(Z/3[eps])": Bimodule.regular(M2D3),
+    "M3(Z/9)": Bimodule.regular(matrix_ring(3, zmod(9))),
+    "T(M2(Z/3))": Bimodule.regular(T2Z3),
+    "M2(Z/3) + (Z/3)^3": Bimodule.inflated(REG, 3),
+}
+
+
+def _outcome(compute):
+    # the value, or GuardError where the computation raises it
+    try:
+        return compute()
+    except GuardError:
+        return GuardError
+
+
+@pytest.mark.parametrize("pair_mode", ["structured", "exhaustive"])
+@pytest.mark.parametrize("label", ROUTE_CODOMAINS)
+def test_deduplicated_rows_equal_the_per_pair_route(label, pair_mode):
+    # for every spec, the distinct rows of the assembly's blocks against the
+    # ones _sparse_rows keeps of the per-pair reference rows (zero rows
+    # included, as dicts), and the memoised module against the solve of the
+    # dense constraint matrix; a corner letter off a matrix ring, or an
+    # exhaustive span over the element budget, raises in every route
+    bim = ROUTE_CODOMAINS[label]
+    ring = bim.ring
+    width = bimodule_rank(bim) * ring_rank(ring)
+    for spec in ALL_SPECS:
+        got = _outcome(lambda: {row for block in identities._assembly(spec, ring, bim, pair_mode)[0]
+                                for row in block.values()})
+        want = _outcome(lambda: {
+            tuple(sorted(row.items()))
+            for row in _sparse_rows(oracles.assembly_reference(spec, ring, bim, pair_mode),
+                                    width, ring.m)})
+        assert got == want, spec.tag
+        module = _outcome(lambda: identities._solved(spec, ring, bim, pair_mode)[0])
+        dense = _outcome(lambda: solve_homogeneous_rows(
+            ring.m, width, constraint_system(spec, ring, bim, pair_mode).matrix.to_rows()))
+        assert module == dense, spec.tag
+        assert (got is GuardError) == (module is GuardError), spec.tag
+
+
+def test_constraint_columns_outside_the_width_raise_before_elimination(monkeypatch):
+    # a block with a column past the width is refused once per system,
+    # before the kernel step starts any elimination
+    builder = identities._block_builder
+
+    def widened(spec, ring, bim):
+        block = builder(spec, ring, bim)
+        width = bimodule_rank(bim) * ring_rank(ring)
+        return lambda a, b: {**block(a, b), 0: ((width, 1),)}
+
+    def no_elimination(*args):
+        raise AssertionError("elimination started")
+
+    pair_span(M2Z3, "two_sided_zero", "structured")  # the span is solved first
+    monkeypatch.setattr(identities, "_block_builder", widened)
+    monkeypatch.setattr(linalg, "_howell", no_elimination)
+    identities._solved.cache_clear()
+    with pytest.raises(ValueError, match="outside width"):
+        solve_all("derivation", M2Z3)
+    with pytest.raises(ValueError, match="outside width"):
+        solve_all("star", M2Z3)
+    identities._solved.cache_clear()
 
 
 def _solve_from_pairs(kind, ring, coord_pairs):
