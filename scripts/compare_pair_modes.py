@@ -4,10 +4,9 @@ the exhaustive pair set, per ring and per condition.
 
 For a condition on pairs (a, b), the exact span W is spanned by the tensors
 a (x) b of the pairs that meet it, built from the annihilator kernels: the
-walk counts one kernel per orbit of the scalar units u of Z/mZ times
-monomial conjugation phi (K_(u.phi(a)) = phi(K_a)), but solves them only
-until the tensors span the kernel of the condition's operator, which
-contains W.  The structural span is that kernel on A (x) A (ker mu,
+walk solves one kernel per orbit of the scalar units u of Z/mZ times
+monomial conjugation phi (K_(u.phi(a)) = phi(K_a)), but builds tensors only
+until they span the kernel of the condition's operator, which contains W.  The structural span is that kernel on A (x) A (ker mu,
 ker(mu + mu.tau), and Sym ker[mu; mu.tau] for two-sided, with the exact
 span symmetrised too).  Equal spans give equal solution modules in both pair
 modes for every identity with that condition.  Equality is not claimed
@@ -55,10 +54,10 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-size", type=int, default=EXHAUSTIVE_ELEMENT_BUDGET,
                         help="skip rings with more elements than this "
-                             "(the exact span counts every orbit of the "
-                             "scalar units times monomial conjugation and "
-                             "solves annihilator kernels until its tensors "
-                             "span the structural kernel)")
+                             "(the exact span solves one annihilator kernel "
+                             "per orbit of the scalar units times monomial "
+                             "conjugation and builds tensors until they span "
+                             "the structural kernel)")
     args = parser.parse_args(argv)
 
     print(f"{'ring':14s} {'condition':15s} {'structural':>10s} {'exact':>6s} "

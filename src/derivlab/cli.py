@@ -11,10 +11,11 @@ Subcommands:
 Rings are assembled from flags: ``--base zmod:M | dual:M`` picks the base,
 ``--n N`` wraps it into the N x N matrix ring, ``--trivial-ext`` wraps that
 once more into the square-zero extension.  Structured pair mode is the default
-(exhaustive mode counts one annihilator kernel per orbit of the scalar units
+(exhaustive mode solves one annihilator kernel per orbit of the scalar units
 u of Z/mZ times monomial conjugation phi, as K_(u.phi(a)) = phi(K_a), and
-solves them until the pair tensors span the structural kernel; its cost
-still grows with ring size).
+builds pair tensors until they span the structural kernel; its cost still
+grows with ring size).  ``--seed`` is a ``verify`` option only: no other
+command draws samples.
 Exit codes: 0 on success or skip, 1 when a verification is falsified or ends
 in error or a check fails, 2 on usage errors.
 """
@@ -96,7 +97,6 @@ def _add_common_flags(parser):
                         default="structured", help="conditional pair mode")
     parser.add_argument("--json", action="store_true", help="machine output")
     parser.add_argument("--out", help="write the result to this file")
-    parser.add_argument("--seed", type=int, default=0, help="sampling seed")
 
 
 def build_parser():
@@ -115,6 +115,8 @@ def build_parser():
                           help="which result to verify (default all)")
     p_verify.add_argument("--inflation-rank", type=_nonnegative_int, default=0,
                           help="zero-action summand rank for the non-unital check")
+    p_verify.add_argument("--seed", type=int, default=0,
+                          help="seed of thm2_1's proof-step samples")
 
     p_solve = sub.add_parser("solve", help="solve for a full map space")
     _add_ring_flags(p_solve)

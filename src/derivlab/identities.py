@@ -505,7 +505,7 @@ def constraint_system(kind, ring, bimodule=None, pair_mode="structured"):
     spec = _spec_for(kind)
     bim = as_bimodule(bimodule if bimodule is not None else ring)
     blocks, width, counts = _assembly(spec, ring, bim, pair_mode)
-    rows = (dict(blk.get(e, ())) for blk in blocks for e in range(bimodule_rank(bim)))
+    rows = (blk.get(e, ()) for blk in blocks for e in range(bimodule_rank(bim)))
     mat = ResidueMatrix.from_sparse(ring.m, width, rows)
     return ConstraintSystem(spec.tag, ring, bim, pair_mode, mat, counts)
 
@@ -529,13 +529,10 @@ def solve_counted(kind, ring, bimodule=None, pair_mode="structured"):
 @lru_cache(maxsize=None)
 def _solved(spec, ring, bim, pair_mode):
     # Keyed on the spec's value, so a catalogue entry replaced under the same
-    # tag gets its own module.  The rows are canonical tuples: one ordered
-    # dict drops repeats and fixes the elimination order; no dense matrix.
+    # tag gets its own module.  The rows are canonical tuples, which the
+    # kernel step deduplicates and checks as they are; no dense matrix.
     blocks, width, counts = _assembly(spec, ring, bim, pair_mode)
-    rows = list(dict.fromkeys(row for blk in blocks for row in blk.values()))
-    if rows and (min(row[0][0] for row in rows) < 0 or max(row[-1][0] for row in rows) >= width):
-        raise ValueError(f"a constraint row has a column outside width {width}")
-    return howell_kernel(ring.m, width, rows), counts
+    return howell_kernel(ring.m, width, (row for blk in blocks for row in blk.values())), counts
 
 
 def solve_all(kind, ring, bimodule=None, pair_mode="structured"):

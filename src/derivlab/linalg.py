@@ -23,16 +23,17 @@ only its nonzero entries, and a row's pivot is its smallest key.  Constraint
 rows have a handful of nonzeros in hundreds of columns, and their Howell forms
 stay sparse.  Elimination touches only the entries a row holds, and the final
 reduction above the pivots visits only the pivot columns a row holds or gains
-on the way, so the work follows the nonzeros, not the width.  A
-``SolutionModule`` is its Howell rows as tuples of (column, residue) pairs.
-There is one kernel step, ``howell_kernel``, a single elimination.  Identity
-solves hand it their constraint rows, built once as such tuples and
-deduplicated as they arrive (``identities._solved``); any other rows go
-through ``solve_homogeneous_rows``, which drops zero and repeated rows
-first.  The dense ``ResidueMatrix`` is built only on demand: for constraint
-systems, maps and JSON, and for a module's ``generators`` when they are
-first read.  Every row is checked against its stated width before
-elimination.
+on the way, so the work follows the nonzeros, not the width.  Rows are passed
+around in one form, the canonical row: a tuple of (column, residue) pairs,
+residues reduced and nonzero, in column order.  A ``SolutionModule`` is its
+Howell rows in that form, identity solves build their constraint rows in it,
+and ``_canonical`` is the one converter from dense or dict rows.  There is
+one kernel routine, ``howell_kernel``, a single elimination: every kernel in
+the package (identity solves, centres, structural and annihilator kernels,
+``solve_homogeneous``) is one call to it.  It drops zero and repeated rows
+and checks every column against the width before elimination.  The dense
+``ResidueMatrix`` is built only on demand: for constraint systems, maps and
+JSON, and for a module's ``generators`` when they are first read.
 
 Residues are stored reduced in [0, m).  Python integers keep all intermediate
 products exact; moduli are capped at 2**31 which keeps every product at desk
@@ -98,36 +99,36 @@ def annihilator(a, n):
     return (n // gcd(a, n)) % n
 
 
-def _sparse_rows(rows, width, n):
-    """The nonzero rows among ``rows`` as reduced {column: residue} dicts,
-    for solves and spans outside identity assembly, whose rows are already
-    canonical tuples.  A row repeated as given is read once.  A row is a
-    sequence of exactly ``width`` residues or a dict with columns in
-    [0, width); any other row raises ``ValueError`` naming its index, before
-    any elimination starts."""
+def _canonical(rows, width, n):
+    """``rows`` as canonical rows (the zero row is ()).  A row is a sequence
+    of ``width`` residues, a {column: residue} dict with columns in
+    [0, width), or a tuple of (column, residue) pairs, canonical already and
+    kept as it is; any other dense or dict row raises ``ValueError`` naming
+    its index and the width."""
     _check_modulus(n)
-    seen = set()
     out = []
     for i, r in enumerate(rows):
         if isinstance(r, dict):
-            if not r:
-                continue
-            if min(r) < 0 or max(r) >= width:
+            if r and (min(r) < 0 or max(r) >= width):
                 raise ValueError(f"row {i} has a column outside width {width}")
-            key = frozenset(r.items())
-            items = r.items()
-        else:
+            r = tuple(sorted((k, x) for k, v in r.items() if (x := v % n)))
+        elif not (type(r) is tuple and (not r or type(r[0]) is tuple)):
             if len(r) != width:
                 raise ValueError(f"row {i} has {len(r)} entries, not width {width}")
-            key = tuple(r)
-            items = enumerate(r)
-        if key in seen:
-            continue
-        seen.add(key)
-        row = {k: x for k, v in items if (x := v % n)}
-        if row:
-            out.append(row)
+            r = tuple((k, x) for k, v in enumerate(r) if (x := v % n))
+        out.append(r)
     return out
+
+
+def _checked(rows, width):
+    """The distinct nonzero rows among canonical ``rows``, in the order first
+    seen; a column outside [0, width), read at the ends of each distinct
+    row, raises ``ValueError`` naming the width."""
+    rows = dict.fromkeys(rows)
+    rows.pop((), None)
+    if rows and (min(r[0][0] for r in rows) < 0 or max(r[-1][0] for r in rows) >= width):
+        raise ValueError(f"a row has a column outside width {width}")
+    return list(rows)
 
 
 def _draws(rng, n, count):
@@ -168,11 +169,11 @@ def _combine(s, x, t, y, n):
 
 
 def _howell(rows, n, start=0):
-    """Howell normal form of the elements of the span of ``rows`` (sparse
-    rows from ``_sparse_rows``) that vanish before column ``start``, as new
-    sparse rows in pivot order; the input is not modified.  By saturation
-    these are the basis rows with pivot >= ``start``, the only ones
-    back-reduced.
+    """Howell normal form of the elements of the span of ``rows`` (canonical
+    rows or {column: residue} dicts, nonzero and reduced) that vanish before
+    column ``start``, as new sparse rows in pivot order; the input is not
+    modified.  By saturation these are the basis rows with pivot >=
+    ``start``, the only ones back-reduced.
 
     Each row is reduced against a basis keyed by pivot column, leftmost column
     first.  Where its leading column has no basis row yet, the row becomes one,
@@ -269,12 +270,13 @@ class ResidueMatrix:
 
     @classmethod
     def from_sparse(cls, modulus, cols, rows):
-        """The dense matrix of {column: residue} rows, zero rows kept."""
+        """The dense matrix of rows of (column, residue) pairs, such as
+        canonical rows, zero rows kept."""
         ent = []
         nrows = 0
         for nrows, r in enumerate(rows, 1):
             dense = [0] * cols
-            for k, v in r.items():
+            for k, v in r:
                 if not 0 <= k < cols:
                     raise ValueError(f"column {k} outside width {cols}")
                 dense[k] = v % modulus
@@ -372,21 +374,21 @@ class SolutionModule:
         if isinstance(g, ResidueMatrix):
             if g.modulus != self.modulus or g.cols != self.ambient_rank:
                 raise ValueError("generator matrix does not match module header")
-            rows = ({k: v for k, v in enumerate(r) if v} for r in g.to_rows())
-            object.__setattr__(self, "rows", _frozen(rows))
+            object.__setattr__(self, "rows", tuple(_canonical(g.to_rows(), g.cols, g.modulus)))
             self.__dict__["generators"] = g
 
     @classmethod
     def from_rows(cls, modulus, ambient_rank, rows):
         """The module spanned by ``rows``: dense sequences of length
-        ``ambient_rank`` or {column: residue} dicts."""
-        h = _howell(_sparse_rows(rows, ambient_rank, modulus), modulus)
-        return cls(modulus, ambient_rank, _frozen(h))
+        ``ambient_rank``, {column: residue} dicts or canonical rows (see
+        ``_canonical``)."""
+        rows = _checked(_canonical(rows, ambient_rank, modulus), ambient_rank)
+        return cls(modulus, ambient_rank, _frozen(_howell(rows, modulus)))
 
     @cached_property
     def generators(self):
         """The Howell rows as a dense ``ResidueMatrix``, built when first read."""
-        return ResidueMatrix.from_sparse(self.modulus, self.ambient_rank, map(dict, self.rows))
+        return ResidueMatrix.from_sparse(self.modulus, self.ambient_rank, self.rows)
 
     def contains(self, vec):
         """Whether ``vec`` (integers, reduced or not) lies in the module.
@@ -434,8 +436,7 @@ class SolutionModule:
 
     def sum_with(self, other):
         _compatible(self, other)
-        rows = [dict(row) for row in self.rows + other.rows]
-        return SolutionModule.from_rows(self.modulus, self.ambient_rank, rows)
+        return SolutionModule.from_rows(self.modulus, self.ambient_rank, self.rows + other.rows)
 
     def to_json(self):
         return {
@@ -462,32 +463,26 @@ def module_equal(s1, s2):
     return s1.rows == s2.rows
 
 
-def solve_homogeneous_rows(modulus, width, rows):
-    """The solution module {x : row . x = 0 (mod m) for every row} over
-    (Z/mZ)^width.  Rows are dense sequences of length ``width`` or
-    {column: residue} dicts; zero and repeated rows are dropped as they are
-    read, and ``howell_kernel`` solves the rest with one elimination.
-    """
-    return howell_kernel(modulus, width, _sparse_rows(rows, width, modulus))
-
-
 def howell_kernel(modulus, width, rows):
-    """The kernel in (Z/mZ)^width of the sparse rows A (any rows, a Howell
-    form or not; each a {column: residue} dict or a sequence of (column,
-    residue) pairs, columns in [0, width), residues reduced), read off one
-    Howell form of [A^T | I].  Its row span is {(A.x, x)}, so the kernel is
-    the part of it that vanishes on the A^T block: the Howell rows whose
-    pivot lies in the identity block, which are canonical there (Storjohann
-    and Mulders, "Fast algorithms for linear algebra modulo N", ESA 1998).
+    """The kernel in (Z/mZ)^width of the canonical rows A (see
+    ``_canonical``; any rows, a Howell form or not), read off one Howell form
+    of [A^T | I].  Zero and repeated rows are dropped, and a column outside
+    [0, width) raises ``ValueError`` before any elimination.  The row span of
+    [A^T | I] is {(A.x, x)}, so the kernel is the part of it that vanishes on
+    the A^T block: the Howell rows whose pivot lies in the identity block,
+    which are canonical there (Storjohann and Mulders, "Fast algorithms for
+    linear algebra modulo N", ESA 1998).
     """
+    rows = _checked(rows, width)
     nrows = len(rows)
     aug = [{nrows + j: 1} for j in range(width)]
     for i, row in enumerate(rows):
-        for j, v in row.items() if isinstance(row, dict) else row:
+        for j, v in row:
             aug[j][i] = v
     return SolutionModule(modulus, width, _frozen(_howell(aug, modulus, nrows), nrows))
 
 
 def solve_homogeneous(matrix):
     """The solution module {x : matrix @ x = 0 (mod m)}."""
-    return solve_homogeneous_rows(matrix.modulus, matrix.cols, matrix.to_rows())
+    n, width = matrix.modulus, matrix.cols
+    return howell_kernel(n, width, _canonical(matrix.to_rows(), width, n))

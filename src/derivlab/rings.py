@@ -31,18 +31,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd
 
 from .errors import EvenModulusError, GuardError
-from .linalg import (
-    SolutionModule,
-    _check_modulus,
-    _howell,
-    _sparse_rows,
-    howell_kernel,
-    module_equal,
-    solve_homogeneous_rows,
-)
+from .linalg import SolutionModule, _canonical, _check_modulus, howell_kernel, module_equal
 
 MAX_RANK = 64
 EXHAUSTIVE_ELEMENT_BUDGET = 10**5
@@ -473,6 +465,13 @@ def _table_rows(rank, parts):
     return out
 
 
+def _table_kernel(m, rank, width, blocks):
+    """The kernel in (Z/mZ)^width of the stacked ``_table_rows`` of each
+    block of parts, one ``howell_kernel`` call."""
+    rows = [row for parts in blocks for row in _table_rows(rank, parts)]
+    return howell_kernel(m, width, _canonical(rows, width, m))
+
+
 def action_rows(bim, side, ring_coords):
     """Rows of the matrix of m |-> a.m (side "L") or m |-> m.a (side "R") for
     the ring element a with coordinates ring_coords, as sparse
@@ -536,12 +535,8 @@ def bimodule_center(bim):
     """Solution module {c in M : a.c = c.a for every ring basis element a},
     solved once per bimodule and process."""
     tb = bimodule_tables(bim)
-    rows = [
-        row
-        for lt, rt in zip(tb.triples["L"], tb.triples["R"])
-        for row in _table_rows(tb.rank, ((lt, 1, 0), (rt, -1, 0)))
-    ]
-    return solve_homogeneous_rows(tb.m, tb.rank, rows)
+    blocks = [((lt, 1, 0), (rt, -1, 0)) for lt, rt in zip(tb.triples["L"], tb.triples["R"])]
+    return _table_kernel(tb.m, tb.rank, tb.rank, blocks)
 
 
 def center_basis(desc):
@@ -567,11 +562,10 @@ CONDITIONS = tuple(_CONDITION_OPERATORS)
 
 
 def _annihilator_operator(desc, condition):
-    """a |-> (H_a, |K_a|): the Howell rows of the condition's operator A_a,
-    whose kernel is K_a, and |K_a| = m^r / prod(m // p over the pivots p),
-    as the row and column spans of A_a have the same size.  The ring-size
-    guard fires here, before any kernel is solved.  Each block of A_a sums
-    the action tables of the sides it names, weighted by a's coordinates."""
+    """a |-> K_a: the kernel of the condition's operator A_a, one
+    ``howell_kernel`` call on the rows of A_a.  The ring-size guard fires
+    here, before any kernel is solved.  Each block of A_a sums the action
+    tables of the sides it names, weighted by a's coordinates."""
     blocks = _CONDITION_OPERATORS[condition]
     size = ring_size(desc)
     if size > EXHAUSTIVE_ELEMENT_BUDGET:
@@ -583,14 +577,9 @@ def _annihilator_operator(desc, condition):
     n, rank = desc.m, ring_rank(desc)
 
     def operator(a):
-        rows = [
-            row
-            for block in blocks
-            for row in _table_rows(rank, [(t, c, 0) for side in block
-                                          for c, t in zip(a, tables[side]) if c])
-        ]
-        h = _howell(_sparse_rows(rows, rank, n), n)
-        return h, size // prod(n // row[min(row)] for row in h)
+        return _table_kernel(n, rank, rank, [[(t, c, 0) for side in block
+                                              for c, t in zip(a, tables[side]) if c]
+                                             for block in blocks])
 
     return operator
 
@@ -602,15 +591,14 @@ def annihilator_kernels(desc, condition):
     a walk that stops early solves no further kernel.
 
     The exhaustive pair set is the disjoint union of {a} x K_a.  This walk
-    solves one small kernel per element; ``pair_span`` counts one per orbit
+    solves one small kernel per element; ``pair_span`` solves one per orbit
     {u.phi(a)} of the scalar units u and monomial conjugations phi, as
-    K_(u.phi(a)) = phi(K_a), and solves them only until its tensors span
-    the structural kernel.  The ring-size guard fires when this is called,
+    K_(u.phi(a)) = phi(K_a).  The ring-size guard fires when this is called,
     before any kernel is solved.
     """
-    operator, r = _annihilator_operator(desc, condition), ring_rank(desc)
-    elements = itertools.product(range(desc.m), repeat=r)
-    return ((a, howell_kernel(desc.m, r, operator(a)[0])) for a in elements)
+    operator = _annihilator_operator(desc, condition)
+    elements = itertools.product(range(desc.m), repeat=ring_rank(desc))
+    return ((a, operator(a)) for a in elements)
 
 
 def _symmetries(desc):
@@ -690,13 +678,9 @@ def _structural_kernel(desc, condition):
     tables = bimodule_tables(Bimodule.regular(desc)).triples
     # e_i.e_j is column j of left table i, e_j.e_i column j of right table i:
     # both land in column i * r + j of A (x) A
-    rows = [
-        row
-        for block in _CONDITION_OPERATORS[condition]
-        for row in _table_rows(r, [(t, 1, i * r) for side in block
-                                   for i, t in enumerate(tables[side])])
-    ]
-    return solve_homogeneous_rows(desc.m, r * r, rows)
+    return _table_kernel(desc.m, r, r * r, [[(t, 1, i * r) for side in block
+                                             for i, t in enumerate(tables[side])]
+                                            for block in _CONDITION_OPERATORS[condition]])
 
 
 @lru_cache(maxsize=None)
@@ -708,12 +692,13 @@ def pair_span(desc, condition, mode):
     Howell generators of each K_a; ``pair_count`` is the sum of |K_a|.  For
     a unit u of Z/mZ and a map phi of ``_symmetries``, K_(u.phi(a)) =
     phi(K_a), so only the least element a of each orbit {u.phi(a)} is
-    visited: its |K_a|, read off the Howell form of A_a, counts |orbit|
-    times, and phi(a) (x) phi(g) over every phi stand for the orbit's
-    tensors.  Kernels are solved only until the tensors span S below: W
-    lies in S, so a span of tensors equal to S proves W = S.  The span is
-    Howell-compacted, and compared with S, whenever more tensors are pending
-    than it has generators.
+    visited: its K_a is solved once, |K_a| counts |orbit| times, and
+    phi(a) (x) phi(g) over every phi stand for the orbit's tensors.  Tensors
+    are built only until they span S below: W lies in S, so a span of
+    tensors equal to S proves W = S.  The span is Howell-compacted, and
+    compared with S, whenever more tensors are pending than it has
+    generators.  The early stop saves tensor building and compaction; every
+    orbit's kernel is still solved, for its size.
     ``structured`` takes the kernel S of the condition's operator, one solve
     of width r * r whatever the ring size: ker mu (``left_zero``),
     ker(mu + mu.tau) (``anti_commuting``) or Sym ker[mu; mu.tau]
@@ -732,19 +717,18 @@ def pair_span(desc, condition, mode):
         maps, orbits = _orbit_walk(desc)
         span, rows, pair_count, spanned = SolutionModule(n, r * r, ()), [], 0, False
         for a, orbit in orbits:
-            h, size = operator(a)
-            pair_count += orbit * size
+            kernel = operator(a)
+            pair_count += orbit * kernel.size()
             if spanned:
                 continue
-            gens = howell_kernel(n, r, h).rows
             for phi in maps:
                 image = _mapped(phi, enumerate(a), n).items()
                 rows += [{i * r + j: x * y for i, x in image for j, y in g_image.items()}
-                         for g_image in (_mapped(phi, g, n) for g in gens)]
+                         for g_image in (_mapped(phi, g, n) for g in kernel.rows)]
             if len(rows) > len(span.rows):
-                span = SolutionModule.from_rows(n, r * r, [dict(w) for w in span.rows] + rows)
+                span = SolutionModule.from_rows(n, r * r, span.rows + tuple(rows))
                 rows, spanned = [], module_equal(span, structural)
-        return SolutionModule.from_rows(n, r * r, [dict(w) for w in span.rows] + rows), pair_count
+        return SolutionModule.from_rows(n, r * r, span.rows + tuple(rows)), pair_count
     if mode != "structured":
         raise ValueError(f"unknown pair mode {mode!r}")
     kernel = _structural_kernel(desc, condition)

@@ -31,7 +31,7 @@ from itertools import permutations, product
 from math import gcd
 
 from derivlab.errors import GuardError
-from derivlab.linalg import ResidueMatrix, _howell, _sparse_rows, annihilator, lift_unit, xgcd
+from derivlab.linalg import SolutionModule, _canonical, annihilator, howell_kernel, lift_unit, xgcd
 from derivlab.rings import (
     action_rows,
     basis_elements,
@@ -51,9 +51,14 @@ def howell_form(matrix):
     Idempotent; two inputs with equal row span produce identical output.
     Zero rows are dropped, so the zero span yields a 0-row matrix.
     """
-    n, cols = matrix.modulus, matrix.cols
-    rows = _sparse_rows(matrix.to_rows(), cols, n)
-    return ResidueMatrix.from_sparse(n, cols, _howell(rows, n))
+    module = SolutionModule.from_rows(matrix.modulus, matrix.cols, matrix.to_rows())
+    return module.generators
+
+
+def kernel_of_rows(m, width, rows):
+    """The kernel of dense or dict ``rows``: the package's converter, then its
+    kernel routine."""
+    return howell_kernel(m, width, _canonical(rows, width, m))
 
 
 def span_elements(rows, m):

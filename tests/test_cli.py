@@ -196,6 +196,19 @@ def test_matrix_size_below_two_is_a_usage_error(command, capsys):
         assert "n >= 2" in capsys.readouterr().err, n
 
 
+@pytest.mark.parametrize("command", [
+    ["solve", "--kind", "derivation", "--n", "2"],
+    ["check", "--kind", "derivation", "--input", "map.json"],
+    ["decompose", "--method", "zero-product", "--input", "map.json"],
+    ["pairs", "--n", "2"],
+])
+def test_seed_is_a_verify_option_only(command, capsys):
+    # only verify draws samples; the other commands once accepted --seed
+    # and ignored it
+    assert run(command + ["--seed", "7"]) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_missing_input_file_exits_two(capsys):
     assert run(["check", "--input", "/nonexistent/map.json", "--kind", "jordan"]) == 2
     err = capsys.readouterr().err

@@ -25,13 +25,7 @@ from derivlab.identities import (
     solve_all,
     verify_proof_steps,
 )
-from derivlab.linalg import (
-    ResidueMatrix,
-    _sparse_rows,
-    module_equal,
-    solve_homogeneous,
-    solve_homogeneous_rows,
-)
+from derivlab.linalg import ResidueMatrix, _canonical, module_equal, solve_homogeneous
 from derivlab.maps import AdditiveMap, inner_derivation, lift_map, right_multiplier, zero_map
 from derivlab.rings import (
     CONDITIONS,
@@ -58,6 +52,7 @@ from oracles import (
     first_failing_pair_mat2,
     first_failing_part_mat2,
     howell_dense_reference,
+    kernel_of_rows,
     mat2_mul,
     mat2_to_coords,
     pair_block_reference,
@@ -478,7 +473,7 @@ def test_symmetric_specs_solve_from_unordered_pairs(label):
                         for col, v in blocks[k][e].items() if c else ():
                             row[col] = row.get(col, 0) + c * v
                     rows.append(row)
-        want = solve_homogeneous_rows(ring.m, width, rows)
+        want = kernel_of_rows(ring.m, width, rows)
         assert solve_all(spec, ring, bim) == want, spec.tag
 
 
@@ -489,7 +484,7 @@ def _reference_module(kind, bim):
     actions = {}
     rows = [row for a in basis for b in basis
             for row in pair_block_reference(IDENTITY_TERMS[kind], ring, bim, a, b, actions)]
-    return solve_homogeneous_rows(ring.m, bimodule_rank(bim) * ring_rank(ring), rows)
+    return kernel_of_rows(ring.m, bimodule_rank(bim) * ring_rank(ring), rows)
 
 
 @pytest.mark.parametrize("order", ["forward", "reverse"])
@@ -583,10 +578,11 @@ def _outcome(compute):
 @pytest.mark.parametrize("label", ROUTE_CODOMAINS)
 def test_deduplicated_rows_equal_the_per_pair_route(label, pair_mode):
     # for every spec, the distinct rows of the assembly's blocks against the
-    # ones _sparse_rows keeps of the per-pair reference rows (zero rows
-    # included, as dicts), and the memoised module against the solve of the
-    # dense constraint matrix; a corner letter off a matrix ring, or an
-    # exhaustive span over the element budget, raises in every route
+    # nonzero canonical rows that _canonical makes of the per-pair reference
+    # rows (zero rows included, as dicts), and the memoised module against
+    # the solve of the dense constraint matrix; a corner letter off a matrix
+    # ring, or an exhaustive span over the element budget, raises in every
+    # route
     bim = ROUTE_CODOMAINS[label]
     ring = bim.ring
     width = bimodule_rank(bim) * ring_rank(ring)
@@ -594,13 +590,14 @@ def test_deduplicated_rows_equal_the_per_pair_route(label, pair_mode):
         got = _outcome(lambda: {row for block in identities._assembly(spec, ring, bim, pair_mode)[0]
                                 for row in block.values()})
         want = _outcome(lambda: {
-            tuple(sorted(row.items()))
-            for row in _sparse_rows(oracles.assembly_reference(spec, ring, bim, pair_mode),
-                                    width, ring.m)})
+            row
+            for row in _canonical(oracles.assembly_reference(spec, ring, bim, pair_mode),
+                                  width, ring.m)
+            if row})
         assert got == want, spec.tag
         module = _outcome(lambda: identities._solved(spec, ring, bim, pair_mode)[0])
-        dense = _outcome(lambda: solve_homogeneous_rows(
-            ring.m, width, constraint_system(spec, ring, bim, pair_mode).matrix.to_rows()))
+        dense = _outcome(lambda: solve_homogeneous(
+            constraint_system(spec, ring, bim, pair_mode).matrix))
         assert module == dense, spec.tag
         assert (got is GuardError) == (module is GuardError), spec.tag
 
@@ -640,7 +637,7 @@ def _solve_from_pairs(kind, ring, coord_pairs):
         for row in pair_block_reference(IDENTITY_TERMS[kind], ring, bim,
                                         RingElement(ring, a), RingElement(ring, b), actions)
     ]
-    return solve_homogeneous_rows(ring.m, ring_rank(ring) ** 2, rows)
+    return kernel_of_rows(ring.m, ring_rank(ring) ** 2, rows)
 
 
 @pytest.mark.parametrize("m", [3, 4])

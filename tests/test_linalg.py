@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,6 @@ from derivlab.linalg import (
     lift_unit,
     module_equal,
     solve_homogeneous,
-    solve_homogeneous_rows,
     xgcd,
 )
 from derivlab.rings import dual_numbers, matrix_ring, zmod
@@ -24,6 +24,7 @@ from oracles import (
     howell_form,
     kernel_by_enumeration,
     kernel_dense_reference,
+    kernel_of_rows,
     rewrite_span,
     rref_mod_p,
     span_elements,
@@ -474,21 +475,21 @@ def test_sparse_kernel_equals_dense_reference(case):
     want = kernel_dense_reference(rows, width, m)
     assert solve_homogeneous(dense(m, width, rows)).generators.to_rows() == want
     sparse = [{k: v for k, v in enumerate(r) if v} for r in rows]
-    assert solve_homogeneous_rows(m, width, sparse).generators.to_rows() == want
+    assert kernel_of_rows(m, width, sparse).generators.to_rows() == want
 
 
 @given(sparse_case, st.integers(0, 2**32))
 @settings(max_examples=120, deadline=None)
 def test_kernel_of_any_rows_equals_two_step_reference(case, seed):
-    # howell_kernel takes rows as they come, in no normal form: drawn rows
-    # with some of them repeated and the zero rows dropped, against the
-    # reference that eliminates twice
+    # howell_kernel takes canonical rows as they come, in no normal form:
+    # drawn rows with some of them repeated and zero rows among them, which
+    # it drops, against the reference that eliminates twice
     m, width, rows = draw_rows(case)
     rng = random.Random(seed)
     rows = rows + [rng.choice(rows) for _ in range(len(rows) // 3)]
     rng.shuffle(rows)
     sparse = [{k: v for k, v in enumerate(r) if v} for r in rows]
-    got = linalg.howell_kernel(m, width, [r for r in sparse if r])
+    got = linalg.howell_kernel(m, width, linalg._canonical(sparse, width, m))
     assert got.generators.to_rows() == kernel_dense_reference(rows, width, m)
 
 
@@ -534,9 +535,14 @@ def test_howell_back_substitution_equals_dense_reference(m, width, nrows, per_ro
     assert [[r.get(k, 0) for k in range(width)] for r in got] == howell_dense_reference(rows, m)
 
 
-def test_bad_rows_fail_before_elimination():
+def test_bad_rows_fail_before_elimination(monkeypatch):
     # a short row first, in the middle and last; then a long row and a
-    # sparse row with a column past the width
+    # sparse row with a column past the width or negative, through every
+    # entry that reads rows, with elimination stubbed to fail
+    def no_elimination(*args):
+        raise AssertionError("elimination started")
+
+    monkeypatch.setattr(linalg, "_howell", no_elimination)
     cases = [
         ([[1], [1, 2], [2, 2]], 0),
         ([[1, 2], [1], [2, 2]], 1),
@@ -548,6 +554,17 @@ def test_bad_rows_fail_before_elimination():
     for rows, bad in cases:
         with pytest.raises(ValueError, match=f"row {bad} .*width 2"):
             SolutionModule.from_rows(3, 2, rows)
+        # no ResidueMatrix holds a row of another width, so a stand-in does
+        matrix = SimpleNamespace(modulus=3, cols=2, to_rows=lambda rows=rows: rows)
         with pytest.raises(ValueError, match=f"row {bad} .*width 2"):
-            solve_homogeneous_rows(3, 2, rows)
+            solve_homogeneous(matrix)
+    # canonical rows, which the kernel routine reads: column -1 and column 2
+    for column in (-1, 2):
+        rows = [((0, 1),), ((column, 1),)]
+        with pytest.raises(ValueError, match="outside width 2"):
+            linalg.howell_kernel(3, 2, rows)
+        with pytest.raises(ValueError, match="outside width 2"):
+            SolutionModule.from_rows(3, 2, rows)
+    monkeypatch.undo()
     assert SolutionModule.from_rows(3, 2, [{1: 4}, [0, 0]]).generators.to_rows() == [[0, 1]]
+    assert linalg.howell_kernel(3, 2, [((1, 1),), (), ((1, 1),)]).generators.to_rows() == [[1, 0]]

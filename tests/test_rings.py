@@ -589,35 +589,60 @@ def test_symmetries_are_ring_automorphisms(label):
                 assert image(mul_coords(ring, x, y)) == mul_coords(ring, image(x), image(y))
 
 
-def _count_kernel_steps(monkeypatch):
-    calls = []
-    kernel_step = rings.howell_kernel
+def _log_walk_steps(monkeypatch):
+    # ("kernel", width) per kernel solve, ("compare", equal) per comparison
+    # of the compacted span with S, and ("tensor",) per coordinate map
+    # applied while building tensors
+    log = []
+    kernel_step, compare, mapped = rings.howell_kernel, rings.module_equal, rings._mapped
 
-    def counting(*args):
-        calls.append(args)
-        return kernel_step(*args)
+    def kernel(m, width, rows):
+        log.append(("kernel", width))
+        return kernel_step(m, width, rows)
 
-    monkeypatch.setattr(rings, "howell_kernel", counting)
-    return calls
+    def compared(a, b):
+        log.append(("compare", compare(a, b)))
+        return log[-1][1]
+
+    def tensor(*args):
+        log.append(("tensor",))
+        return mapped(*args)
+
+    monkeypatch.setattr(rings, "howell_kernel", kernel)
+    monkeypatch.setattr(rings, "module_equal", compared)
+    monkeypatch.setattr(rings, "_mapped", tensor)
+    return log
 
 
 @pytest.mark.parametrize("condition", CONDITIONS)
 def test_exact_walk_stops_solving_once_tensors_span_the_structural_kernel(
         monkeypatch, condition):
-    # On M2(Z/5) the tensors span S before the walk ends, so fewer kernels
-    # than orbits are solved.  On Z/3[eps], S holds 1 (x) eps - eps (x) 1,
-    # which no pair tensor reaches, so every orbit's kernel is solved.  The
-    # cached spans, made before the kernel step was wrapped, must agree.
-    for ring, walked_all in ((matrix_ring(2, zmod(5)), False), (dual_numbers(3), True)):
+    # The walk solves the structural kernel S (width r * r), then one kernel
+    # per orbit (width r).  On M2(Z/5) the tensors span S before the walk
+    # ends: the span is compacted and compared with S no further, and no
+    # tensor is built for the later orbits, whose kernels are still solved
+    # for pair_count.  On Z/3[eps], S holds 1 (x) eps - eps (x) 1, which no
+    # pair tensor reaches, so tensors are built for every orbit and no
+    # comparison finds S.  The cached spans, made before the wrapping, must
+    # agree.
+    for ring, spanned in ((matrix_ring(2, zmod(5)), True), (dual_numbers(3), False)):
         expected = pair_span(ring, condition, "exhaustive")
-        orbits = sum(1 for _ in rings._orbits(ring, rings._symmetries(ring)))
-        calls = _count_kernel_steps(monkeypatch)
+        r, orbits = ring_rank(ring), len(rings._orbit_walk(ring)[1])
+        log = _log_walk_steps(monkeypatch)
         assert pair_span.__wrapped__(ring, condition, "exhaustive") == expected
         monkeypatch.undo()
-        if walked_all:
-            assert len(calls) == orbits == 5
+        assert orbits == (30 if spanned else 5)
+        assert [step for step in log if step[0] == "kernel"] == (
+            [("kernel", r * r)] + [("kernel", r)] * orbits)
+        compared = [step[1] for step in log if step[0] == "compare"]
+        last_tensor = max(i for i, step in enumerate(log) if step[0] == "tensor")
+        solved = sum(1 for step in log[:last_tensor] if step[0] == "kernel") - 1
+        if spanned:
+            assert compared[-1] and not any(compared[:-1])
+            assert solved < orbits
         else:
-            assert 0 < len(calls) < orbits == 30
+            assert compared and not any(compared)
+            assert solved == orbits
 
 
 PIVOT_COUNT_RINGS = {"M2(Z/4)": matrix_ring(2, zmod(4)), "Z/9[eps]": dual_numbers(9)}
@@ -626,11 +651,12 @@ PIVOT_COUNT_RINGS = {"M2(Z/4)": matrix_ring(2, zmod(4)), "Z/9[eps]": dual_number
 @pytest.mark.parametrize("condition", CONDITIONS)
 @pytest.mark.parametrize("label", PIVOT_COUNT_RINGS)
 def test_pivot_count_equals_kernel_size(label, condition):
-    # |K_a| = m^r / prod(m // p) over the Howell pivots p of A_a
+    # the exhaustive pair_count, read off the Howell pivots of one kernel
+    # per orbit and counted once per orbit member, equals the sum of |K_a|
+    # over the kernels of every element
     ring = PIVOT_COUNT_RINGS[label]
-    operator = rings._annihilator_operator(ring, condition)
-    for a, kernel in annihilator_kernels(ring, condition):
-        assert operator(a)[1] == kernel.size()
+    _, pair_count = pair_span(ring, condition, "exhaustive")
+    assert pair_count == sum(kernel.size() for _, kernel in annihilator_kernels(ring, condition))
 
 
 def test_exact_span_guard_fires_before_any_solve(monkeypatch):
@@ -638,7 +664,6 @@ def test_exact_span_guard_fires_before_any_solve(monkeypatch):
     def no_solve(*args):
         raise AssertionError("the guard must fire before any solve")
 
-    monkeypatch.setattr(rings, "solve_homogeneous_rows", no_solve)
     monkeypatch.setattr(rings, "howell_kernel", no_solve)
     big = matrix_ring(2, zmod(101))
     for condition in CONDITIONS:
@@ -693,7 +718,7 @@ def test_pair_budget_guard(monkeypatch):
     def no_kernel(*args):
         raise AssertionError("the guard must fire before any kernel is solved")
 
-    monkeypatch.setattr(rings, "solve_homogeneous_rows", no_kernel)
+    monkeypatch.setattr(rings, "howell_kernel", no_kernel)
     message = f"ring size {101 ** 4} is over the {EXHAUSTIVE_ELEMENT_BUDGET}-element budget"
     for enumerate_pairs in (zero_product_pairs, anti_commuting_pairs, left_zero_pairs):
         with pytest.raises(GuardError, match=message):
