@@ -29,6 +29,7 @@ import sys
 from .errors import GuardError, InternalVerificationError, PreconditionError
 from .identities import (
     IDENTITY_KINDS,
+    PAIR_MODES,
     check,
     decompose_inner_plus_lifted,
     decompose_theorem21,
@@ -93,7 +94,7 @@ def _add_ring_flags(parser):
 
 
 def _add_common_flags(parser):
-    parser.add_argument("--pairs", choices=("structured", "exhaustive"),
+    parser.add_argument("--pairs", choices=PAIR_MODES,
                         default="structured", help="conditional pair mode")
     parser.add_argument("--json", action="store_true", help="machine output")
     parser.add_argument("--out", help="write the result to this file")

@@ -48,7 +48,7 @@ from functools import lru_cache
 
 from .errors import GuardError, InternalVerificationError, PreconditionError
 from .linalg import ResidueMatrix, SolutionModule, howell_kernel
-from .maps import AdditiveMap, as_bimodule, inner_derivation, lift_map, right_multiplier
+from .maps import AdditiveMap, as_bimodule, from_columns, inner_derivation, lift_map, right_multiplier
 from .rings import (
     CONDITIONS,
     Bimodule,
@@ -144,6 +144,7 @@ IDENTITY_TERMS = {
 
 IDENTITY_KINDS = tuple(IDENTITY_TERMS)
 _UNCONDITIONAL = ("basis", "basis_pairs")
+PAIR_MODES = ("structured", "exhaustive")
 
 
 def _spec_for(kind):
@@ -517,8 +518,10 @@ def solve_counted(kind, ring, bimodule=None, pair_mode="structured"):
 
     Solved once per process for each (identity terms and quantifier, ring,
     bimodule, pair mode); unconditional quantifiers ignore the pair mode, so
-    it is not part of their key.
+    it is not part of their key, but it must still be one of ``PAIR_MODES``.
     """
+    if pair_mode not in PAIR_MODES:
+        raise ValueError(f"unknown pair mode {pair_mode!r}")
     spec = _spec_for(kind)
     bim = as_bimodule(bimodule if bimodule is not None else ring)
     if spec.quantifier in _UNCONDITIONAL:
@@ -810,25 +813,18 @@ def decompose_inner_plus_lifted(delta):
         img = delta.apply(matrix_unit(ring, 1, k))
         term = act(bim, "L", matrix_unit(ring, k, 1).coords, img)
         g = tuple((x + y) % m for x, y in zip(g, term))
-    remainder = delta - inner_derivation(bim, g)
+    remainder = (delta - inner_derivation(bim, g)).matrix
     # Entrywise support: the image of x placed in cell (i, j) must live in
     # cell (i, j), and all cells must carry the same base map.
-    for cell in range(n * n):
-        for v in range(rb):
-            idx = cell * rb + v
-            img = remainder.apply(
-                tuple(1 if k == idx else 0 for k in range(ring_rank(ring)))
+    cols = remainder.cols
+    for k in range(cols):
+        img = remainder.entries[k::cols]
+        if any(val and t // rn != k // rb for t, val in enumerate(img)):
+            raise InternalVerificationError(
+                "remainder is not entrywise supported", (k // rb, k % rb, img)
             )
-            for t, val in enumerate(img):
-                if val and t // rn != cell:
-                    raise InternalVerificationError(
-                        "remainder is not entrywise supported", (cell, v, img)
-                    )
-    d_rows = [[0] * rb for _ in range(rn)]
-    for v in range(rb):
-        img = remainder.apply(tuple(1 if k == v else 0 for k in range(ring_rank(ring))))
-        for t in range(rn):
-            d_rows[t][v] = img[t]
+    # d is the remainder's top-left block: its action on cell (1, 1)
+    d_rows = (remainder.row(t)[:rb] for t in range(rn))
     d = AdditiveMap(ring.base, base_bim, ResidueMatrix.from_rows(m, d_rows))
     base_report = check(d, "derivation")
     if not base_report.passed:
@@ -863,11 +859,10 @@ def decompose_trivial_extension(dmap):
         raise ValueError("component split is defined for self-maps of the extension")
     base = ring.base
     ra = ring_rank(base)
-    mat = dmap.matrix
     m = ring.m
 
     def block(r0, c0):
-        rows = [[mat.entry(r0 + u, c0 + v) for v in range(ra)] for u in range(ra)]
+        rows = (dmap.matrix.row(r0 + u)[c0:c0 + ra] for u in range(ra))
         return AdditiveMap(base, Bimodule.regular(base), ResidueMatrix.from_rows(m, rows))
 
     d1, d2 = block(0, 0), block(0, ra)
@@ -976,11 +971,8 @@ def peirce_component_check(dmap):
         raise PreconditionError("map does not satisfy the Jordan identity", rep)
     splits = [peirce_split(bim, dmap.apply(a)) for a in basis_elements(ring)]
 
-    def project(part):
-        cols = [getattr(split, part) for split in splits]
-        return AdditiveMap(ring, bim, ResidueMatrix.from_rows(ring.m, zip(*cols)))
-
-    comps = tuple(project(part) for part in ("m1", "m2", "m3", "m4"))
+    comps = tuple(from_columns(ring, bim, [getattr(split, part) for split in splits])
+                  for part in ("m1", "m2", "m3", "m4"))
     checks = []
     for index, spec in _PEIRCE_CHECKS:
         report = check(comps[index], spec)

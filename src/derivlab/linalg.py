@@ -32,8 +32,9 @@ one kernel routine, ``howell_kernel``, a single elimination: every kernel in
 the package (identity solves, centres, structural and annihilator kernels,
 ``solve_homogeneous``) is one call to it.  It drops zero and repeated rows
 and checks every column against the width before elimination.  The dense
-``ResidueMatrix`` is built only on demand: for constraint systems, maps and
-JSON, and for a module's ``generators`` when they are first read.
+``ResidueMatrix`` is a container with no arithmetic: it holds an additive
+map's coordinates (``maps`` computes on them), and it is built on demand for
+constraint systems, JSON, and a module's ``generators`` when first read.
 
 Residues are stored reduced in [0, m).  Python integers keep all intermediate
 products exact; moduli are capped at 2**31 which keeps every product at desk
@@ -44,7 +45,6 @@ callers need no coordination.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
@@ -313,46 +313,6 @@ class ResidueMatrix:
     def from_json(cls, obj):
         return cls(obj["m"], obj["rows"], obj["cols"], tuple(obj["data"]))
 
-    def dumps(self):
-        return json.dumps(self.to_json(), sort_keys=True)
-
-
-def mat_vec(matrix, vec):
-    """matrix @ vec over Z/mZ; vec is a sequence of length matrix.cols."""
-    if len(vec) != matrix.cols:
-        raise ValueError("vector length does not match column count")
-    n = matrix.modulus
-    ent = matrix.entries
-    c = matrix.cols
-    out = []
-    for i in range(matrix.rows):
-        base = i * c
-        out.append(sum(ent[base + j] * vec[j] for j in range(c)) % n)
-    return tuple(out)
-
-
-def mat_mul(a, b):
-    if a.modulus != b.modulus:
-        raise ValueError("modulus mismatch")
-    if a.cols != b.rows:
-        raise ValueError("inner dimensions differ")
-    n = a.modulus
-    arows = a.to_rows()
-    bcols = [[b.entry(i, j) for i in range(b.rows)] for j in range(b.cols)]
-    ent = []
-    for r in arows:
-        for col in bcols:
-            ent.append(sum(x * y for x, y in zip(r, col)) % n)
-    return ResidueMatrix(n, a.rows, b.cols, tuple(ent))
-
-
-def mat_add(a, b, coef=1):
-    if (a.modulus, a.rows, a.cols) != (b.modulus, b.rows, b.cols):
-        raise ValueError("shape or modulus mismatch")
-    n = a.modulus
-    ent = tuple((x + coef * y) % n for x, y in zip(a.entries, b.entries))
-    return ResidueMatrix(n, a.rows, a.cols, ent)
-
 
 def _frozen(rows, shift=0):
     """Dict rows as the ``SolutionModule.rows`` tuples, columns less ``shift``."""
@@ -363,7 +323,8 @@ def _frozen(rows, shift=0):
 class SolutionModule:
     """A submodule of (Z/mZ)^ambient_rank as its canonical Howell rows: tuples
     of nonzero (column, residue) entries in column order, pivot first.  A
-    dense matrix given for ``rows`` is read as given and kept as ``generators``."""
+    dense matrix given for ``rows`` is read as given and kept as ``generators``;
+    ``from_rows`` and ``from_json`` canonicalise any generators."""
 
     modulus: int
     ambient_rank: int
@@ -447,7 +408,12 @@ class SolutionModule:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(obj["modulus"], obj["ambient_rank"], ResidueMatrix.from_json(obj["generators"]))
+        """The module the JSON generators span, in canonical rows, whether
+        or not they are a Howell form."""
+        g = ResidueMatrix.from_json(obj["generators"])
+        if g.modulus != obj["modulus"] or g.cols != obj["ambient_rank"]:
+            raise ValueError("generator matrix does not match module header")
+        return cls.from_rows(g.modulus, g.cols, g.to_rows())
 
 
 def _compatible(s1, s2):

@@ -4,7 +4,9 @@ An additive map between Z/mZ-modules is automatically Z/mZ-linear: scalar
 action is repeated addition, so additivity pins the whole scalar action down.
 (The test suite samples this fact rather than leaving it folklore.)  Maps are
 therefore stored as exact coordinate matrices, codomain rank by domain rank,
-acting on coordinate columns.
+acting on coordinate columns; every operation reads the row-major entries
+directly, column j being ``entries[j::cols]``, the image of the j-th basis
+element.
 
 Map *spaces* - e.g. all derivations of a given ring - are handled elsewhere as
 solution modules over the row-major flattening of these matrices; the helpers
@@ -13,14 +15,16 @@ solution modules over the row-major flattening of these matrices; the helpers
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
-from .linalg import ResidueMatrix, mat_add, mat_mul, mat_vec
+from .linalg import ResidueMatrix
 from .rings import (
     Bimodule,
     RingDescriptor,
     RingElement,
     act,
+    basis_elements,
     bimodule_rank,
     matrix_ring,
     ring_rank,
@@ -51,20 +55,28 @@ class AdditiveMap:
             raise ValueError("matrix modulus must match the ring modulus")
 
     def apply(self, x):
-        """Image of a domain element; accepts a RingElement or raw coords."""
+        """Image of a domain element, a RingElement or raw coordinates (any
+        integers): the columns of its nonzero coordinates, scaled, summed
+        and reduced once."""
         coords = x.coords if isinstance(x, RingElement) else tuple(x)
-        return mat_vec(self.matrix, coords)
-
-    def __call__(self, x):
-        return self.apply(x)
+        mat = self.matrix
+        if len(coords) != mat.cols:
+            raise ValueError("vector length does not match column count")
+        out = [0] * mat.rows
+        for j, c in enumerate(coords):
+            if c:
+                out = [o + c * v for o, v in zip(out, mat.entries[j::mat.cols])]
+        return tuple([o % mat.modulus for o in out])
 
     def __add__(self, other):
         self._match(other)
-        return AdditiveMap(self.domain, self.codomain, mat_add(self.matrix, other.matrix))
+        flat = map(operator.add, self.to_flat(), other.to_flat())
+        return AdditiveMap.from_flat(self.domain, self.codomain, flat)
 
     def __sub__(self, other):
         self._match(other)
-        return AdditiveMap(self.domain, self.codomain, mat_add(self.matrix, other.matrix, -1))
+        flat = map(operator.sub, self.to_flat(), other.to_flat())
+        return AdditiveMap.from_flat(self.domain, self.codomain, flat)
 
     def _match(self, other):
         if not isinstance(other, AdditiveMap):
@@ -114,24 +126,27 @@ def identity_map(ring):
     return AdditiveMap(ring, bim, ResidueMatrix.identity(ring.m, ring_rank(ring)))
 
 
+def from_columns(domain, codomain, cols):
+    """The map whose image of the j-th basis element of ``domain`` is
+    ``cols[j]``, given in codomain coordinates."""
+    return AdditiveMap(domain, codomain, ResidueMatrix.from_rows(domain.m, zip(*cols)))
+
+
 def compose(f, g):
-    """f after g; g's codomain must be its ring acting on itself."""
+    """f after g; g's codomain must be its ring acting on itself.  Column j
+    is f applied to g's column j."""
     if g.codomain != Bimodule.regular(f.domain):
         raise ValueError("inner codomain does not match outer domain")
-    return AdditiveMap(g.domain, f.codomain, mat_mul(f.matrix, g.matrix))
+    cols = [f.apply(g.matrix.entries[j::g.matrix.cols]) for j in range(g.matrix.cols)]
+    return from_columns(g.domain, f.codomain, cols)
 
 
 def _map_from_columns(codomain, column):
     """The map whose image of the j-th ring basis element is
     column(codomain, basis_j)."""
     codomain = as_bimodule(codomain)
-    ring = codomain.ring
-    rank = ring_rank(ring)
-    cols = [
-        column(codomain, tuple(1 if k == j else 0 for k in range(rank)))
-        for j in range(rank)
-    ]
-    return AdditiveMap(ring, codomain, ResidueMatrix.from_rows(ring.m, zip(*cols)))
+    cols = [column(codomain, x.coords) for x in basis_elements(codomain.ring)]
+    return from_columns(codomain.ring, codomain, cols)
 
 
 def inner_derivation(codomain, m_coords):
@@ -166,12 +181,7 @@ def lift_map(d, n):
     else:
         codomain = Bimodule.matrix_over(ring, d.codomain)
     rb = ring_rank(base)
-    rn = bimodule_rank(d.codomain)
-    m = base.m
-    dm = d.matrix
-    rows = [[0] * (n * n * rb) for _ in range(n * n * rn)]
-    for cell in range(n * n):
-        for u in range(rn):
-            for v in range(rb):
-                rows[cell * rn + u][cell * rb + v] = dm.entry(u, v)
-    return AdditiveMap(ring, codomain, ResidueMatrix.from_rows(m, rows))
+    cells = n * n
+    rows = ((0,) * (cell * rb) + d.matrix.row(u) + (0,) * ((cells - 1 - cell) * rb)
+            for cell in range(cells) for u in range(bimodule_rank(d.codomain)))
+    return AdditiveMap(ring, codomain, ResidueMatrix.from_rows(base.m, rows))

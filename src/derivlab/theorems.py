@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from .errors import EvenModulusError, GuardError, InternalVerificationError
 from .identities import (
     IDENTITY_TERMS,
+    PAIR_MODES,
     check,
     decompose_inner_plus_lifted,
     decompose_theorem21,
@@ -151,10 +152,13 @@ def verify_theorem(theorem_id, ring, *, pair_mode="structured", seed=0,
 
     Guard violations (wrong ring shape, even modulus, pair budget) surface as
     status "skipped" with the reason attached, never silently; any other
-    exception surfaces as status "error".
+    exception surfaces as status "error".  An unknown theorem id or pair
+    mode raises ``ValueError`` before anything runs.
     """
     if theorem_id not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
+    if pair_mode not in PAIR_MODES:
+        raise ValueError(f"unknown pair mode {pair_mode!r}")
     start = time.perf_counter()
     report = TheoremReport(theorem_id, ring, "skipped", seed=seed)
     rng = random.Random(seed)

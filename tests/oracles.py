@@ -14,7 +14,9 @@ per-pair constraint block evaluator and the assembly of its dict rows, zero
 rows included, for the one-sweep block builder and its canonical row
 tuples, deduplicated on the way into the kernel step; the
 membership test that reduces every entry before it reads a generator, for
-the one that follows the generators' nonzeros; the dense structure-constant
+the one that follows the generators' nonzeros; the dense row-by-column
+product, for maps that sum the columns of their argument's nonzero
+coordinates and compose column by column; the dense structure-constant
 table and the per-basis sparse action rows built from it, for the (row,
 column, value) action triples that serve as both the ring's multiplication
 and its bimodules' actions; and the module action through the materialised
@@ -446,6 +448,26 @@ def act_reference(bim, side, ring_coords, vec):
         sum(w * vec[j] for j, w in row.items()) % n
         for row in action_rows_reference(bim, side, ring_coords)
     )
+
+
+# ---------------------------------------------------------------------------
+# Dense map arithmetic (reference for maps that read their own columns)
+# ---------------------------------------------------------------------------
+
+def dense_product_reference(matrix, other):
+    """matrix @ other over Z/mZ, row by column with every entry multiplied:
+    the product of two ``ResidueMatrix`` values, or of one and a vector
+    (any integers), returned then as a tuple."""
+    n, cols = matrix.modulus, matrix.cols
+    rows = [matrix.entries[i * cols:(i + 1) * cols] for i in range(matrix.rows)]
+    if not hasattr(other, "entries"):
+        if len(other) != cols:
+            raise ValueError("vector length does not match column count")
+        return tuple(sum(x * y for x, y in zip(r, other)) % n for r in rows)
+    if other.rows != cols:
+        raise ValueError("inner dimensions differ")
+    other_cols = [other.entries[j::other.cols] for j in range(other.cols)]
+    return [[sum(x * y for x, y in zip(r, c)) % n for c in other_cols] for r in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
+from derivlab import identities
 from derivlab.cli import run
-from derivlab.maps import AdditiveMap, inner_derivation, right_multiplier
+from derivlab.maps import AdditiveMap, inner_derivation, right_multiplier, zero_map
 from derivlab.rings import (
     Bimodule,
     dual_numbers,
@@ -114,6 +115,19 @@ def test_decompose_inner_lifted_method(tmp_path, capsys):
     assert status == 0
     assert payload["base_map"]["matrix"]["data"] == [0] * 4
     assert payload["inner_element"] == [0, 0, 2, 0, 0, 1, 2, 0]
+
+
+def test_decompose_internal_verification_error_exits_1(tmp_path, capsys, monkeypatch):
+    # a zero I_G makes the inner-plus-lift support check fire on I_E12
+    monkeypatch.setattr(identities, "inner_derivation", lambda bim, g: zero_map(bim.ring, bim))
+    inner = inner_derivation(REG, matrix_unit(M2Z3, 1, 2).coords)
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(inner.to_json()))
+    status = run(["decompose", "--input", str(path), "--method", "inner-lifted"])
+    err = capsys.readouterr().err
+    assert status == 1
+    assert "internal verification failed: remainder is not entrywise supported" in err
+    assert "payload: (0, 0, (0, 1, 0, 0))" in err
 
 
 def test_decompose_extension_components(tmp_path, capsys):

@@ -5,7 +5,12 @@ import random
 import pytest
 
 from derivlab import identities, linalg, rings
-from derivlab.errors import EvenModulusError, GuardError, PreconditionError
+from derivlab.errors import (
+    EvenModulusError,
+    GuardError,
+    InternalVerificationError,
+    PreconditionError,
+)
 from derivlab.identities import (
     _PEIRCE_CHECKS,
     _PROOF_STEPS,
@@ -26,7 +31,14 @@ from derivlab.identities import (
     verify_proof_steps,
 )
 from derivlab.linalg import ResidueMatrix, _canonical, module_equal, solve_homogeneous
-from derivlab.maps import AdditiveMap, inner_derivation, lift_map, right_multiplier, zero_map
+from derivlab.maps import (
+    AdditiveMap,
+    identity_map,
+    inner_derivation,
+    lift_map,
+    right_multiplier,
+    zero_map,
+)
 from derivlab.rings import (
     CONDITIONS,
     Bimodule,
@@ -1007,6 +1019,45 @@ def test_inner_plus_lift_over_non_unital_base():
         assert d.codomain == base_bim
         lifted = AdditiveMap(M2D3, bim, lift_map(d, 2).matrix)
         assert (lifted + inner_derivation(bim, g)).matrix == gen.matrix
+
+
+def test_inner_plus_lift_support_check_fires(monkeypatch):
+    # with I_G stubbed to zero the remainder is delta itself, and I_E12 sends
+    # E11 to E12, out of cell (1, 1): the first column off its cell is named
+    monkeypatch.setattr(identities, "inner_derivation", lambda bim, g: zero_map(bim.ring, bim))
+    delta = inner_derivation(REG, matrix_unit(M2Z3, 1, 2).coords)
+    with pytest.raises(InternalVerificationError, match="not entrywise supported") as exc:
+        decompose_inner_plus_lifted(delta)
+    assert exc.value.payload == (0, 0, (0, 1, 0, 0))
+
+
+def test_inner_plus_lift_base_derivation_check_fires(monkeypatch):
+    # the identity of M2(Z/3) is the lift of the identity of Z/3, which is no
+    # derivation; with the matrix ring's precondition waived the split gets
+    # as far as the base check
+    real_check = identities.check
+
+    def waive_matrix_ring(fmap, kind, pair_mode="structured"):
+        if fmap.domain == M2Z3:
+            return identities.CheckReport(True)
+        return real_check(fmap, kind, pair_mode)
+
+    monkeypatch.setattr(identities, "check", waive_matrix_ring)
+    with pytest.raises(InternalVerificationError, match="not a base derivation") as exc:
+        decompose_inner_plus_lifted(identity_map(M2Z3))
+    assert not exc.value.payload.passed
+
+
+def test_inner_plus_lift_recomposition_check_fires(monkeypatch):
+    # with the lift stubbed to zero, lift(d) + I_G misses the lifted part
+    base_d = AdditiveMap(
+        DUAL3, Bimodule.regular(DUAL3), ResidueMatrix.from_rows(3, [[0, 0], [0, 1]])
+    )
+    monkeypatch.setattr(identities, "lift_map",
+                        lambda d, n: zero_map(M2D3, Bimodule.regular(M2D3)))
+    with pytest.raises(InternalVerificationError, match="recomposition failed") as exc:
+        decompose_inner_plus_lifted(lift_map(base_d, 2))
+    assert exc.value.payload.matrix == base_d.matrix
 
 
 # ---------------------------------------------------------------------------

@@ -403,6 +403,20 @@ def test_solution_module_round_trip():
                 assert back.contains(v) == s.contains(v)
 
 
+def test_solution_module_from_json_canonicalises_its_generators():
+    # 2 * (1, 0) spans the same module as (1, 0) over Z/3, but is no Howell
+    # row; read back, it is the canonical module all the same
+    obj = {"modulus": 3, "ambient_rank": 2,
+           "generators": {"m": 3, "rows": 1, "cols": 2, "data": [2, 0]}}
+    s = SolutionModule.from_json(obj)
+    assert s.size() == 3
+    assert s.contains((1, 0))
+    assert s == SolutionModule.from_rows(3, 2, [[1, 0]])
+    for header in ({"modulus": 5}, {"ambient_rank": 3}):
+        with pytest.raises(ValueError, match="does not match module header"):
+            SolutionModule.from_json(dict(obj, **header))
+
+
 def test_residue_matrix_validation():
     with pytest.raises(ValueError):
         ResidueMatrix(1, 1, 1, (0,))

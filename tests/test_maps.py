@@ -17,6 +17,8 @@ from derivlab.maps import (
 )
 from derivlab.rings import (
     Bimodule,
+    RingElement,
+    bimodule_rank,
     center_basis,
     dual_numbers,
     element_from_index,
@@ -27,6 +29,7 @@ from derivlab.rings import (
     zero_element,
     zmod,
 )
+import oracles
 
 M2Z3 = matrix_ring(2, zmod(3))
 REG = Bimodule.regular(M2Z3)
@@ -103,6 +106,47 @@ def test_map_algebra():
     assert compose(f, identity_map(M2Z3)).matrix == f.matrix
     g = right_multiplier(REG, (1, 0, 0, 1))
     assert ((f + g) - g).matrix == f.matrix
+
+
+@pytest.mark.parametrize("ring, codomain", [
+    (M2Z3, REG),
+    (matrix_ring(2, zmod(9)), None),
+    (M2D3, None),
+    (M2Z3, Bimodule.inflated(REG, 3)),
+])
+def test_map_arithmetic_matches_the_dense_product(ring, codomain):
+    # apply sums the columns of the nonzero coordinates and compose applies
+    # f to g's columns; both against the row-by-column product, on any
+    # integers, reduced or not, negative, or read from a RingElement
+    rng = random.Random(11)
+    bim = codomain or Bimodule.regular(ring)
+    m, rank = ring.m, ring_rank(ring)
+
+    def random_map(target):
+        flat = [rng.randrange(m) for _ in range(bimodule_rank(target) * rank)]
+        return AdditiveMap.from_flat(ring, target, flat)
+
+    for _ in range(4):
+        f, g, h = random_map(bim), random_map(bim), random_map(Bimodule.regular(ring))
+        vectors = [[rng.randrange(-2 * m, 3 * m) for _ in range(rank)] for _ in range(4)]
+        vectors += [[0] * rank, [0] * (rank - 1) + [-1]]
+        for vec in vectors:
+            expect = oracles.dense_product_reference(f.matrix, vec)
+            assert f.apply(vec) == expect
+            assert f.apply(iter(vec)) == expect
+            element = RingElement(ring, tuple(v % m for v in vec))
+            assert f.apply(element) == expect
+            fx, gx = expect, oracles.dense_product_reference(g.matrix, vec)
+            assert (f + g).apply(vec) == tuple((x + y) % m for x, y in zip(fx, gx))
+            assert (f - g).apply(vec) == tuple((x - y) % m for x, y in zip(fx, gx))
+        pairs = list(zip(f.matrix.entries, g.matrix.entries))
+        assert (f + g).matrix.entries == tuple((x + y) % m for x, y in pairs)
+        assert (f - g).matrix.entries == tuple((x - y) % m for x, y in pairs)
+        product = oracles.dense_product_reference(f.matrix, h.matrix)
+        assert compose(f, h).matrix.to_rows() == product
+        for bad in (vec[:-1], vec + [0]):
+            with pytest.raises(ValueError, match="vector length"):
+                f.apply(bad)
 
 
 def test_map_subtraction_is_pointwise():

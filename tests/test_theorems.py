@@ -3,9 +3,10 @@ import os
 
 import pytest
 
-from derivlab import theorems
+from derivlab import identities, theorems
 from derivlab.cli import run
-from derivlab.identities import IDENTITY_TERMS, IdentitySpec, solve_all
+from derivlab.identities import IDENTITY_TERMS, IdentitySpec, solve_all, solve_counted
+from derivlab.maps import zero_map
 from derivlab.rings import dual_numbers, matrix_ring, trivial_extension, zmod
 from derivlab.theorems import (
     THEOREM_IDS,
@@ -26,6 +27,31 @@ def test_jordan_collapse_report():
     payload = rep.to_json()
     assert payload["status"] == "verified"
     assert payload["ring"] == M2Z3.to_json()
+
+
+def test_unknown_pair_mode_raises_up_front():
+    # thm3_2i solves unconditional identities only and thm2_1 reads the
+    # mode; both raise before anything runs, like an unknown id
+    for theorem_id in ("thm3_2i", "thm2_1"):
+        with pytest.raises(ValueError, match="unknown pair mode 'bogus'"):
+            verify_theorem(theorem_id, M2Z3, pair_mode="bogus")
+    for kind in ("derivation", "star"):
+        with pytest.raises(ValueError, match="unknown pair mode 'bogus'"):
+            solve_counted(kind, M2Z3, pair_mode="bogus")
+        with pytest.raises(ValueError, match="unknown pair mode 'bogus'"):
+            solve_all(kind, M2Z3, pair_mode="bogus")
+
+
+def test_internal_verification_error_is_a_falsified_report(monkeypatch):
+    # a zero I_G makes the inner-plus-lift support check fire on the first
+    # derivation generator, I_E21, which sends E11 to 2.E21 in cell (2, 1);
+    # the report carries the error and its payload
+    monkeypatch.setattr(identities, "inner_derivation", lambda bim, g: zero_map(bim.ring, bim))
+    rep = verify_theorem("cor2_3", M2Z3)
+    assert rep.status == "falsified"
+    assert rep.counterexample["error"] == "remainder is not entrywise supported"
+    assert rep.counterexample["payload"] == "(0, 0, (0, 0, 2, 0))"
+    assert exit_status([rep]) == 1
 
 
 def test_one_sided_multiplier_report():
