@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 
+from derivlab.identities import PAIR_MODES
 from derivlab.rings import dual_numbers, matrix_ring, zmod
 from derivlab.theorems import THEOREM_IDS, exit_status, verify_theorem
 
@@ -30,8 +31,7 @@ DESK_RINGS = [
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--json", help="also write all reports to this file")
-    parser.add_argument("--pairs", choices=("structured", "exhaustive"),
-                        default="structured")
+    parser.add_argument("--pairs", choices=PAIR_MODES, default="structured")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 

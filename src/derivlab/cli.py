@@ -14,8 +14,9 @@ once more into the square-zero extension.  Structured pair mode is the default
 (exhaustive mode solves one annihilator kernel per orbit of the scalar units
 u of Z/mZ times monomial conjugation phi, as K_(u.phi(a)) = phi(K_a), and
 builds pair tensors until they span the structural kernel; its cost still
-grows with ring size).  ``--seed`` is a ``verify`` option only: no other
-command draws samples.
+grows with ring size).  ``pairs`` accepts only ``--pairs exhaustive``:
+structured mode quantifies over a span, not a pair list.  ``--seed`` is a
+``verify`` option only: no other command draws samples.
 Exit codes: 0 on success or skip, 1 when a verification is falsified or ends
 in error or a check fails, 2 on usage errors.
 """
@@ -51,6 +52,13 @@ from .rings import (
     zmod,
 )
 from .theorems import THEOREM_IDS, exit_status, run_all, verify_theorem
+
+# pairs --condition -> listing
+_PAIR_LISTINGS = {
+    "zero-product": zero_product_pairs,
+    "anticommuting": anti_commuting_pairs,
+    "one-sided-zero": left_zero_pairs,
+}
 
 
 def _parse_base(text):
@@ -93,9 +101,9 @@ def _add_ring_flags(parser):
                         help="wrap the ring into its square-zero extension")
 
 
-def _add_common_flags(parser):
-    parser.add_argument("--pairs", choices=PAIR_MODES,
-                        default="structured", help="conditional pair mode")
+def _add_common_flags(parser, pair_modes=PAIR_MODES):
+    parser.add_argument("--pairs", choices=pair_modes,
+                        default=pair_modes[0], help="conditional pair mode")
     parser.add_argument("--json", action="store_true", help="machine output")
     parser.add_argument("--out", help="write the result to this file")
 
@@ -118,16 +126,19 @@ def build_parser():
                           help="zero-action summand rank for the non-unital check")
     p_verify.add_argument("--seed", type=int, default=0,
                           help="seed of thm2_1's proof-step samples")
+    p_verify.set_defaults(handler=_cmd_verify)
 
     p_solve = sub.add_parser("solve", help="solve for a full map space")
     _add_ring_flags(p_solve)
     _add_common_flags(p_solve)
     p_solve.add_argument("--kind", required=True, choices=IDENTITY_KINDS)
+    p_solve.set_defaults(handler=_cmd_solve)
 
     p_check = sub.add_parser("check", help="check a serialized map")
     _add_common_flags(p_check)
     p_check.add_argument("--kind", required=True, choices=IDENTITY_KINDS)
     p_check.add_argument("--input", required=True, help="map JSON file")
+    p_check.set_defaults(handler=_cmd_check)
 
     p_dec = sub.add_parser("decompose", help="decompose a serialized map")
     _add_common_flags(p_dec)
@@ -137,15 +148,15 @@ def build_parser():
         required=True,
         choices=("zero-product", "inner-lifted", "extension-components", "proof-steps"),
     )
+    p_dec.set_defaults(handler=_cmd_decompose)
 
     p_pairs = sub.add_parser("pairs", help="list the exhaustive conditional pair set")
     _add_ring_flags(p_pairs)
-    _add_common_flags(p_pairs)
-    p_pairs.add_argument("--condition", default="zero-product",
-                         choices=("zero-product", "anticommuting", "one-sided-zero"))
     # structured mode quantifies over a span and lists no pairs; --pairs stays
     # so that existing "--pairs exhaustive" command lines keep working
-    p_pairs.set_defaults(pairs="exhaustive")
+    _add_common_flags(p_pairs, pair_modes=("exhaustive",))
+    p_pairs.add_argument("--condition", default="zero-product", choices=_PAIR_LISTINGS)
+    p_pairs.set_defaults(handler=_cmd_pairs)
     return parser
 
 
@@ -264,12 +275,7 @@ def _cmd_decompose(args):
 
 def _cmd_pairs(args):
     ring = _ring_from_args(args)
-    enum = {
-        "zero-product": zero_product_pairs,
-        "anticommuting": anti_commuting_pairs,
-        "one-sided-zero": left_zero_pairs,
-    }[args.condition]
-    pairs = enum(ring, args.pairs)
+    pairs = _PAIR_LISTINGS[args.condition](ring)
     payload = {
         "ring": ring.to_json(),
         "condition": args.condition,
@@ -291,15 +297,8 @@ def run(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    handler = {
-        "verify": _cmd_verify,
-        "solve": _cmd_solve,
-        "check": _cmd_check,
-        "decompose": _cmd_decompose,
-        "pairs": _cmd_pairs,
-    }[args.command]
     try:
-        return handler(args)
+        return args.handler(args)
     except InternalVerificationError as exc:
         # a decomposition postcondition failed: that is a concrete numerical
         # counterexample, the most report-worthy outcome there is

@@ -59,6 +59,29 @@ def _check_modulus(m):
         raise ValueError(f"modulus {m} exceeds the supported bound 2**31")
 
 
+def _json_field(obj, key):
+    """``obj[key]`` of JSON read from outside; ValueError when there is none."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"expected a JSON object with key {key!r}")
+    return obj[key]
+
+
+def _json_int(obj, key):
+    """The integer ``obj[key]``; a bool, float or string raises ValueError."""
+    value = _json_field(obj, key)
+    if type(value) is not int:
+        raise ValueError(f"{key!r} must be an integer, got {type(value).__name__}")
+    return value
+
+
+def _json_ints(obj, key):
+    """The list of integers ``obj[key]``, checked like ``_json_int``."""
+    values = _json_field(obj, key)
+    if not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise ValueError(f"{key!r} must be a list of integers")
+    return values
+
+
 def xgcd(a, b):
     """Return (g, s, t) with g = gcd(a, b) >= 0 and s*a + t*b = g."""
     s0, s1, t0, t1 = 1, 0, 0, 1
@@ -68,13 +91,6 @@ def xgcd(a, b):
         s0, s1 = s1, s0 - q * s1
         t0, t1 = t1, t0 - q * t1
     return a, s0, t0
-
-
-def modinv(a, n):
-    g, s, _ = xgcd(a % n, n)
-    if g != 1:
-        raise ValueError(f"{a} is not invertible modulo {n}")
-    return s % n
 
 
 def lift_unit(a, n):
@@ -88,7 +104,7 @@ def lift_unit(a, n):
     if g == a:
         return 1
     step = n // g
-    u = modinv((a // g) % step, step)
+    u = pow(a // g, -1, step)
     while gcd(u, n) != 1:
         u += step
     return u % n
@@ -311,7 +327,8 @@ class ResidueMatrix:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(obj["m"], obj["rows"], obj["cols"], tuple(obj["data"]))
+        return cls(_json_int(obj, "m"), _json_int(obj, "rows"), _json_int(obj, "cols"),
+                   tuple(_json_ints(obj, "data")))
 
 
 def _frozen(rows, shift=0):
@@ -410,8 +427,8 @@ class SolutionModule:
     def from_json(cls, obj):
         """The module the JSON generators span, in canonical rows, whether
         or not they are a Howell form."""
-        g = ResidueMatrix.from_json(obj["generators"])
-        if g.modulus != obj["modulus"] or g.cols != obj["ambient_rank"]:
+        g = ResidueMatrix.from_json(_json_field(obj, "generators"))
+        if g.modulus != _json_int(obj, "modulus") or g.cols != _json_int(obj, "ambient_rank"):
             raise ValueError("generator matrix does not match module header")
         return cls.from_rows(g.modulus, g.cols, g.to_rows())
 

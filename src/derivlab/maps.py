@@ -18,7 +18,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .linalg import ResidueMatrix
+from .linalg import ResidueMatrix, _json_field
 from .rings import (
     Bimodule,
     RingDescriptor,
@@ -101,9 +101,9 @@ class AdditiveMap:
     @classmethod
     def from_json(cls, obj):
         return cls(
-            RingDescriptor.from_json(obj["domain"]),
-            Bimodule.from_json(obj["codomain"]),
-            ResidueMatrix.from_json(obj["matrix"]),
+            RingDescriptor.from_json(_json_field(obj, "domain")),
+            Bimodule.from_json(_json_field(obj, "codomain")),
+            ResidueMatrix.from_json(_json_field(obj, "matrix")),
         )
 
     @classmethod

@@ -35,6 +35,7 @@ from math import gcd
 
 from .errors import EvenModulusError, GuardError
 from .linalg import SolutionModule, _canonical, _check_modulus, howell_kernel, module_equal
+from .linalg import _json_field, _json_int, _json_ints
 
 MAX_RANK = 64
 EXHAUSTIVE_ELEMENT_BUDGET = 10**5
@@ -82,15 +83,15 @@ class RingDescriptor:
 
     @classmethod
     def from_json(cls, obj):
-        kind = obj["kind"]
+        kind = _json_field(obj, "kind")
         if kind == "zmod":
-            return zmod(obj["m"])
+            return zmod(_json_int(obj, "m"))
         if kind == "dual":
-            return dual_numbers(obj["m"])
+            return dual_numbers(_json_int(obj, "m"))
         if kind == "matrix":
-            return matrix_ring(obj["n"], cls.from_json(obj["base"]))
+            return matrix_ring(_json_int(obj, "n"), cls.from_json(_json_field(obj, "base")))
         if kind == "trivial_ext":
-            return trivial_extension(cls.from_json(obj["base"]))
+            return trivial_extension(cls.from_json(_json_field(obj, "base")))
         raise ValueError(f"unknown ring kind {kind!r}")
 
 
@@ -258,9 +259,9 @@ class RingElement:
 
     @classmethod
     def from_json(cls, obj):
-        desc = RingDescriptor.from_json(obj["ring"])
+        desc = RingDescriptor.from_json(_json_field(obj, "ring"))
         m = desc.m
-        return cls(desc, tuple(v % m for v in obj["coords"]))
+        return cls(desc, tuple(v % m for v in _json_ints(obj, "coords")))
 
 
 def zero_element(desc):
@@ -373,15 +374,17 @@ class Bimodule:
 
     @classmethod
     def from_json(cls, obj):
-        kind = obj["kind"]
+        kind = _json_field(obj, "kind")
         if kind == "regular":
-            return cls.regular(RingDescriptor.from_json(obj["ring"]))
+            return cls.regular(RingDescriptor.from_json(_json_field(obj, "ring")))
         if kind == "matrix_over":
             return cls.matrix_over(
-                RingDescriptor.from_json(obj["ring"]), cls.from_json(obj["base"])
+                RingDescriptor.from_json(_json_field(obj, "ring")),
+                cls.from_json(_json_field(obj, "base")),
             )
         if kind == "inflated":
-            return cls.inflated(cls.from_json(obj["base"]), obj["extra_rank"])
+            return cls.inflated(cls.from_json(_json_field(obj, "base")),
+                                _json_int(obj, "extra_rank"))
         raise ValueError(f"unknown bimodule kind {kind!r}")
 
 
@@ -487,8 +490,14 @@ def act(bim, side, ring_coords, vec):
     m by module coordinates: for each nonzero coordinate of a, the rows of
     its action table dotted with m, summed and reduced once."""
     tb = bimodule_tables(bim)
+    tables = tb.side(side)
+    if len(ring_coords) != len(tables):
+        raise ValueError(f"ring coordinates have length {len(ring_coords)}, "
+                         f"expected {len(tables)}")
+    if len(vec) != tb.rank:
+        raise ValueError(f"module vector has length {len(vec)}, expected {tb.rank}")
     out = [0] * tb.rank
-    for c, triples in zip(ring_coords, tb.side(side)):
+    for c, triples in zip(ring_coords, tables):
         if c:
             for e, j, w in triples:
                 out[e] += c * w * vec[j]
@@ -748,14 +757,7 @@ def structural_and_exact_spans(desc, condition):
     return structural, exact
 
 
-def _condition_pairs(desc, mode, condition):
-    if mode == "structured":
-        raise ValueError(
-            "structured pair mode quantifies over a span in A (x) A, not over "
-            "a pair list; pairs are listed in exhaustive mode only"
-        )
-    if mode != "exhaustive":
-        raise ValueError(f"unknown pair mode {mode!r}")
+def _condition_pairs(desc, condition):
     return [
         (RingElement(desc, a), RingElement(desc, b))
         for a, kernel in annihilator_kernels(desc, condition)
@@ -763,25 +765,26 @@ def _condition_pairs(desc, mode, condition):
     ]
 
 
-def zero_product_pairs(desc, mode="exhaustive"):
+def zero_product_pairs(desc):
     """Ordered pairs (A, B) with AB = BA = 0: for each A in index order, the
     elements B of its two-sided annihilator kernel (see
     ``annihilator_kernels``) in sorted coordinate order, which is index order.
 
-    Only ``exhaustive`` mode lists pairs; ``structured`` raises ValueError,
-    because its quantifier is the span ``pair_span`` builds, not a pair set.
+    These are the exact pairs of exhaustive mode; structured mode quantifies
+    over the span ``pair_span`` builds, which is not a pair set, so it has no
+    listing.
     """
-    return _condition_pairs(desc, mode, "two_sided_zero")
+    return _condition_pairs(desc, "two_sided_zero")
 
 
-def anti_commuting_pairs(desc, mode="exhaustive"):
+def anti_commuting_pairs(desc):
     """Ordered pairs with AB + BA = 0, listed like ``zero_product_pairs`` from
-    the kernels of L_A + R_A (exhaustive mode only)."""
-    return _condition_pairs(desc, mode, "anti_commuting")
+    the kernels of L_A + R_A."""
+    return _condition_pairs(desc, "anti_commuting")
 
 
-def left_zero_pairs(desc, mode="exhaustive"):
+def left_zero_pairs(desc):
     """Ordered pairs with AB = 0 (one-sided, exactly as stated; the companion
     BA = 0 is deliberately not required), listed like ``zero_product_pairs``
-    from the kernels of L_A (exhaustive mode only)."""
-    return _condition_pairs(desc, mode, "left_zero")
+    from the kernels of L_A."""
+    return _condition_pairs(desc, "left_zero")

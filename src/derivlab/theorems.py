@@ -23,10 +23,10 @@ its type and message, so a bug never passes for a skip.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import EvenModulusError, GuardError, InternalVerificationError
 from .identities import (
@@ -57,19 +57,6 @@ from .rings import (
     trivial_extension,
 )
 
-THEOREM_IDS = (
-    "thm2_1",
-    "thm2_2",
-    "cor2_3",
-    "lemma3_1",
-    "thm3_2i",
-    "thm3_2ii",
-    "thm4_2",
-    "thm4_4",
-    "remark1_1",
-    "remark1_2",
-)
-
 PROOF_STEP_SAMPLES = 20  # random star members thm2_1 runs the proof steps on
 _MODE_COMPARE_SIZE = 128
 
@@ -96,9 +83,6 @@ class TheoremReport:
             "seed": self.seed,
             "elapsed_ms": self.elapsed_ms,
         }
-
-    def dumps(self):
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 class _Falsified(Exception):
@@ -191,19 +175,8 @@ def _dispatch(theorem_id, ring, report, pair_mode, rng, inflation_rank):
             f"modulus not 2-torsion free (m={ring.m}); construct the ring for "
             "exploration, but the verification suite only runs over odd moduli"
         )
-    handler = {
-        "thm2_1": _verify_zero_product_decomposition,
-        "thm2_2": _verify_corrected_zero_product,
-        "cor2_3": _verify_inner_plus_lift,
-        "lemma3_1": _verify_nonunital_components,
-        "thm3_2i": _verify_jordan_is_derivation,
-        "thm3_2ii": _verify_generalized_jordan,
-        "thm4_2": _verify_one_sided_multiplier,
-        "thm4_4": _verify_extension_jordan,
-        "remark1_1": _verify_generalized_shift,
-        "remark1_2": _verify_hypothesis_weakenings,
-    }[theorem_id]
-    handler(ring, report, pair_mode=pair_mode, rng=rng, inflation_rank=inflation_rank)
+    _PROCEDURES[theorem_id](ring, report, pair_mode=pair_mode, rng=rng,
+                            inflation_rank=inflation_rank)
 
 
 def _need_matrix(ring):
@@ -212,27 +185,28 @@ def _need_matrix(ring):
 
 
 def _compare_pair_modes(kind, ring, requested_mode):
-    """(flag, module, counts): the requested module with its counts, and
-    whether the structural span of the identity's condition equals the exact
-    span (both symmetrised for two-sided; see ``rings.pair_span``), which
-    makes the structured and exhaustive modules equal.
+    """(module, counts): the requested module with its counts, and in them
+    ``structured_equals_exhaustive``, whether the structural span of the
+    identity's condition equals the exact span (both symmetrised for
+    two-sided; see ``rings.pair_span``), which makes the structured and
+    exhaustive modules equal.
 
     Equality is measured, not assumed; the flag lands in the counts as 0/1
     when the comparison runs, which it does for pair conditions on rings of
     at most ``_MODE_COMPARE_SIZE`` elements (``scripts/compare_pair_modes.py``
-    measures larger ones); else it is None.
+    measures larger ones).
     """
     module, counts = solve_counted(kind, ring, pair_mode=requested_mode)
     quantifier = IDENTITY_TERMS[kind].quantifier
     if ring_size(ring) > _MODE_COMPARE_SIZE or quantifier not in CONDITIONS:
-        return None, module, counts
+        return module, counts
     structural, exact = structural_and_exact_spans(ring, quantifier)
-    return int(module_equal(structural, exact)), module, counts
+    return module, {**counts, "structured_equals_exhaustive": int(module_equal(structural, exact))}
 
 
 def _verify_zero_product_decomposition(ring, report, *, pair_mode, rng, **_):
     _need_matrix(ring)
-    modes_equal, star, pair_counts = _compare_pair_modes("star", ring, pair_mode)
+    star, pair_counts = _compare_pair_modes("star", ring, pair_mode)
     deriv = solve_all("derivation", ring)
     center = center_basis(ring)
     shifted = deriv.sum_with(right_multiplier_module(ring, center))
@@ -242,8 +216,6 @@ def _verify_zero_product_decomposition(ring, report, *, pair_mode, rng, **_):
         "center_size": center.size(),
         **pair_counts,
     }
-    if modes_equal is not None:
-        report.counts["structured_equals_exhaustive"] = modes_equal
     _require_equal(star, shifted, "zero_product_maps", "derivations_plus_central_multipliers",
                    ring, ring, "star", "derivation", pair_mode)
     bim = Bimodule.regular(ring)
@@ -259,7 +231,7 @@ def _verify_zero_product_decomposition(ring, report, *, pair_mode, rng, **_):
 
 def _verify_corrected_zero_product(ring, report, *, pair_mode, **_):
     _need_matrix(ring)
-    modes_equal, starstar, pair_counts = _compare_pair_modes("star_star", ring, pair_mode)
+    starstar, pair_counts = _compare_pair_modes("star_star", ring, pair_mode)
     deriv = solve_all("derivation", ring)
     shifted = deriv.sum_with(right_multiplier_module(ring))
     report.counts = {
@@ -267,8 +239,6 @@ def _verify_corrected_zero_product(ring, report, *, pair_mode, **_):
         "derivation_module_size": deriv.size(),
         **pair_counts,
     }
-    if modes_equal is not None:
-        report.counts["structured_equals_exhaustive"] = modes_equal
     _require_equal(starstar, shifted, "corrected_zero_product_maps",
                    "derivations_plus_multipliers", ring, ring,
                    "star_star", "derivation", pair_mode)
@@ -309,7 +279,7 @@ def _verify_nonunital_components(ring, report, *, inflation_rank, **_):
                    ring, bim, "jordan", "derivation")
 
 
-def _verify_collapse(ring, report, kind, target):
+def _verify_collapse(ring, report, *, kind, target, **_):
     """The maps satisfying ``kind`` are exactly those satisfying ``target``."""
     _need_matrix(ring)
     source = solve_all(kind, ring)
@@ -319,14 +289,6 @@ def _verify_collapse(ring, report, kind, target):
         f"{target}_module_size": dest.size(),
     }
     _require_equal(source, dest, f"{kind}_maps", f"{target}s", ring, ring, kind, target)
-
-
-def _verify_jordan_is_derivation(ring, report, **_):
-    _verify_collapse(ring, report, "jordan", "derivation")
-
-
-def _verify_generalized_jordan(ring, report, **_):
-    _verify_collapse(ring, report, "generalized_jordan", "generalized_derivation")
 
 
 def _verify_one_sided_multiplier(ring, report, **_):
@@ -398,6 +360,23 @@ def _verify_hypothesis_weakenings(ring, report, *, pair_mode, **_):
                    ring, ring, "remark_antizero", "star", pair_mode)
     _require_equal(onesided, solve_all("derivation", ring), "one_sided_zero_maps",
                    "derivations", ring, ring, "remark_abzero", "derivation", pair_mode)
+
+
+# theorem id -> procedure, in report order
+_PROCEDURES = {
+    "thm2_1": _verify_zero_product_decomposition,
+    "thm2_2": _verify_corrected_zero_product,
+    "cor2_3": _verify_inner_plus_lift,
+    "lemma3_1": _verify_nonunital_components,
+    "thm3_2i": partial(_verify_collapse, kind="jordan", target="derivation"),
+    "thm3_2ii": partial(_verify_collapse, kind="generalized_jordan",
+                        target="generalized_derivation"),
+    "thm4_2": _verify_one_sided_multiplier,
+    "thm4_4": _verify_extension_jordan,
+    "remark1_1": _verify_generalized_shift,
+    "remark1_2": _verify_hypothesis_weakenings,
+}
+THEOREM_IDS = tuple(_PROCEDURES)
 
 
 def run_all(ring, theorem_ids=THEOREM_IDS, **options):

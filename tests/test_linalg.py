@@ -417,6 +417,21 @@ def test_solution_module_from_json_canonicalises_its_generators():
             SolutionModule.from_json(dict(obj, **header))
 
 
+@pytest.mark.parametrize("read, obj", [
+    (ResidueMatrix.from_json, {"m": 3, "rows": 1, "cols": 2, "data": [1.5, 0]}),
+    (ResidueMatrix.from_json, {"m": 3, "rows": 1, "cols": 2, "data": [True, 0]}),
+    (ResidueMatrix.from_json, {"m": 3, "rows": "1", "cols": 2, "data": [1, 0]}),
+    (ResidueMatrix.from_json, {"m": 3, "rows": 1, "cols": 2}),
+    (SolutionModule.from_json, {"modulus": 3.0, "ambient_rank": 2,
+                                "generators": {"m": 3, "rows": 1, "cols": 2, "data": [1, 0]}}),
+    (SolutionModule.from_json, {"modulus": 3, "ambient_rank": 2}),
+], ids=["float entry", "bool entry", "string rows", "no data", "float modulus",
+        "no generators"])
+def test_malformed_json_raises_value_error(read, obj):
+    with pytest.raises(ValueError):
+        read(obj)
+
+
 def test_residue_matrix_validation():
     with pytest.raises(ValueError):
         ResidueMatrix(1, 1, 1, (0,))

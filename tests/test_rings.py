@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from derivlab import rings
 from derivlab.errors import GuardError
 from derivlab.linalg import SolutionModule
+from derivlab.maps import inner_derivation
 from derivlab.rings import (
     CONDITIONS,
     EXHAUSTIVE_ELEMENT_BUDGET,
@@ -335,6 +336,34 @@ def test_unknown_action_side_raises(side):
         action_rows(bim, side, e12)
 
 
+def test_wrong_action_lengths_raise():
+    # each of these once read a prefix of its input or ignored an entry:
+    # (1, 0) acted as E11, the fifth coordinate vanished, the 9 was dropped
+    bim = Bimodule.regular(M2Z3)
+    with pytest.raises(ValueError, match="ring coordinates have length 2, expected 4"):
+        act(bim, "L", (1, 0), (1, 0, 0, 0))
+    with pytest.raises(ValueError, match="module vector has length 5, expected 4"):
+        inner_derivation(M2Z3, (1, 0, 0, 0, 1))
+    with pytest.raises(ValueError, match="module vector has length 5, expected 4"):
+        peirce_split(bim, (1, 2, 0, 0, 9))
+
+
+@pytest.mark.parametrize("read, obj", [
+    (RingDescriptor.from_json, {"kind": "matrix", "n": 2.0, "base": {"kind": "zmod", "m": 3}}),
+    (RingDescriptor.from_json, {"kind": "matrix", "n": 2}),
+    (RingDescriptor.from_json, [{"kind": "zmod", "m": 3}]),
+    (RingElement.from_json, {"ring": {"kind": "zmod", "m": 3}, "coords": [True]}),
+    (RingElement.from_json, {"ring": {"kind": "zmod", "m": 3}, "coords": "1"}),
+    (Bimodule.from_json, {"kind": "inflated", "extra_rank": 2.0,
+                          "base": {"kind": "regular", "ring": {"kind": "zmod", "m": 3}}}),
+    (Bimodule.from_json, {"kind": "regular"}),
+], ids=["float size", "no base", "list", "bool coordinate",
+        "string coordinates", "float extra rank", "no ring"])
+def test_malformed_json_raises_value_error(read, obj):
+    with pytest.raises(ValueError):
+        read(obj)
+
+
 def test_bimodule_json_round_trip():
     for bim in (
         Bimodule.regular(M2Z3),
@@ -410,7 +439,7 @@ def _zero_product_pairs_by_enumeration():
 
 
 def test_exhaustive_zero_product_pairs_match_oracle_count():
-    pairs = zero_product_pairs(M2Z3, "exhaustive")
+    pairs = zero_product_pairs(M2Z3)
     assert len(pairs) == _zero_product_pairs_by_enumeration()
     zero = zero_element(M2Z3)
     for a, b in pairs:
@@ -431,7 +460,7 @@ def test_exhaustive_pairs_equal_index_order_scan():
         ("anti_commuting", anti_commuting_pairs),
         ("left_zero", left_zero_pairs),
     ):
-        listed = [(a.coords, b.coords) for a, b in enumerate_pairs(M2Z3, "exhaustive")]
+        listed = [(a.coords, b.coords) for a, b in enumerate_pairs(M2Z3)]
         assert listed == scan_pairs_mat2(3, condition)
 
 
@@ -466,13 +495,6 @@ def test_structured_pairs_are_zero_products():
                     assert mu + mu_tau == zero
                 else:
                     assert mu == zero
-
-
-def test_structured_mode_lists_no_pairs():
-    for enumerate_pairs in (zero_product_pairs, anti_commuting_pairs, left_zero_pairs):
-        for ring in (M2Z3, zmod(5)):
-            with pytest.raises(ValueError, match="exhaustive mode only"):
-                enumerate_pairs(ring, "structured")
 
 
 SPAN_RINGS = {f"M2(Z/{m})": matrix_ring(2, zmod(m)) for m in (3, 4, 5)}
@@ -692,16 +714,16 @@ def test_exhaustive_pair_counts_on_large_rings(label):
 
 
 def test_anti_commuting_pairs():
-    pairs = anti_commuting_pairs(M2Z3, "exhaustive")
+    pairs = anti_commuting_pairs(M2Z3)
     zero = zero_element(M2Z3)
     for a, b in pairs:
         assert (a * b + b * a) == zero
-    zp = {(a.coords, b.coords) for a, b in zero_product_pairs(M2Z3, "exhaustive")}
+    zp = {(a.coords, b.coords) for a, b in zero_product_pairs(M2Z3)}
     assert zp <= {(a.coords, b.coords) for a, b in pairs}
 
 
 def test_left_zero_pairs_one_sided():
-    pairs = left_zero_pairs(M2Z3, "exhaustive")
+    pairs = left_zero_pairs(M2Z3)
     zero = zero_element(M2Z3)
     one_sided_only = 0
     for a, b in pairs:
@@ -722,10 +744,10 @@ def test_pair_budget_guard(monkeypatch):
     message = f"ring size {101 ** 4} is over the {EXHAUSTIVE_ELEMENT_BUDGET}-element budget"
     for enumerate_pairs in (zero_product_pairs, anti_commuting_pairs, left_zero_pairs):
         with pytest.raises(GuardError, match=message):
-            enumerate_pairs(big, "exhaustive")
+            enumerate_pairs(big)
     monkeypatch.undo()
     # a ring well inside the budget runs
-    assert len(zero_product_pairs(matrix_ring(2, zmod(7)), "exhaustive")) == 7105
+    assert len(zero_product_pairs(matrix_ring(2, zmod(7)))) == 7105
 
 
 def test_element_enumeration_round_trip():

@@ -94,7 +94,7 @@ def test_stray_exception_is_an_error_not_a_skip(monkeypatch, capsys):
     def broken(ring, report, **_):
         raise ValueError("stray bug")
 
-    monkeypatch.setattr(theorems, "_verify_jordan_is_derivation", broken)
+    monkeypatch.setitem(theorems._PROCEDURES, "thm3_2i", broken)
     rep = verify_theorem("thm3_2i", M2Z3)
     assert rep.status == "error"
     assert rep.reason == "ValueError: stray bug"
@@ -255,6 +255,69 @@ def test_equivalent_sign_flip_keeps_the_module():
     flipped = _sign_flipped(spec, index)
     for mode in ("structured", "exhaustive"):
         assert solve_all(flipped, M2Z3, pair_mode=mode) == solve_all(spec, M2Z3, pair_mode=mode)
+
+
+_SWAP_AB = str.maketrans("ab", "ba")
+QUANTIFIERS = ("basis_pairs", "two_sided_zero", "anti_commuting", "left_zero")
+
+
+def _mutants(spec):
+    """(label, spec) for each single edit of ``spec``: per term, flip its
+    sign, drop it, double its coefficient, swap a and b in it, or move its
+    one-sided factor to the other side; and each other quantifier."""
+    terms = spec.terms
+    for i, (coef, left, arg, right) in enumerate(terms):
+        swapped = tuple(w and w.translate(_SWAP_AB) for w in (left, arg, right))
+        edits = {"flip": [(-coef, left, arg, right)], "drop": [],
+                 "double": [(2 * coef, left, arg, right)], "swap": [(coef, *swapped)]}
+        if (left is None) != (right is None):
+            edits["move"] = [(coef, right, arg, left)]
+        for op, term in edits.items():
+            yield (op, i), IdentitySpec(spec.tag, terms[:i] + tuple(term) + terms[i + 1:],
+                                        spec.quantifier)
+    for quantifier in QUANTIFIERS:
+        if quantifier != spec.quantifier:
+            yield ("quantifier", quantifier), IdentitySpec(spec.tag, terms, quantifier)
+
+
+# mutants that leave their module unchanged on M2(Z/3) (asserted below), so
+# no procedure can tell them apart: generalized_derivation,
+# generalized_jordan and phi keep their modules under every pair condition
+# (M_n(R) is zero product determined); star and star_star under
+# anti-commuting pairs and remark_antizero under two-sided zero pairs give
+# the modules remark1_2 proves equal; -D(ab) vanishes where ab = 0; and
+# remark_abzero over all basis pairs is Der
+EQUIVALENT_MUTANTS = {
+    *((kind, ("quantifier", q))
+      for kind in ("generalized_derivation", "generalized_jordan", "phi")
+      for q in QUANTIFIERS[1:]),
+    ("star", ("quantifier", "anti_commuting")),
+    ("star_star", ("quantifier", "anti_commuting")),
+    ("remark_antizero", ("quantifier", "two_sided_zero")),
+    *(("remark_abzero", (op, 4)) for op in ("flip", "drop", "double")),
+    ("remark_abzero", ("quantifier", "basis_pairs")),
+}
+
+
+def test_mutant_count():
+    assert sum(1 for spec in IDENTITY_TERMS.values() for _ in _mutants(spec)) == 237
+    assert len(EQUIVALENT_MUTANTS) == 16
+
+
+@pytest.mark.parametrize("kind", list(IDENTITY_TERMS))
+def test_every_single_edit_is_caught(kind, monkeypatch):
+    # each mutant patched into the catalogue must falsify some procedure on
+    # M2(Z/3), unless it is one of the equivalent mutants, which verify
+    spec = IDENTITY_TERMS[kind]
+    for label, mutant in _mutants(spec):
+        with monkeypatch.context() as patch:
+            patch.setitem(IDENTITY_TERMS, kind, mutant)
+            statuses = {r.status for r in run_all(M2Z3)}
+        if (kind, label) in EQUIVALENT_MUTANTS:
+            assert statuses == {"verified"}, label
+            assert solve_all(mutant, M2Z3) == solve_all(spec, M2Z3), label
+        else:
+            assert "falsified" in statuses and "error" not in statuses, label
 
 
 def test_corrupted_star_above_the_budget_still_falsifies(monkeypatch):
