@@ -2,10 +2,9 @@
 """Run the whole verification battery over the standard desk rings.
 
 Usage:
-    python scripts/run_theorems.py [--json out.json] [--pairs exhaustive] [--seed S]
+    python scripts/run_theorems.py [--json out.json] [--pairs exhaustive]
 
-Every module equality is decided exactly, without samples; the seed draws
-thm2_1's 20 proof-step samples.
+Every procedure decides exactly: nothing is sampled.
 
 Prints one line per (ring, result) pair and exits 1 if anything is falsified or
 errors.
@@ -32,13 +31,12 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--json", help="also write all reports to this file")
     parser.add_argument("--pairs", choices=PAIR_MODES, default="structured")
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
     all_reports = []
     for label, ring in DESK_RINGS:
         for tid in THEOREM_IDS:
-            rep = verify_theorem(tid, ring, pair_mode=args.pairs, seed=args.seed)
+            rep = verify_theorem(tid, ring, pair_mode=args.pairs)
             all_reports.append(rep)
             counts = " ".join(f"{k}={v}" for k, v in sorted(rep.counts.items()))
             extra = f" reason={rep.reason!r}" if rep.reason else ""

@@ -15,10 +15,10 @@ once more into the square-zero extension.  Structured pair mode is the default
 u of Z/mZ times monomial conjugation phi, as K_(u.phi(a)) = phi(K_a), and
 builds pair tensors until they span the structural kernel; its cost still
 grows with ring size).  ``pairs`` accepts only ``--pairs exhaustive``:
-structured mode quantifies over a span, not a pair list.  ``--seed`` is a
-``verify`` option only: no other command draws samples.
+structured mode quantifies over a span, not a pair list.  Nothing is
+sampled, so no command takes a seed.
 Exit codes: 0 on success or skip, 1 when a verification is falsified or ends
-in error or a check fails, 2 on usage errors.
+in error or a check or proof step fails, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -124,8 +124,6 @@ def build_parser():
                           help="which result to verify (default all)")
     p_verify.add_argument("--inflation-rank", type=_nonnegative_int, default=0,
                           help="zero-action summand rank for the non-unital check")
-    p_verify.add_argument("--seed", type=int, default=0,
-                          help="seed of thm2_1's proof-step samples")
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_solve = sub.add_parser("solve", help="solve for a full map space")
@@ -178,11 +176,7 @@ def _ring_label(ring):
 
 def _cmd_verify(args):
     ring = _ring_from_args(args)
-    options = dict(
-        pair_mode=args.pairs,
-        seed=args.seed,
-        inflation_rank=args.inflation_rank or None,
-    )
+    options = dict(pair_mode=args.pairs, inflation_rank=args.inflation_rank or None)
     if args.theorem == "all":
         reports = run_all(ring, **options)
     else:
@@ -242,6 +236,7 @@ def _cmd_check(args):
 
 def _cmd_decompose(args):
     fmap = _load_map(args.input)
+    status = 0
     if args.method == "zero-product":
         trace = decompose_theorem21(fmap, pair_mode=args.pairs)
         payload = trace.to_json()
@@ -269,8 +264,9 @@ def _cmd_decompose(args):
         lines = [
             f"step {s.step}: {'pass' if s.passed else 'FAIL'}" for s in steps.steps
         ]
+        status = 0 if steps.all_passed else 1
     _emit(args, payload, lines)
-    return 0
+    return status
 
 
 def _cmd_pairs(args):

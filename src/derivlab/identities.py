@@ -607,14 +607,21 @@ class DecompositionTrace:
 
 def _corner_split(dmap, pair_mode):
     """E = E11, F = 1 - E and the corner element m = E.D(E).F - F.D(E).E (in
-    module coordinates) of a map that must meet the zero-product condition."""
+    module coordinates) of a map that must meet the hypotheses of Theorem
+    2.1: a matrix ring domain over an odd modulus, a unital codomain and the
+    zero-product condition."""
+    ring = dmap.domain
+    bim = dmap.codomain
+    if ring.kind != "matrix":
+        raise ValueError("the corner split needs a matrix ring domain")
+    require_odd(ring, "the corner split")
+    if not is_unital(bim):
+        raise ValueError("the corner split needs a unital codomain")
     report = check(dmap, "star", pair_mode=pair_mode)
     if not report.passed:
         raise PreconditionError(
             "map does not satisfy the zero-product condition", report
         )
-    ring = dmap.domain
-    bim = dmap.codomain
     e = matrix_unit(ring, 1, 1)
     f = one_element(ring) - e
     d_of_e = dmap.apply(e)
@@ -635,11 +642,6 @@ def decompose_theorem21(dmap, pair_mode="structured"):
     """
     ring = dmap.domain
     bim = dmap.codomain
-    if ring.kind != "matrix":
-        raise ValueError("the decomposition needs a matrix ring domain")
-    require_odd(ring, "the zero-product decomposition")
-    if not is_unital(bim):
-        raise ValueError("the decomposition needs a unital codomain")
     e, f, m_elt = _corner_split(dmap, pair_mode)
     i_m = inner_derivation(bim, m_elt)
     central = dmap.apply(one_element(ring))
@@ -757,12 +759,8 @@ def verify_proof_steps(dmap, pair_mode="structured"):
     pairs (a, b).  Each part is the term table in ``_PROOF_STEPS``, checked
     like any identity; a step's witness is the first failing part's.
     """
-    ring = dmap.domain
-    bim = dmap.codomain
-    if ring.kind != "matrix":
-        raise ValueError("proof steps are defined over a matrix ring domain")
     _, _, m_elt = _corner_split(dmap, pair_mode)
-    delta = dmap - inner_derivation(bim, m_elt)
+    delta = dmap - inner_derivation(dmap.codomain, m_elt)
     steps = []
     for step_no, parts in itertools.groupby(_PROOF_STEPS, key=lambda part: part[0]):
         failure = None

@@ -475,13 +475,21 @@ def _table_kernel(m, rank, width, blocks):
     return howell_kernel(m, width, _canonical(rows, width, m))
 
 
+def _check_ring_coords(ring_coords, tables):
+    if len(ring_coords) != len(tables):
+        raise ValueError(f"ring coordinates have length {len(ring_coords)}, "
+                         f"expected {len(tables)}")
+
+
 def action_rows(bim, side, ring_coords):
     """Rows of the matrix of m |-> a.m (side "L") or m |-> m.a (side "R") for
     the ring element a with coordinates ring_coords, as sparse
     {column: value} dicts of nonzero entries."""
     tb = bimodule_tables(bim)
     n = tb.m
-    out = _table_rows(tb.rank, [(t, c, 0) for c, t in zip(ring_coords, tb.side(side)) if c])
+    tables = tb.side(side)
+    _check_ring_coords(ring_coords, tables)
+    out = _table_rows(tb.rank, [(t, c, 0) for c, t in zip(ring_coords, tables) if c])
     return [{j: v % n for j, v in ot.items() if v % n} for ot in out]
 
 
@@ -491,9 +499,7 @@ def act(bim, side, ring_coords, vec):
     its action table dotted with m, summed and reduced once."""
     tb = bimodule_tables(bim)
     tables = tb.side(side)
-    if len(ring_coords) != len(tables):
-        raise ValueError(f"ring coordinates have length {len(ring_coords)}, "
-                         f"expected {len(tables)}")
+    _check_ring_coords(ring_coords, tables)
     if len(vec) != tb.rank:
         raise ValueError(f"module vector has length {len(vec)}, expected {tb.rank}")
     out = [0] * tb.rank

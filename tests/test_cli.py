@@ -162,6 +162,42 @@ def test_decompose_proof_steps(tmp_path, capsys):
     assert out.count("pass") == 8
 
 
+M2Z2 = matrix_ring(2, zmod(2))
+
+
+@pytest.mark.parametrize("fmap, reason", [
+    (AdditiveMap.from_flat(M2Z2, Bimodule.regular(M2Z2), (0, 1) + (0,) * 14), "m=2"),
+    (AdditiveMap.from_flat(M2Z3, Bimodule.inflated(REG, 2), (0,) * 16 + (1,) + (0,) * 7),
+     "unital codomain"),
+], ids=["even modulus", "non-unital codomain"])
+def test_proof_steps_outside_the_hypotheses_are_usage_errors(fmap, reason, tmp_path, capsys):
+    # both maps meet the zero-product condition; the first lies outside
+    # Der + central multipliers of M2(Z/2), and each once printed a failing
+    # step and exited 0
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(fmap.to_json()))
+    for method in ("proof-steps", "zero-product"):
+        assert run(["decompose", "--input", str(path), "--method", method]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and reason in err
+
+
+def test_failing_proof_step_exits_one(tmp_path, capsys, monkeypatch):
+    # corner_ee with its second term's sign flipped asks 2.Delta(EaE) = 0,
+    # which the identity map (Delta = D, as its corner element is 0) fails
+    step, spec = identities._PROOF_STEPS[0]
+    (coef, *words), *rest = spec.terms[1:]
+    flipped = identities.IdentitySpec(spec.tag, (spec.terms[0], (-coef, *words), *rest),
+                                      spec.quantifier)
+    monkeypatch.setattr(identities, "_PROOF_STEPS",
+                        ((step, flipped),) + identities._PROOF_STEPS[1:])
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(right_multiplier(REG, one_element(M2Z3).coords).to_json()))
+    assert run(["decompose", "--input", str(path), "--method", "proof-steps"]) == 1
+    out = capsys.readouterr().out
+    assert "step 1: FAIL" in out and out.count("pass") == 7
+
+
 def test_pairs_subcommand(capsys):
     status = run(
         ["pairs", "--base", "zmod:3", "--n", "2", "--pairs", "exhaustive", "--json"]
@@ -187,7 +223,7 @@ def test_malformed_flags_exit_two(capsys):
 
 
 def test_verify_sample_flag_is_a_usage_error(capsys):
-    # thm2_1 always runs its 20 proof-step samples; no flag sets the count
+    # thm2_1 runs its proof steps on every star generator; no flag samples
     assert run(["verify", "--theorem", "thm2_1", "--n", "2", "--sample", "5"]) == 2
     assert "--sample" in capsys.readouterr().err
 
@@ -217,10 +253,11 @@ def test_matrix_size_below_two_is_a_usage_error(command, capsys):
     ["check", "--kind", "derivation", "--input", "map.json"],
     ["decompose", "--method", "zero-product", "--input", "map.json"],
     ["pairs", "--n", "2"],
+    ["verify", "--n", "2"],
 ])
-def test_seed_is_a_verify_option_only(command, capsys):
-    # only verify draws samples; the other commands once accepted --seed
-    # and ignored it
+def test_seed_is_no_option(command, capsys):
+    # nothing is sampled; verify once took --seed for thm2_1's proof-step
+    # samples, and the other commands once accepted it and ignored it
     assert run(command + ["--seed", "7"]) == 2
     assert "--seed" in capsys.readouterr().err
 

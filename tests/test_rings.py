@@ -348,6 +348,15 @@ def test_wrong_action_lengths_raise():
         peirce_split(bim, (1, 2, 0, 0, 9))
 
 
+@pytest.mark.parametrize("coords", [(1, 0), (1, 0, 0, 0, 1)], ids=["short", "long"])
+@pytest.mark.parametrize("side", "LR")
+def test_wrong_action_row_lengths_raise(coords, side):
+    # both once gave the rows of E11: zip dropped the missing or extra entries
+    with pytest.raises(ValueError, match=f"ring coordinates have length {len(coords)}, "
+                                         "expected 4"):
+        action_rows(Bimodule.regular(M2Z3), side, coords)
+
+
 @pytest.mark.parametrize("read, obj", [
     (RingDescriptor.from_json, {"kind": "matrix", "n": 2.0, "base": {"kind": "zmod", "m": 3}}),
     (RingDescriptor.from_json, {"kind": "matrix", "n": 2}),

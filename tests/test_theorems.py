@@ -5,7 +5,13 @@ import pytest
 
 from derivlab import identities, theorems
 from derivlab.cli import run
-from derivlab.identities import IDENTITY_TERMS, IdentitySpec, solve_all, solve_counted
+from derivlab.identities import (
+    IDENTITY_TERMS,
+    IdentitySpec,
+    maps_from_module,
+    solve_all,
+    solve_counted,
+)
 from derivlab.maps import zero_map
 from derivlab.rings import dual_numbers, matrix_ring, trivial_extension, zmod
 from derivlab.theorems import (
@@ -134,8 +140,9 @@ def battery_reports():
 
 def test_battery_reports_match_the_recorded_ones(battery_reports):
     # recorded from the element-at-a-time membership sampler, whose
-    # ``membership_samples`` count was then dropped from 15 of the lines; the
-    # rest of every report, proof-step draws included, is unchanged
+    # ``membership_samples`` count was then dropped from 15 of the lines, and
+    # the three thm2_1 lines' ``proof_step_samples: 20`` since replaced by
+    # ``proof_step_generators``; the rest of every report is unchanged
     lines = [stripped_report(rep) for rep in battery_reports]
     path = os.path.join(os.path.dirname(__file__), "battery_seed1_reports.jsonl")
     with open(path, encoding="utf-8") as fh:
@@ -162,14 +169,18 @@ def test_module_mismatch_witness_is_pinned():
     assert star.contains(flat) and not deriv.contains(flat)
 
 
-def test_default_sample_runs_the_most_proof_step_samples():
-    # the proof-step sample count is a constant, not a parameter
-    assert theorems.PROOF_STEP_SAMPLES == 20
-    rep = verify_theorem("thm2_1", M2Z3)
+@pytest.mark.parametrize("ring, generators", [
+    (M2Z3, 4), (matrix_ring(2, dual_numbers(3)), 9), (matrix_ring(2, zmod(5)), 4),
+], ids=["M2(Z/3)", "M2(Z/3[eps])", "M2(Z/5)"])
+def test_proof_steps_run_on_every_star_generator(ring, generators):
+    # the steps are linear in the map, so they run on the star module's
+    # Howell generators and nothing is sampled
+    assert not hasattr(theorems, "PROOF_STEP_SAMPLES")
+    rep = verify_theorem("thm2_1", ring)
     assert rep.status == "verified"
-    assert rep.counts["proof_step_samples"] == 20
+    assert rep.counts["proof_step_generators"] == len(solve_all("star", ring).rows) == generators
     with pytest.raises(TypeError):
-        verify_theorem("thm2_1", M2Z3, sample=5)
+        verify_theorem("thm2_1", ring, sample=5)
 
 
 def test_reports_are_deterministic_except_elapsed():
@@ -320,6 +331,29 @@ def test_every_single_edit_is_caught(kind, monkeypatch):
             assert "falsified" in statuses and "error" not in statuses, label
 
 
+PROOF_STEP_MUTANTS = [
+    (index, label, mutant)
+    for index, (_, spec) in enumerate(identities._PROOF_STEPS)
+    for label, mutant in _mutants(spec) if label[0] in ("flip", "drop")
+]
+
+
+def test_every_proof_step_flip_and_drop_is_caught(monkeypatch):
+    # thm2_1 runs the steps on every star generator, so each mutant step
+    # patched into the table falsifies it, with a generator as the map
+    assert len(PROOF_STEP_MUTANTS) == 84
+    generators = [g.to_json() for g in maps_from_module(solve_all("star", M2Z3), M2Z3, M2Z3)]
+    for index, label, mutant in PROOF_STEP_MUTANTS:
+        table = list(identities._PROOF_STEPS)
+        table[index] = (table[index][0], mutant)
+        with monkeypatch.context() as patch:
+            patch.setattr(identities, "_PROOF_STEPS", tuple(table))
+            rep = verify_theorem("thm2_1", M2Z3)
+        assert rep.status == "falsified", (mutant.tag, label)
+        assert rep.counterexample["map"] in generators, (mutant.tag, label)
+        assert not rep.counterexample["steps"]["all_passed"], (mutant.tag, label)
+
+
 def test_corrupted_star_above_the_budget_still_falsifies(monkeypatch):
     # a.D(b).E + b.D(a).E added to star keeps its blocks symmetric, so the
     # structured solve still runs on M2(Z/19), past the element budget; the
@@ -370,7 +404,7 @@ def test_composite_odd_moduli_verify():
 def _composite_counts(m):
     # every count of the ten reports on M2(Z/m), recorded for m = 9 and 15
     return {
-        "thm2_1": {"center_size": m, "derivation_module_size": m**3, "proof_step_samples": 20,
+        "thm2_1": {"center_size": m, "derivation_module_size": m**3, "proof_step_generators": 4,
                    "span_rank": 6, "star_module_size": m**4},
         "thm2_2": {"derivation_module_size": m**3, "span_rank": 6, "star_star_module_size": m**7},
         "cor2_3": {"derivation_module_size": m**3, "generators": 3,
