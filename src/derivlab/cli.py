@@ -10,15 +10,20 @@ Subcommands:
 
 Rings are assembled from flags: ``--base zmod:M | dual:M`` picks the base,
 ``--n N`` wraps it into the N x N matrix ring, ``--trivial-ext`` wraps that
-once more into the square-zero extension.  Structured pair mode is the default
-(exhaustive mode solves one annihilator kernel per orbit of the scalar units
-u of Z/mZ times monomial conjugation phi, as K_(u.phi(a)) = phi(K_a), and
-builds pair tensors until they span the structural kernel; its cost still
-grows with ring size).  ``pairs`` accepts only ``--pairs exhaustive``:
-structured mode quantifies over a span, not a pair list.  Nothing is
-sampled, so no command takes a seed.
+once more into the square-zero extension.  ``--pairs`` picks the pair mode
+of a solve, so only ``verify`` and ``solve`` take it.  Structured mode is the
+default (exhaustive mode solves one annihilator kernel per orbit of the
+scalar units u of Z/mZ times monomial conjugation phi, as
+K_(u.phi(a)) = phi(K_a), and builds pair tensors until they span the
+structural kernel; its cost still grows with ring size).  ``check`` and
+``decompose`` need no mode: the structured module lies inside the exhaustive
+one, and a map outside it gets its witness from the exhaustive scan either
+way.  ``pairs`` lists the exhaustive pair sets, as structured mode
+quantifies over a span, not a pair list.  Nothing is sampled, so no command
+takes a seed.
 Exit codes: 0 on success or skip, 1 when a verification is falsified or ends
-in error or a check or proof step fails, 2 on usage errors.
+in error or a check or proof step fails (also a failing check whose witness
+is over the element budget), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -101,9 +106,12 @@ def _add_ring_flags(parser):
                         help="wrap the ring into its square-zero extension")
 
 
-def _add_common_flags(parser, pair_modes=PAIR_MODES):
-    parser.add_argument("--pairs", choices=pair_modes,
-                        default=pair_modes[0], help="conditional pair mode")
+def _add_pair_mode_flag(parser):
+    parser.add_argument("--pairs", choices=PAIR_MODES, default=PAIR_MODES[0],
+                        help="conditional pair mode of the solves")
+
+
+def _add_common_flags(parser):
     parser.add_argument("--json", action="store_true", help="machine output")
     parser.add_argument("--out", help="write the result to this file")
 
@@ -118,6 +126,7 @@ def build_parser():
 
     p_verify = sub.add_parser("verify", help="run verification procedures")
     _add_ring_flags(p_verify)
+    _add_pair_mode_flag(p_verify)
     _add_common_flags(p_verify)
     p_verify.add_argument("--theorem", default="all",
                           choices=THEOREM_IDS + ("all",),
@@ -128,6 +137,7 @@ def build_parser():
 
     p_solve = sub.add_parser("solve", help="solve for a full map space")
     _add_ring_flags(p_solve)
+    _add_pair_mode_flag(p_solve)
     _add_common_flags(p_solve)
     p_solve.add_argument("--kind", required=True, choices=IDENTITY_KINDS)
     p_solve.set_defaults(handler=_cmd_solve)
@@ -150,9 +160,7 @@ def build_parser():
 
     p_pairs = sub.add_parser("pairs", help="list the exhaustive conditional pair set")
     _add_ring_flags(p_pairs)
-    # structured mode quantifies over a span and lists no pairs; --pairs stays
-    # so that existing "--pairs exhaustive" command lines keep working
-    _add_common_flags(p_pairs, pair_modes=("exhaustive",))
+    _add_common_flags(p_pairs)
     p_pairs.add_argument("--condition", default="zero-product", choices=_PAIR_LISTINGS)
     p_pairs.set_defaults(handler=_cmd_pairs)
     return parser
@@ -222,7 +230,7 @@ def _load_map(path):
 
 def _cmd_check(args):
     fmap = _load_map(args.input)
-    report = check(fmap, args.kind, pair_mode=args.pairs)
+    report = check(fmap, args.kind)
     payload = report.to_json()
     lines = ["passed" if report.passed else "failed"]
     if report.witness:
@@ -230,6 +238,8 @@ def _cmd_check(args):
         lines.append(f"witness a = {w.a}")
         lines.append(f"witness b = {w.b}")
         lines.append(f"residual = {list(w.residual)}")
+    if report.witness_unavailable:
+        lines.append(f"witness unavailable: {report.witness_unavailable}")
     _emit(args, payload, lines)
     return 0 if report.passed else 1
 
@@ -238,7 +248,7 @@ def _cmd_decompose(args):
     fmap = _load_map(args.input)
     status = 0
     if args.method == "zero-product":
-        trace = decompose_theorem21(fmap, pair_mode=args.pairs)
+        trace = decompose_theorem21(fmap)
         payload = trace.to_json()
         lines = [
             "decomposed: derivation part plus right multiplication by the image of 1",
@@ -259,7 +269,7 @@ def _cmd_decompose(args):
         }
         lines = [f"component matrices extracted; mixed component zero: {comps[1].is_zero()}"]
     else:  # proof-steps
-        steps = verify_proof_steps(fmap, pair_mode=args.pairs)
+        steps = verify_proof_steps(fmap)
         payload = steps.to_json()
         lines = [
             f"step {s.step}: {'pass' if s.passed else 'FAIL'}" for s in steps.steps
@@ -275,12 +285,12 @@ def _cmd_pairs(args):
     payload = {
         "ring": ring.to_json(),
         "condition": args.condition,
-        "mode": args.pairs,
+        "mode": "exhaustive",
         "count": len(pairs),
         "pairs": [[list(a.coords), list(b.coords)] for a, b in pairs],
     }
     lines = [
-        f"{args.condition} pairs ({args.pairs}) on ring of size {ring_size(ring)}"
+        f"{args.condition} pairs (exhaustive) on ring of size {ring_size(ring)}"
         f" rank {ring_rank(ring)}: {len(pairs)}"
     ]
     _emit(args, payload, lines)

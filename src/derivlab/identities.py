@@ -32,11 +32,11 @@ canonical tuple of its nonzero (column, residue) pairs.  Its work follows
 the nonzeros: the word values and action operators of basis pairs are read
 from tables built once per (ring, bimodule) and process (``_Tables``),
 shared by every identity, assembly and check over them.  ``check`` is
-membership of the flattened map in that module; only a failing map walks
-the elements or pairs to find the first one whose row block does not
-annihilate it.  The test suite plays this route against independent
-evaluators on explicit 2 x 2 matrices and against the per-pair block
-evaluator and assembly it replaced (``tests/oracles.py``).
+membership of the flattened map in the structured module, in every pair
+mode; only a failing map walks the elements or pairs to find the first one
+whose row block does not annihilate it.  The test suite plays this route
+against independent evaluators on explicit 2 x 2 matrices and against the
+per-pair block evaluator and assembly it replaced (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -270,34 +270,45 @@ class Witness:
 class CheckReport:
     passed: bool
     witness: Witness | None = None
+    witness_unavailable: str | None = None  # why a failing map has no witness
 
     def to_json(self):
-        return {
+        payload = {
             "passed": self.passed,
             "witness": self.witness.to_json() if self.witness else None,
         }
+        if self.witness_unavailable:
+            payload["witness_unavailable"] = self.witness_unavailable
+        return payload
 
 
-def check(fmap, kind, pair_mode="structured"):
+def check(fmap, kind):
     """Test the map against the identity (a catalogue tag or an
     ``IdentitySpec``) by membership of its flattened matrix in the memoised
-    solution module (see ``solve_counted``).
+    structured solution module (see ``solve_counted``).
+
+    No pair mode is needed: every pair tensor lies in the structural kernel,
+    so the structured module lies inside the exhaustive one.  A map it
+    contains meets the identity on every pair; a map it does not contain is
+    tested on the exhaustive scan below, whichever module a caller solved.
 
     A failing map gets a witness: the first required element or pair whose
     constraint-row block does not annihilate the map; that product is the
     residual of the identity there.  The order is basis order or
-    basis-lexicographic for the unconditional quantifiers and, in either pair
-    mode, the exhaustive scan for the conditional ones: a in index order, and
-    the elements of K_a in sorted order.  Every term is additive in b, so a
-    K_a whose Howell generators all pass is skipped whole.  The scan solves
-    the kernels one a at a time; above ``EXHAUSTIVE_ELEMENT_BUDGET`` it raises
-    ``GuardError``.
+    basis-lexicographic for the unconditional quantifiers and the exhaustive
+    scan for the conditional ones: a in index order, and the elements of K_a
+    in sorted order.  Every term is additive in b, so a K_a whose Howell
+    generators all pass is skipped whole.  The scan solves the kernels one a
+    at a time; above ``EXHAUSTIVE_ELEMENT_BUDGET`` it is out of reach, and the
+    failing report carries the reason as ``witness_unavailable`` in place of
+    a witness.  A map outside the module that fails on no pair raises
+    ``InternalVerificationError``: the module was wrong.
     """
     spec = _spec_for(kind)
     ring = fmap.domain
     bim = fmap.codomain
     flat = fmap.to_flat()
-    module, _ = solve_counted(spec, ring, bim, pair_mode)
+    module, _ = solve_counted(spec, ring, bim)
     if module.contains(flat):
         return CheckReport(True)
     m, rank_m = ring.m, bimodule_rank(bim)
@@ -307,10 +318,13 @@ def check(fmap, kind, pair_mode="structured"):
         rows = block(a.coords, None if b is None else b.coords)
         return tuple(sum(v * flat[k] for k, v in rows.get(e, ())) % m for e in range(rank_m))
 
-    for a, b in _scan(spec, ring, residual):
-        res = residual(a, b)
-        if any(res):
-            return CheckReport(False, Witness(a, b, res))
+    try:
+        for a, b in _scan(spec, ring, residual):
+            res = residual(a, b)
+            if any(res):
+                return CheckReport(False, Witness(a, b, res))
+    except GuardError as exc:
+        return CheckReport(False, witness_unavailable=str(exc))
     raise InternalVerificationError(
         "map outside the solution module meets the identity on every pair", fmap
     )
@@ -605,7 +619,7 @@ class DecompositionTrace:
         }
 
 
-def _corner_split(dmap, pair_mode):
+def _corner_split(dmap):
     """E = E11, F = 1 - E and the corner element m = E.D(E).F - F.D(E).E (in
     module coordinates) of a map that must meet the hypotheses of Theorem
     2.1: a matrix ring domain over an odd modulus, a unital codomain and the
@@ -617,7 +631,7 @@ def _corner_split(dmap, pair_mode):
     require_odd(ring, "the corner split")
     if not is_unital(bim):
         raise ValueError("the corner split needs a unital codomain")
-    report = check(dmap, "star", pair_mode=pair_mode)
+    report = check(dmap, "star")
     if not report.passed:
         raise PreconditionError(
             "map does not satisfy the zero-product condition", report
@@ -630,7 +644,7 @@ def _corner_split(dmap, pair_mode):
     return e, f, tuple((x - y) % ring.m for x, y in zip(lhs, rhs))
 
 
-def decompose_theorem21(dmap, pair_mode="structured"):
+def decompose_theorem21(dmap):
     """Split a map satisfying the two-sided zero-product condition into a
     derivation plus right multiplication by the central element D(1).
 
@@ -642,7 +656,7 @@ def decompose_theorem21(dmap, pair_mode="structured"):
     """
     ring = dmap.domain
     bim = dmap.codomain
-    e, f, m_elt = _corner_split(dmap, pair_mode)
+    e, f, m_elt = _corner_split(dmap)
     i_m = inner_derivation(bim, m_elt)
     central = dmap.apply(one_element(ring))
     d = (dmap - i_m) - right_multiplier(bim, central)
@@ -729,7 +743,7 @@ _PROOF_STEPS = (
 )
 
 
-def verify_proof_steps(dmap, pair_mode="structured"):
+def verify_proof_steps(dmap):
     """Check the eight intermediate identities of the corner-peeling argument
     for Delta = D - I_m, with E = E11 and F = 1 - E:
 
@@ -759,7 +773,7 @@ def verify_proof_steps(dmap, pair_mode="structured"):
     pairs (a, b).  Each part is the term table in ``_PROOF_STEPS``, checked
     like any identity; a step's witness is the first failing part's.
     """
-    _, _, m_elt = _corner_split(dmap, pair_mode)
+    _, _, m_elt = _corner_split(dmap)
     delta = dmap - inner_derivation(dmap.codomain, m_elt)
     steps = []
     for step_no, parts in itertools.groupby(_PROOF_STEPS, key=lambda part: part[0]):

@@ -91,41 +91,39 @@ class _Falsified(Exception):
         self.counterexample = counterexample
 
 
-def _witness_from_check(fmap, kind, pair_mode="structured"):
+def _witness_from_check(fmap, kind):
     """The map with the witness ``check`` names for it.  Above the element
     budget the exhaustive scan is out of reach; the map then stands alone,
-    with the reason, so a falsification is never reported as a skip."""
-    try:
-        rep = check(fmap, kind, pair_mode=pair_mode)
-    except GuardError as exc:
-        return {"map": fmap.to_json(), "witness_unavailable": str(exc)}
+    with the reason, so a falsification is never reported as a skip.  The
+    witness is the same whichever pair mode solved the module the map fell
+    outside of (see ``check``)."""
+    rep = check(fmap, kind)
+    if rep.witness_unavailable:
+        return {"map": fmap.to_json(), "witness_unavailable": rep.witness_unavailable}
     if rep.passed:
         return {"map": fmap.to_json()}
-    payload = rep.to_json()
-    payload["map"] = fmap.to_json()
-    return payload
+    return {**rep.to_json(), "map": fmap.to_json()}
 
 
-def _containment_witness(sub, sup, sub_name, sup_name, ring, codomain, sup_kind,
-                         pair_mode):
+def _containment_witness(sub, sup, sub_name, sup_name, ring, codomain, sup_kind):
     """Witness detail for the first generator of ``sub`` outside ``sup``,
     checked against the identity that defines ``sup``; None when sub is
     contained in sup."""
     for gen in maps_from_module(sub, ring, codomain):
         if not sup.contains(gen.to_flat()):
-            detail = _witness_from_check(gen, sup_kind, pair_mode)
+            detail = _witness_from_check(gen, sup_kind)
             detail["found_in"] = sub_name
             detail["missing_from"] = sup_name
             return detail
     return None
 
 
-def _require_equal(s1, s2, name1, name2, ring, codomain, kind1, kind2, pair_mode="structured"):
+def _require_equal(s1, s2, name1, name2, ring, codomain, kind1, kind2):
     """Raise with a generator witnessing that two map-space modules differ."""
     if not module_equal(s1, s2):
         raise _Falsified(
-            _containment_witness(s1, s2, name1, name2, ring, codomain, kind2, pair_mode)
-            or _containment_witness(s2, s1, name2, name1, ring, codomain, kind1, pair_mode)
+            _containment_witness(s1, s2, name1, name2, ring, codomain, kind2)
+            or _containment_witness(s2, s1, name2, name1, ring, codomain, kind1)
             or {"found_in": name1, "missing_from": name2}
         )
 
@@ -218,10 +216,10 @@ def _verify_zero_product_decomposition(ring, report, *, pair_mode, **_):
         **pair_counts,
     }
     _require_equal(star, shifted, "zero_product_maps", "derivations_plus_central_multipliers",
-                   ring, ring, "star", "derivation", pair_mode)
+                   ring, ring, "star", "derivation")
     for gen in maps_from_module(star, ring, ring):
-        decompose_theorem21(gen, pair_mode=pair_mode)
-        steps = verify_proof_steps(gen, pair_mode=pair_mode)
+        decompose_theorem21(gen)
+        steps = verify_proof_steps(gen)
         if not steps.all_passed:
             raise _Falsified({"map": gen.to_json(), "steps": steps.to_json()})
 
@@ -238,7 +236,7 @@ def _verify_corrected_zero_product(ring, report, *, pair_mode, **_):
     }
     _require_equal(starstar, shifted, "corrected_zero_product_maps",
                    "derivations_plus_multipliers", ring, ring,
-                   "star_star", "derivation", pair_mode)
+                   "star_star", "derivation")
 
 
 def _verify_inner_plus_lift(ring, report, **_):
@@ -354,9 +352,9 @@ def _verify_hypothesis_weakenings(ring, report, *, pair_mode, **_):
         "one_sided_zero_module_size": onesided.size(),
     }
     _require_equal(anti, star, "anticommuting_maps", "zero_product_maps",
-                   ring, ring, "remark_antizero", "star", pair_mode)
+                   ring, ring, "remark_antizero", "star")
     _require_equal(onesided, solve_all("derivation", ring), "one_sided_zero_maps",
-                   "derivations", ring, ring, "remark_abzero", "derivation", pair_mode)
+                   "derivations", ring, ring, "remark_abzero", "derivation")
 
 
 # theorem id -> procedure, in report order

@@ -88,7 +88,7 @@ def test_criterion_02_zero_product_maps_decompose():
         assert module_equal(star, deriv.sum_with(central_mult))
         center = center_basis(M2Z3)
         for gen in maps_from_module(star, M2Z3, M2Z3):
-            trace = decompose_theorem21(gen, pair_mode="exhaustive")
+            trace = decompose_theorem21(gen)
             assert check(trace.delta, "derivation").passed
             assert center.contains(trace.central)
 

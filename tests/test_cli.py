@@ -61,10 +61,7 @@ def test_solve_writes_basis_and_checks_round_trip(tmp_path, capsys):
     for map_json in payload["maps"]:
         map_file = tmp_path / "gen.json"
         map_file.write_text(json.dumps(map_json))
-        rc = run(
-            ["check", "--input", str(map_file), "--kind", "star",
-             "--pairs", "exhaustive"]
-        )
+        rc = run(["check", "--input", str(map_file), "--kind", "star"])
         assert rc == 0
         assert "passed" in capsys.readouterr().out
 
@@ -199,11 +196,10 @@ def test_failing_proof_step_exits_one(tmp_path, capsys, monkeypatch):
 
 
 def test_pairs_subcommand(capsys):
-    status = run(
-        ["pairs", "--base", "zmod:3", "--n", "2", "--pairs", "exhaustive", "--json"]
-    )
+    status = run(["pairs", "--base", "zmod:3", "--n", "2", "--json"])
     payload = json.loads(capsys.readouterr().out)
     assert status == 0
+    assert payload["mode"] == "exhaustive"
     assert payload["count"] == 225
     assert len(payload["pairs"]) == 225
 
@@ -214,12 +210,36 @@ def test_malformed_flags_exit_two(capsys):
     assert run(["verify", "--threads", "4"]) == 2
     assert run(["verify", "--compare-modes"]) == 2
     assert run(["nonexistent-subcommand"]) == 2
-    capsys.readouterr()
-    # structured mode quantifies over a span and lists no pairs, so argparse
-    # offers the listing exhaustive mode alone
-    assert run(["pairs", "--base", "zmod:3", "--n", "2", "--pairs", "structured"]) == 2
-    err = capsys.readouterr().err
-    assert "--pairs" in err and "exhaustive" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "--kind", "star", "--input", "map.json"],
+    ["decompose", "--method", "zero-product", "--input", "map.json"],
+    ["pairs", "--n", "2"],
+])
+def test_pair_mode_is_a_solve_option_only(command, capsys):
+    # check and decompose read the structured module whatever the mode (it
+    # lies inside the exhaustive one), and pairs lists exhaustive pairs only
+    for mode in ("structured", "exhaustive"):
+        assert run(command + ["--pairs", mode]) == 2
+        assert "--pairs" in capsys.readouterr().err
+
+
+def test_check_above_the_budget_fails_without_a_witness(tmp_path, capsys):
+    # membership decides that the map fails; only the witness scan is out of
+    # reach on M2(Z/101), so check reports the reason and exits 1, not 2
+    big = matrix_ring(2, zmod(101))
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(right_multiplier(Bimodule.regular(big),
+                                                matrix_unit(big, 1, 2).coords).to_json()))
+    assert run(["check", "--kind", "star", "--input", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "failed"
+    assert out[1].startswith("witness unavailable: ") and "budget" in out[1]
+    assert run(["check", "--kind", "star", "--input", str(path), "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is False and payload["witness"] is None
+    assert "budget" in payload["witness_unavailable"]
 
 
 def test_verify_sample_flag_is_a_usage_error(capsys):

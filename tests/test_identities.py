@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import random
 
 import pytest
@@ -57,6 +58,7 @@ from derivlab.rings import (
     trivial_extension,
     zmod,
 )
+from derivlab.cli import run
 from derivlab.theorems import verify_theorem
 import oracles
 from oracles import (
@@ -124,7 +126,7 @@ def test_inner_derivation_passes_derivation_check():
     inner = inner_derivation(REG, matrix_unit(M2Z3, 1, 2).coords)
     assert check(inner, "derivation").passed
     assert check(inner, "jordan").passed
-    assert check(inner, "star", pair_mode="exhaustive").passed
+    assert check(inner, "star").passed
 
 
 def test_right_multiplier_by_one_fails_derivation_with_first_witness():
@@ -158,27 +160,27 @@ BASIS_PAIRS = [
 
 
 @functools.lru_cache(maxsize=None)
-def _oracle_pairs(kind, mode):
+def _oracle_pairs(kind):
     """The pairs the oracle evaluates, in the order check must report them:
-    basis pairs, or the full scan in either pair mode."""
+    basis pairs, or the full scan."""
     quantifier = IDENTITY_TERMS[kind].quantifier
     if quantifier == "basis_pairs":
         return BASIS_PAIRS
     return scan_pairs_mat2(3, quantifier)
 
 
-def _assert_check_matches_oracle(kind, mode, extra, flat):
+def _assert_check_matches_oracle(kind, extra, flat):
     bim = REG if extra == 0 else Bimodule.inflated(REG, extra)
-    report = check(AdditiveMap.from_flat(M2Z3, bim, flat), kind, pair_mode=mode)
+    report = check(AdditiveMap.from_flat(M2Z3, bim, flat), kind)
     expected = first_failing_pair_mat2(
-        IDENTITY_TERMS[kind].terms, flat, 3, extra, _oracle_pairs(kind, mode)
+        IDENTITY_TERMS[kind].terms, flat, 3, extra, _oracle_pairs(kind)
     )
     if expected is None:
-        assert report.passed, (kind, mode, extra, flat)
+        assert report.passed, (kind, extra, flat)
     else:
         w = report.witness
-        assert not report.passed, (kind, mode, extra, flat)
-        assert (w.a.coords, w.b.coords, w.residual) == expected, (kind, mode, extra)
+        assert not report.passed, (kind, extra, flat)
+        assert (w.a.coords, w.b.coords, w.residual) == expected, (kind, extra)
 
 
 def test_check_matches_constraint_membership():
@@ -192,15 +194,15 @@ def test_check_matches_constraint_membership():
     for flat in samples:
         oracle = first_failing_pair_mat2(IDENTITY_TERMS["star"].terms, flat, 3, 0, scan)
         assert star.contains(flat) == (oracle is None)
-        _assert_check_matches_oracle("star", "exhaustive", 0, flat)
+        _assert_check_matches_oracle("star", 0, flat)
 
 
 @pytest.mark.parametrize("kind", IDENTITY_KINDS)
 def test_check_and_solve_agree_on_random_maps(kind):
     # check against the oracle's direct per-pair evaluation: verdict and
-    # first witness (a, b, residual), in every pair mode, into the ring and
-    # into an inflated codomain.  Random maps mostly fail early; members of
-    # the solved module pass; members with one entry bumped fail anywhere.
+    # first witness (a, b, residual), into the ring and into an inflated
+    # codomain.  Random maps mostly fail early; members of either pair mode's
+    # solved module pass; members with one entry bumped fail anywhere.
     rng = random.Random(hash(kind) & 0xFFFF)
     modes = ("structured", "exhaustive") if kind in CONDITIONAL_KINDS else ("structured",)
     for mode in modes:
@@ -215,7 +217,7 @@ def test_check_and_solve_agree_on_random_maps(kind):
                 bumped[rng.randrange(width)] += 1
                 samples.append(tuple(v % 3 for v in bumped))
             for flat in samples:
-                _assert_check_matches_oracle(kind, mode, extra, flat)
+                _assert_check_matches_oracle(kind, extra, flat)
 
 
 # ---------------------------------------------------------------------------
@@ -349,13 +351,70 @@ def test_off_matrix_rings_take_the_exact_span():
             assert solve_all(spec, ring) == solve_all(spec, ring, pair_mode="exhaustive")
 
 
-def test_failing_check_above_the_budget_raises_guard():
+def test_failing_check_above_the_budget_has_no_witness():
     # the witness scan walks the exhaustive pairs, so a failing map on a ring
-    # over the element budget stops with the budget named, not a made-up pair
+    # over the element budget gets the budget named, not a made-up pair; the
+    # map still fails, as membership has decided that already
     big = matrix_ring(2, zmod(101))
     rmap = right_multiplier(Bimodule.regular(big), matrix_unit(big, 1, 2).coords)
-    with pytest.raises(GuardError, match="budget"):
-        check(rmap, "star")
+    report = check(rmap, "star")
+    assert not report.passed and report.witness is None
+    assert "budget" in report.witness_unavailable
+    payload = report.to_json()
+    assert payload == {"passed": False, "witness": None,
+                       "witness_unavailable": report.witness_unavailable}
+    # a report with a witness, or a passing one, has no such key
+    assert set(check(rmap, "generalized_derivation").to_json()) == {"passed", "witness"}
+    assert set(check(rmap, "derivation").to_json()) == {"passed", "witness"}
+
+
+INCLUSION_RINGS = {
+    "M2(Z/3)": M2Z3,
+    "M2(Z/3[eps])": M2D3,
+    "M2(Z/9)": matrix_ring(2, zmod(9)),
+    "T(M2(Z/3))": T2Z3,
+}
+# a sign-flipped star is not symmetric in a and b, so structured mode takes
+# the exact span for it
+FLIPPED_STAR = IdentitySpec("star", ((-1, None, "a", "b"),) + IDENTITY_TERMS["star"].terms[1:],
+                            "two_sided_zero")
+
+
+@pytest.mark.parametrize("label", INCLUSION_RINGS)
+def test_structured_module_lies_inside_the_exhaustive_one(label):
+    # every pair tensor lies in the structural kernel, so the structured
+    # system has the more constraints; check reads the structured module in
+    # every pair mode and relies on this inclusion
+    ring = INCLUSION_RINGS[label]
+    for spec in [IDENTITY_TERMS[kind] for kind in CONDITIONAL_KINDS] + [FLIPPED_STAR]:
+        st = solve_all(spec, ring)
+        ex = solve_all(spec, ring, pair_mode="exhaustive")
+        assert module_equal(ex.sum_with(st), ex), (label, spec)
+
+
+def test_check_with_a_shrunk_structured_module_raises(monkeypatch, tmp_path, capsys):
+    # negative control: a structured solve that loses members (here, the
+    # zero module) leaves star maps outside it that fail on no pair; check
+    # must say the module was wrong, never pass them or make up a witness
+    real = identities.solve_counted
+
+    def shrunk(kind, ring, bimodule=None, pair_mode="structured"):
+        module, counts = real(kind, ring, bimodule, pair_mode)
+        if pair_mode == "structured":
+            module = linalg.SolutionModule.from_rows(ring.m, module.ambient_rank, [])
+        return module, counts
+
+    gen = maps_from_module(solve_all("star", M2Z3, pair_mode="exhaustive"), M2Z3, M2Z3)[0]
+    assert not gen.is_zero()
+    monkeypatch.setattr(identities, "solve_counted", shrunk)
+    with pytest.raises(InternalVerificationError, match="every pair"):
+        check(gen, "star")
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(gen.to_json()))
+    assert run(["check", "--kind", "star", "--input", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal verification failed: ")
 
 
 BLOCK_RINGS = {
@@ -743,7 +802,7 @@ def test_decompose_all_star_generators_and_random_members():
     members += [star.random_element(rng) for _ in range(15)]
     for flat in members:
         fmap = AdditiveMap.from_flat(M2Z3, REG, flat)
-        trace = decompose_theorem21(fmap, pair_mode="exhaustive")
+        trace = decompose_theorem21(fmap)
         assert check(trace.delta, "derivation").passed
         assert center.contains(trace.central)
         assert deriv.contains(trace.delta.to_flat())
@@ -751,10 +810,10 @@ def test_decompose_all_star_generators_and_random_members():
 
 def test_decompose_rejects_non_star_maps():
     bad = AdditiveMap.from_flat(M2Z3, REG, tuple([1] + [0] * 14 + [2]))
-    if check(bad, "star", pair_mode="exhaustive").passed:
+    if check(bad, "star").passed:
         pytest.skip("accidentally picked a conforming map")
     with pytest.raises(PreconditionError) as err:
-        decompose_theorem21(bad, pair_mode="exhaustive")
+        decompose_theorem21(bad)
     assert err.value.report is not None and not err.value.report.passed
 
 
@@ -856,7 +915,7 @@ def test_failing_proof_steps_report_first_failing_part(monkeypatch):
     # with a zero corner element, Delta is the map itself, so arbitrary maps
     # reach the steps; each step reports its first failing part's witness.
     # M2(Z/3[eps]) because every step can fail there.
-    def zero_corner(dmap, pair_mode):
+    def zero_corner(dmap):
         e = matrix_unit(M2D3, 1, 1)
         return e, one_element(M2D3) - e, (0,) * 8
 
@@ -904,10 +963,10 @@ def test_failing_peirce_report_checks_each_component(monkeypatch):
     # zero-action summand); each check reports its statement on its component
     real_check = identities.check
 
-    def waive_jordan(fmap, kind, pair_mode="structured"):
+    def waive_jordan(fmap, kind):
         if kind == "jordan":
             return identities.CheckReport(True)
-        return real_check(fmap, kind, pair_mode)
+        return real_check(fmap, kind)
 
     monkeypatch.setattr(identities, "check", waive_jordan)
     bim = Bimodule.inflated(REG, 4)
@@ -941,10 +1000,10 @@ def test_corner_letters_need_a_matrix_ring():
 
 def test_proof_steps_reject_non_star_input():
     bad = AdditiveMap.from_flat(M2Z3, REG, tuple([1] + [0] * 14 + [2]))
-    if check(bad, "star", pair_mode="exhaustive").passed:
+    if check(bad, "star").passed:
         pytest.skip("accidentally picked a conforming map")
     with pytest.raises(PreconditionError):
-        verify_proof_steps(bad, pair_mode="exhaustive")
+        verify_proof_steps(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -1037,10 +1096,10 @@ def test_inner_plus_lift_base_derivation_check_fires(monkeypatch):
     # as far as the base check
     real_check = identities.check
 
-    def waive_matrix_ring(fmap, kind, pair_mode="structured"):
+    def waive_matrix_ring(fmap, kind):
         if fmap.domain == M2Z3:
             return identities.CheckReport(True)
-        return real_check(fmap, kind, pair_mode)
+        return real_check(fmap, kind)
 
     monkeypatch.setattr(identities, "check", waive_matrix_ring)
     with pytest.raises(InternalVerificationError, match="not a base derivation") as exc:
@@ -1168,7 +1227,7 @@ def test_memo_is_keyed_on_identity_terms_not_tag(monkeypatch):
 def test_exhaustive_witness_is_first_failing_pair_in_scan_order(kind):
     # a = 0 and the other early elements annihilate everything, so the first
     # failure sits deep in the enumeration; the witness must be the oracle's
-    # first failing pair of the full index-order scan, in either pair mode
+    # first failing pair of the full index-order scan
     scan = scan_pairs_mat2(3, IDENTITY_TERMS[kind].quantifier)
     maps = [right_multiplier(REG, (0, 1, 0, 0)), right_multiplier(REG, (1, 0, 0, 2))]
     maps.append(AdditiveMap.from_flat(M2Z3, REG, tuple([1] + [0] * 14 + [2])))
@@ -1179,12 +1238,11 @@ def test_exhaustive_witness_is_first_failing_pair_in_scan_order(kind):
         expected = first_failing_pair_mat2(
             IDENTITY_TERMS[kind].terms, fmap.to_flat(), 3, 0, scan
         )
-        for mode in ("exhaustive", "structured"):
-            report = check(fmap, kind, pair_mode=mode)
-            if expected is None:
-                assert report.passed
-                continue
-            failing += 1
-            w = report.witness
-            assert (w.a.coords, w.b.coords, w.residual) == expected, mode
-    assert failing >= 2
+        report = check(fmap, kind)
+        if expected is None:
+            assert report.passed
+            continue
+        failing += 1
+        w = report.witness
+        assert (w.a.coords, w.b.coords, w.residual) == expected
+    assert failing >= 1  # star_star: only the last map fails
