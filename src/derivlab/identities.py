@@ -23,31 +23,33 @@ The catalogue ``IDENTITY_TERMS`` holds the identities keyed by tag; the steps
 of the corner-peeling argument and the Peirce component checks are term
 tables of the same kind.  There is one evaluation route: constraint assembly
 (``_assembly``) turns the terms into the row blocks of the basis pairs and
-combines them by the generators of the quantifier's span; the rows enter
-the kernel step deduplicated, and their module is memoised per process,
-keyed by the identity's value (its terms and quantifier, not its tag), the
-ring, the bimodule and the pair mode.  Every row block comes from one
-builder (``_block_builder``): only its nonzero rows, each built once as the
-canonical tuple of its nonzero (column, residue) pairs.  Its work follows
-the nonzeros: the word values and action operators of basis pairs are read
-from tables built once per (ring, bimodule) and process (``_Tables``),
-shared by every identity, assembly and check over them.  ``check`` is
-membership of the flattened map in the structured module, in every pair
-mode; only a failing map walks the elements or pairs to find the first one
-whose row block does not annihilate it.  The test suite plays this route
-against independent evaluators on explicit 2 x 2 matrices and against the
-per-pair block evaluator and assembly it replaced (``tests/oracles.py``).
+combines them by the generators of the quantifier's span, and their module
+is memoised per process, keyed by the identity's value (its terms and
+quantifier, not its tag), the ring, the bimodule and the pair mode.  Every
+row block comes from one builder (``_block_builder``), which writes each
+term's contribution straight into the column table {column: {row id:
+entry}} that the kernel elimination (``linalg.column_kernel``) reads;
+repeated rows are kept, as eliminating them costs about what dropping them
+would.  Its work follows the nonzeros: the word values and action operators
+of basis pairs are read from tables built once per (ring, bimodule) and
+process (``_Tables``), shared by every identity, assembly and check over
+them.  ``check`` is membership of the flattened map in the structured
+module, in every pair mode; only a failing map walks the elements or pairs
+to find the first one whose row block does not annihilate it.  The test
+suite plays this route against independent evaluators on explicit 2 x 2
+matrices and against the per-pair block evaluator and assembly it replaced
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import GuardError, InternalVerificationError, PreconditionError
-from .linalg import ResidueMatrix, SolutionModule, howell_kernel
+from .linalg import ResidueMatrix, SolutionModule, column_kernel
 from .maps import AdditiveMap, as_bimodule, from_columns, inner_derivation, lift_map, right_multiplier
 from .rings import (
     CONDITIONS,
@@ -315,8 +317,13 @@ def check(fmap, kind):
     block = _block_builder(spec, ring, bim)
 
     def residual(a, b):
-        rows = block(a.coords, None if b is None else b.coords)
-        return tuple(sum(v * flat[k] for k, v in rows.get(e, ())) % m for e in range(rank_m))
+        table, res = defaultdict(dict), [0] * rank_m
+        block(a.coords, None if b is None else b.coords, table, 0)
+        for col, entries in table.items():
+            if x := flat[col]:
+                for e, v in entries.items():
+                    res[e] += v * x
+        return tuple(v % m for v in res)
 
     try:
         for a, b in _scan(spec, ring, residual):
@@ -354,20 +361,21 @@ class ConstraintSystem:
 
 
 def _block_builder(spec, ring, bim):
-    """block(a, b): the nonzero constraint rows of the pair of ring
-    coordinate tuples (a, b) (b is None under the ``basis`` quantifier) as
-    {e: row}, e < rank(M), each row the tuple of its nonzero (column,
-    residue) pairs in column order as in ``SolutionModule.rows``, so equal
-    rows compare and hash equal.  Column u * rank(A) + v holds D[u][v]; a
-    term coef * x.D(w).y adds coef * (x.-.y)[e][u] * w[v] to row e.
+    """block(a, b, table, row): add the constraint rows of the pair of ring
+    coordinate tuples (a, b) (b is None under the ``basis`` quantifier) to
+    ``table``, a system in the column form of ``linalg.column_kernel``
+    ({column: {row id: entry}}, a ``defaultdict(dict)``), as the rows
+    row + e, e < rank(M).  Column u * rank(A) + v holds D[u][v]; a term
+    coef * x.D(w).y adds coef * (x.-.y)[e][u] * w[v] to row e.  Entries are
+    the sums as they come, unreduced; the kernel step reduces them.
 
     Word values and operators come from ``_Tables``: a pair of basis
     elements reads the ones of its (ring, bimodule), shared by every spec,
     builder and check in the process; a pair with any other element reads
     tables of the builder's own, which live as long as it does.  A pair's
-    rows accumulate only where a term contributes."""
+    rows get an entry only where a term contributes."""
     shared, own = _tables(ring, bim), []
-    r, m, width = shared.r, shared.m, shared.actions.rank * shared.r
+    r = shared.r
     # the letters in the order a term's words are read (arg, left, right),
     # and every word of two or more letters as word: (prefix, last letter),
     # each after its prefixes
@@ -378,7 +386,7 @@ def _block_builder(spec, ring, bim):
             for k in range(2, len(word or "") + 1):
                 words.setdefault(word[:k], (word[:k - 1], word[k - 1]))
 
-    def block(a, b):
+    def block(a, b, table, row):
         t = shared
         if a not in shared.coords or (b is not None and b not in shared.coords):
             if not own:
@@ -396,22 +404,15 @@ def _block_builder(spec, ring, bim):
         mul, op, tv = t.mul, t.op, t.values
         for word, (prefix, last) in words.items():
             values[word] = mul(values[prefix], values[last])
-        acc = {}
         for coef, lft, arg, rgt in spec.terms:
             w = tv[values[arg]]
             if not w:
                 continue
             for e, u, pu in op(values[lft], values[rgt]):
-                cc = coef * pu
-                off = e * width + u * r
+                cc, i, off = coef * pu, row + e, u * r
                 for v, wv in w:
-                    acc[off + v] = acc.get(off + v, 0) + cc * wv
-        out = {}  # acc is keyed e * width + column
-        for k in sorted(acc):
-            if v := acc[k] % m:
-                e, col = divmod(k, width)
-                out.setdefault(e, []).append((col, v))
-        return {e: tuple(row) for e, row in out.items()}
+                    col = table[off + v]
+                    col[i] = col.get(i, 0) + cc * wv
 
     return block
 
@@ -428,25 +429,26 @@ def _symmetric(spec):
 
 
 def _assembly(spec, ring, bim, pair_mode):
-    """(blocks, width, counts) of an identity's constraint system.
+    """(table, nrows, width, counts) of an identity's constraint system: its
+    nrows x width matrix in the column form of ``_block_builder``, where row
+    p * rank(M) + e is row e of block p, over the width rank(M) * rank(A).
 
     Every term is bilinear in (a, b), so the rows of a pair set span the
     image of W = span{a (x) b} under w |-> sum_ij w_ij block(e_i, e_j).  The
-    blocks, one per generator of W in the format of ``_block_builder``, are
-    streamed lazily over the width rank(M) * rank(A).  All come from one
-    ``_block_builder``; the r^2 conditional blocks live as long as the
-    returned stream.  W is the full span for the unconditional quantifiers,
-    whose blocks are then those of the basis elements or basis pairs in
-    order, built one pair at a time as the stream is read, and
-    ``rings.pair_span`` otherwise, exact or structural by pair mode.  The
-    structural span is the kernel of the condition's operator, which is the
-    pair span on matrix rings (the zero product determined property of
-    M_n(B); measured by ``rings.structural_and_exact_spans``) but can be
-    larger elsewhere: on Z/3[eps] ker mu holds 1 (x) eps - eps (x) 1.  So
-    structured mode takes it on matrix rings only, and the two-sided one,
-    being symmetrised, only for blocks with block(e_i, e_j) = block(e_j, e_i)
-    over an odd modulus; every other conditional system takes the exact
-    span.  ``counts`` is
+    blocks, one per generator of W, all come from one ``_block_builder``.
+    W is the full span for the unconditional quantifiers, whose blocks are
+    then those of the basis elements or basis pairs in order, each written
+    straight into the table, and ``rings.pair_span`` otherwise, exact or
+    structural by pair mode; there the r^2 basis-pair blocks are built
+    first, each in a table of its own, reduced, and summed into the table
+    of each generator by its coefficients.  The structural span is the
+    kernel of the condition's operator, which is the pair span on matrix
+    rings (the zero product determined property of M_n(B); measured by
+    ``rings.structural_and_exact_spans``) but can be larger elsewhere: on
+    Z/3[eps] ker mu holds 1 (x) eps - eps (x) 1.  So structured mode takes
+    it on matrix rings only, and the two-sided one, being symmetrised, only
+    for blocks with block(e_i, e_j) = block(e_j, e_i) over an odd modulus;
+    every other conditional system takes the exact span.  ``counts`` is
     {"pair_count": n} or, for structured conditional systems,
     {"span_rank": the number of Howell generators of W}.
 
@@ -463,27 +465,38 @@ def _assembly(spec, ring, bim, pair_mode):
     m = ring.m
     basis = [x.coords for x in basis_elements(ring)]
     block = _block_builder(spec, ring, bim)
-    if quantifier == "basis":
-        return (block(a, None) for a in basis), width, {"pair_count": r}
+    table = defaultdict(dict)
     symmetric = _symmetric(spec)
-    if symmetric:
-        pairs = itertools.combinations_with_replacement(basis, 2)
+    if quantifier == "basis":
+        pairs = [(a, None) for a in basis]
+    elif symmetric:
+        pairs = list(itertools.combinations_with_replacement(basis, 2))
     else:
-        pairs = itertools.product(basis, basis)
-    if quantifier == "basis_pairs":
-        return itertools.starmap(block, pairs), width, {"pair_count": r * r}
+        pairs = list(itertools.product(basis, basis))
+    if quantifier in _UNCONDITIONAL:
+        for p, (a, b) in enumerate(pairs):
+            block(a, b, table, p * rank_m)
+        counts = {"pair_count": r if quantifier == "basis" else r * r}
+        return table, len(pairs) * rank_m, width, counts
     if quantifier not in CONDITIONS:
         raise ValueError(f"unknown quantifier {quantifier!r}")
     for term in spec.terms:
         letters = "".join(word for word in term[1:] if word)
         if letters.count("a") != 1 or letters.count("b") != 1:
             raise ValueError(f"conditional term {term!r} is not bilinear in (a, b)")
+
+    def reduced(a, b):
+        own = defaultdict(dict)
+        block(a, b, own, 0)
+        return {col: red for col, entries in own.items()
+                if (red := {e: x for e, v in entries.items() if (x := v % m)})}
+
     if symmetric:
         blocks = [None] * (r * r)
         for i, j in itertools.combinations_with_replacement(range(r), 2):
-            blocks[i * r + j] = blocks[j * r + i] = block(basis[i], basis[j])
+            blocks[i * r + j] = blocks[j * r + i] = reduced(basis[i], basis[j])
     else:
-        blocks = [block(a, b) for a, b in pairs]
+        blocks = list(itertools.starmap(reduced, pairs))
     source = pair_mode
     if pair_mode == "structured" and ring.kind != "matrix":
         source = "exhaustive"
@@ -494,33 +507,30 @@ def _assembly(spec, ring, bim, pair_mode):
         source = "structured" if symmetric else "exhaustive"
     span, pair_count = pair_span(ring, quantifier, source)
     counts = {"pair_count": pair_count} if pair_mode == "exhaustive" else {"span_rank": len(span.rows)}
-
-    def combined():
-        for gen in span.rows:
-            out = {}
-            for e in range(rank_m):
-                acc = {}
-                for k, c in gen:
-                    for col, v in blocks[k].get(e, ()):
-                        acc[col] = acc.get(col, 0) + c * v
-                if row := tuple(sorted((col, x) for col, v in acc.items() if (x := v % m))):
-                    out[e] = row
-            yield out
-
-    return combined(), width, counts
+    for p, gen in enumerate(span.rows):
+        row = p * rank_m
+        for k, c in gen:
+            for col, entries in blocks[k].items():
+                target = table[col]
+                for e, v in entries.items():
+                    target[row + e] = target.get(row + e, 0) + c * v
+    return table, len(span.rows) * rank_m, width, counts
 
 
 def constraint_system(kind, ring, bimodule=None, pair_mode="structured"):
     """Homogeneous system over the flattened map matrix whose solution set is
-    exactly the maps satisfying the identity, as a dense matrix with one row
-    per block of ``_assembly`` and row e < rank(M), zero rows included.
-    ``kind`` is a catalogue tag or an ``IdentitySpec``.  Solving does not
-    build this matrix; see ``_solved``.
+    exactly the maps satisfying the identity, as a dense matrix with the
+    rows of ``_assembly``: rank(M) per block, zero rows included.  ``kind``
+    is a catalogue tag or an ``IdentitySpec``.  Solving does not build this
+    matrix; see ``_solved``.
     """
     spec = _spec_for(kind)
     bim = as_bimodule(bimodule if bimodule is not None else ring)
-    blocks, width, counts = _assembly(spec, ring, bim, pair_mode)
-    rows = (blk.get(e, ()) for blk in blocks for e in range(bimodule_rank(bim)))
+    table, nrows, width, counts = _assembly(spec, ring, bim, pair_mode)
+    rows = [[] for _ in range(nrows)]
+    for col, entries in table.items():
+        for i, v in entries.items():
+            rows[i].append((col, v))
     mat = ResidueMatrix.from_sparse(ring.m, width, rows)
     return ConstraintSystem(spec.tag, ring, bim, pair_mode, mat, counts)
 
@@ -546,10 +556,10 @@ def solve_counted(kind, ring, bimodule=None, pair_mode="structured"):
 @lru_cache(maxsize=None)
 def _solved(spec, ring, bim, pair_mode):
     # Keyed on the spec's value, so a catalogue entry replaced under the same
-    # tag gets its own module.  The rows are canonical tuples, which the
-    # kernel step deduplicates and checks as they are; no dense matrix.
-    blocks, width, counts = _assembly(spec, ring, bim, pair_mode)
-    return howell_kernel(ring.m, width, (row for blk in blocks for row in blk.values())), counts
+    # tag gets its own module.  The assembly's column table is the A^T block
+    # that the kernel step eliminates, passed as it is; no dense matrix.
+    table, nrows, width, counts = _assembly(spec, ring, bim, pair_mode)
+    return column_kernel(ring.m, width, nrows, table), counts
 
 
 def solve_all(kind, ring, bimodule=None, pair_mode="structured"):

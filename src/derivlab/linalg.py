@@ -26,12 +26,15 @@ reduction above the pivots visits only the pivot columns a row holds or gains
 on the way, so the work follows the nonzeros, not the width.  Rows are passed
 around in one form, the canonical row: a tuple of (column, residue) pairs,
 residues reduced and nonzero, in column order.  A ``SolutionModule`` is its
-Howell rows in that form, identity solves build their constraint rows in it,
-and ``_canonical`` is the one converter from dense or dict rows.  There is
-one kernel routine, ``howell_kernel``, a single elimination: every kernel in
-the package (identity solves, centres, structural and annihilator kernels,
-``solve_homogeneous``) is one call to it.  It drops zero and repeated rows
-and checks every column against the width before elimination.  The dense
+Howell rows in that form, and ``_canonical`` is the one converter from dense
+or dict rows.  There is one kernel elimination, ``column_kernel``, and every
+kernel in the package is one call to it.  It reads a system by its columns,
+{column: {row: entry}}, the A^T block of [A^T | I]: identity solves assemble
+their constraints in that form, repeated and zero rows kept.  The other
+kernels (centres, structural and annihilator kernels,
+``solve_homogeneous``) come through ``howell_kernel``, which drops zero and
+repeated canonical rows and passes their transpose on.  Both check every
+column against the width before elimination.  The dense
 ``ResidueMatrix`` is a container with no arithmetic: it holds an additive
 map's coordinates (``maps`` computes on them), and it is built on demand for
 constraint systems, JSON, and a module's ``generators`` when first read.
@@ -45,6 +48,7 @@ callers need no coordination.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
@@ -448,20 +452,40 @@ def module_equal(s1, s2):
 
 def howell_kernel(modulus, width, rows):
     """The kernel in (Z/mZ)^width of the canonical rows A (see
-    ``_canonical``; any rows, a Howell form or not), read off one Howell form
-    of [A^T | I].  Zero and repeated rows are dropped, and a column outside
-    [0, width) raises ``ValueError`` before any elimination.  The row span of
-    [A^T | I] is {(A.x, x)}, so the kernel is the part of it that vanishes on
-    the A^T block: the Howell rows whose pivot lies in the identity block,
-    which are canonical there (Storjohann and Mulders, "Fast algorithms for
-    linear algebra modulo N", ESA 1998).
-    """
+    ``_canonical``; any rows, a Howell form or not): ``column_kernel`` of
+    their transpose.  Zero and repeated rows are dropped, and a column
+    outside [0, width) raises ``ValueError`` before any elimination."""
     rows = _checked(rows, width)
-    nrows = len(rows)
-    aug = [{nrows + j: 1} for j in range(width)]
+    columns = defaultdict(dict)
     for i, row in enumerate(rows):
         for j, v in row:
-            aug[j][i] = v
+            columns[j][i] = v
+    return column_kernel(modulus, width, len(rows), columns)
+
+
+def column_kernel(modulus, width, nrows, columns):
+    """The kernel in (Z/mZ)^width of the nrows x width system A given by its
+    columns, {column j: {row i: entry}}, read off one Howell form of
+    [A^T | I].  Entries are any integers, reduced here; zero, repeated and
+    missing rows are kept as they come, since they leave the kernel as it
+    is.  A column outside [0, width), or a nonzero entry in a row outside
+    [0, nrows), raises ``ValueError`` before any elimination.  The row span
+    of [A^T | I] is {(A.x, x)}, so the kernel is the part of it that
+    vanishes on the A^T block: the Howell rows whose pivot lies in the
+    identity block, which are canonical there (Storjohann and Mulders, "Fast
+    algorithms for linear algebra modulo N", ESA 1998).
+    """
+    _check_modulus(modulus)
+    aug = [{nrows + j: 1} for j in range(width)]
+    for j, col in columns.items():
+        if not 0 <= j < width:
+            raise ValueError(f"column {j} outside width {width}")
+        row = aug[j]
+        for i, v in col.items():
+            if x := v % modulus:
+                if not 0 <= i < nrows:
+                    raise ValueError(f"column {j} has row {i}, outside the {nrows} rows")
+                row[i] = x
     return SolutionModule(modulus, width, _frozen(_howell(aug, modulus, nrows), nrows))
 
 

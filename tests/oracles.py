@@ -11,10 +11,10 @@ pair, term by term), and echelon forms over prime fields use a textbook
 RREF.  Routines the package used before it moved to sparse, shared work are
 kept here as references: the dense Howell routine, for the sparse one; the
 per-pair constraint block evaluator and the assembly of its dict rows, zero
-rows included, for the one-sweep block builder and its canonical row
-tuples, deduplicated on the way into the kernel step; the
-membership test that reduces every entry before it reads a generator, for
-the one that follows the generators' nonzeros; the dense row-by-column
+rows included, for the one-sweep block builder and the column table it
+writes, repeated rows kept, for the kernel step; the membership test that
+reduces every entry before it reads a generator, for the one that follows
+the generators' nonzeros; the dense row-by-column
 product, for maps that sum the columns of their argument's nonzero
 coordinates and compose column by column; the dense structure-constant
 table and the per-basis sparse action rows built from it, for the (row,

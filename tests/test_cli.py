@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -43,6 +44,21 @@ def test_verify_json_output_parses(capsys):
     assert status == 0
     assert payload[0]["theorem_id"] == "thm4_2"
     assert payload[0]["status"] == "verified"
+
+
+def test_verify_all_on_m3_dual_numbers_matches_the_recorded_reports(capsys):
+    # M3(Z/3[eps]) is the widest dual-number ring the suite verifies and the
+    # one whose constraint systems repeat the most rows; one report a line,
+    # keys sorted, ``elapsed_ms`` dropped
+    status = run(["verify", "--theorem", "all", "--base", "dual:3", "--n", "3", "--json"])
+    reports = json.loads(capsys.readouterr().out)
+    for rep in reports:
+        rep.pop("elapsed_ms")
+    lines = "".join(json.dumps(rep, sort_keys=True) + "\n" for rep in reports)
+    path = os.path.join(os.path.dirname(__file__), "verify_m3_dual3_reports.jsonl")
+    with open(path, encoding="utf-8") as fh:
+        assert lines == fh.read()
+    assert status == 0
 
 
 def test_solve_writes_basis_and_checks_round_trip(tmp_path, capsys):

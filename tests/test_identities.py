@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import json
@@ -31,7 +32,7 @@ from derivlab.identities import (
     solve_all,
     verify_proof_steps,
 )
-from derivlab.linalg import ResidueMatrix, _canonical, module_equal, solve_homogeneous
+from derivlab.linalg import ResidueMatrix, module_equal, solve_homogeneous
 from derivlab.maps import (
     AdditiveMap,
     identity_map,
@@ -328,6 +329,12 @@ def test_non_symmetric_two_sided_spec_takes_the_exact_span():
     assert constraint_system(flipped, M2Z3).counts == {"span_rank": 9}
     assert constraint_system(star, M2Z3).counts == {"span_rank": 6}
     assert solve_all(flipped, M2Z3) == solve_all(flipped, M2Z3, pair_mode="exhaustive")
+    # mirroring is decided on the blocks reduced mod m: a coefficient 4 is 1
+    # mod 3, so this star is no symmetric term table, but its blocks mirror
+    shifted = IdentitySpec("star", ((4, None, "a", "b"),) + star.terms[1:], "two_sided_zero")
+    assert not identities._symmetric(shifted)
+    assert constraint_system(shifted, M2Z3).counts == {"span_rank": 6}
+    assert solve_all(shifted, M2Z3) == solve_all(star, M2Z3)
     m2z4 = matrix_ring(2, zmod(4))
     exact4, _ = pair_span(m2z4, "two_sided_zero", "exhaustive")
     assert constraint_system(star, m2z4).counts == {"span_rank": exact4.generators.rows}
@@ -430,22 +437,42 @@ ALL_SPECS = (
 )
 
 
+def _table_rows(table, nrows, width, m):
+    # a column table read back as nrows reduced {column: residue} rows, zero
+    # rows included; every column lies in [0, width)
+    rows = [{} for _ in range(nrows)]
+    for col, entries in table.items():
+        assert 0 <= col < width, col
+        for i, v in entries.items():
+            if v % m:
+                rows[i][col] = v % m
+    return rows
+
+
 @pytest.mark.parametrize("extra", [0, 3])
 @pytest.mark.parametrize("label", BLOCK_RINGS)
 def test_block_builder_equals_per_pair_reference(label, extra):
-    # one builder per spec, shared by all its pairs as in an assembly, against
-    # the per-pair reference with its zero rows dropped and each row as its
-    # sorted (column, residue) tuple: every basis element or ordered basis
-    # pair, then random element pairs as a failing check's witness scan meets
-    # them; e and f raise off matrix rings in both.  A spec flagged
-    # symmetric gets one block for (e_i, e_j) and (e_j, e_i).
+    # one builder per spec, shared by all its pairs as in an assembly, with
+    # each pair's block written into one column table at rows p * rank(M)
+    # on, against the per-pair reference blocks stacked the same way: every
+    # basis element or ordered basis pair, then random element pairs as a
+    # failing check's witness scan meets them; e and f raise off matrix
+    # rings in both.  A spec flagged symmetric gets one block for (e_i, e_j)
+    # and (e_j, e_i).
     ring = BLOCK_RINGS[label]
     bim = Bimodule.regular(ring) if extra == 0 else Bimodule.inflated(Bimodule.regular(ring), extra)
+    rank_m, width = bimodule_rank(bim), bimodule_rank(bim) * ring_rank(ring)
     basis = [RingElement(ring, tuple(int(k == i) for k in range(ring_rank(ring))))
              for i in range(ring_rank(ring))]
     rng = random.Random(label)
     drawn = [RingElement(ring, tuple(rng.randrange(ring.m) for _ in range(ring_rank(ring))))
              for _ in range(8)]
+
+    def built(block, a, b):
+        table = collections.defaultdict(dict)
+        block(a.coords, None if b is None else b.coords, table, 0)
+        return _table_rows(table, rank_m, width, ring.m)
+
     for spec in ALL_SPECS:
         if spec.quantifier == "basis":
             pairs = [(a, None) for a in basis + drawn]
@@ -454,21 +481,22 @@ def test_block_builder_equals_per_pair_reference(label, extra):
         block = _block_builder(spec, ring, bim)
         actions = {}
         uses_corners = any("e" in (w or "") or "f" in (w or "") for t in spec.terms for w in t[1:])
-        for a, b in pairs:
-            if uses_corners and ring.kind != "matrix":
+        if uses_corners and ring.kind != "matrix":
+            for a, b in pairs:
                 with pytest.raises(GuardError):
-                    block(a.coords, None if b is None else b.coords)
+                    built(block, a, b)
                 with pytest.raises(GuardError):
                     pair_block_reference(spec, ring, bim, a, b, actions)
-                continue
-            want = {e: tuple(sorted(row.items()))
-                    for e, row in enumerate(pair_block_reference(spec, ring, bim, a, b, actions))
-                    if row}
-            assert block(a.coords, None if b is None else b.coords) == want, (spec.tag, a, b)
-        if spec.quantifier != "basis" and identities._symmetric(spec) and not (
-                uses_corners and ring.kind != "matrix"):
+            continue
+        table = collections.defaultdict(dict)
+        for p, (a, b) in enumerate(pairs):
+            block(a.coords, None if b is None else b.coords, table, p * rank_m)
+        want = [row for a, b in pairs
+                for row in pair_block_reference(spec, ring, bim, a, b, actions)]
+        assert _table_rows(table, len(pairs) * rank_m, width, ring.m) == want, spec.tag
+        if spec.quantifier != "basis" and identities._symmetric(spec):
             for a, b in itertools.combinations(basis, 2):
-                assert block(a.coords, b.coords) == block(b.coords, a.coords), (spec.tag, a, b)
+                assert built(block, a, b) == built(block, b, a), (spec.tag, a, b)
 
 
 SYMMETRIC_TAGS = {
@@ -648,23 +676,26 @@ def _outcome(compute):
 @pytest.mark.parametrize("pair_mode", ["structured", "exhaustive"])
 @pytest.mark.parametrize("label", ROUTE_CODOMAINS)
 def test_deduplicated_rows_equal_the_per_pair_route(label, pair_mode):
-    # for every spec, the distinct rows of the assembly's blocks against the
-    # nonzero canonical rows that _canonical makes of the per-pair reference
-    # rows (zero rows included, as dicts), and the memoised module against
-    # the solve of the dense constraint matrix; a corner letter off a matrix
-    # ring, or an exhaustive span over the element budget, raises in every
-    # route
+    # for every spec, the assembly's column table read back row by row
+    # against the per-pair reference rows (zero rows included, as dicts;
+    # for a symmetric spec over basis pairs, those of the pairs i <= j,
+    # the ones the assembly builds), so their distinct rows agree too; and
+    # the memoised module against the solve of the dense constraint matrix.
+    # A corner letter off a matrix ring, or an exhaustive span over the
+    # element budget, raises in every route.
     bim = ROUTE_CODOMAINS[label]
     ring = bim.ring
-    width = bimodule_rank(bim) * ring_rank(ring)
+    r, rank_m = ring_rank(ring), bimodule_rank(bim)
+    width = rank_m * r
     for spec in ALL_SPECS:
-        got = _outcome(lambda: {row for block in identities._assembly(spec, ring, bim, pair_mode)[0]
-                                for row in block.values()})
-        want = _outcome(lambda: {
-            row
-            for row in _canonical(oracles.assembly_reference(spec, ring, bim, pair_mode),
-                                  width, ring.m)
-            if row})
+        got = _outcome(lambda: _table_rows(
+            *identities._assembly(spec, ring, bim, pair_mode)[:2], width, ring.m))
+        want = _outcome(lambda: oracles.assembly_reference(spec, ring, bim, pair_mode))
+        halved = spec.quantifier == "basis_pairs" and identities._symmetric(spec)
+        if halved and want is not GuardError:
+            want = [want[(i * r + j) * rank_m + e]
+                    for i, j in itertools.combinations_with_replacement(range(r), 2)
+                    for e in range(rank_m)]
         assert got == want, spec.tag
         module = _outcome(lambda: identities._solved(spec, ring, bim, pair_mode)[0])
         dense = _outcome(lambda: solve_homogeneous(
@@ -674,26 +705,33 @@ def test_deduplicated_rows_equal_the_per_pair_route(label, pair_mode):
 
 
 def test_constraint_columns_outside_the_width_raise_before_elimination(monkeypatch):
-    # a block with a column past the width is refused once per system,
-    # before the kernel step starts any elimination
+    # a column table with a column past the width, or a negative one, is
+    # refused once per system, before the kernel step starts any
+    # elimination, on the basis-pair path and the span path alike
     builder = identities._block_builder
-
-    def widened(spec, ring, bim):
-        block = builder(spec, ring, bim)
-        width = bimodule_rank(bim) * ring_rank(ring)
-        return lambda a, b: {**block(a, b), 0: ((width, 1),)}
 
     def no_elimination(*args):
         raise AssertionError("elimination started")
 
     pair_span(M2Z3, "two_sided_zero", "structured")  # the span is solved first
-    monkeypatch.setattr(identities, "_block_builder", widened)
-    monkeypatch.setattr(linalg, "_howell", no_elimination)
-    identities._solved.cache_clear()
-    with pytest.raises(ValueError, match="outside width"):
-        solve_all("derivation", M2Z3)
-    with pytest.raises(ValueError, match="outside width"):
-        solve_all("star", M2Z3)
+    width = bimodule_rank(REG) * ring_rank(M2Z3)
+    for column in (width, -1):
+        def widened(spec, ring, bim, column=column):
+            block = builder(spec, ring, bim)
+
+            def build(a, b, table, row):
+                block(a, b, table, row)
+                table[column][row] = 1
+            return build
+
+        monkeypatch.setattr(identities, "_block_builder", widened)
+        monkeypatch.setattr(linalg, "_howell", no_elimination)
+        identities._solved.cache_clear()
+        with pytest.raises(ValueError, match=f"column {column} outside width {width}"):
+            solve_all("derivation", M2Z3)
+        with pytest.raises(ValueError, match=f"column {column} outside width {width}"):
+            solve_all("star", M2Z3)
+        monkeypatch.undo()
     identities._solved.cache_clear()
 
 

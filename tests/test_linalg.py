@@ -522,6 +522,43 @@ def test_kernel_of_any_rows_equals_two_step_reference(case, seed):
     assert got.generators.to_rows() == kernel_dense_reference(rows, width, m)
 
 
+@given(
+    st.sampled_from([4, 6, 8, 9, 12, 27]),
+    st.integers(1, 12),
+    st.integers(1, 16),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=150, deadline=None)
+def test_column_kernel_equals_the_kernel_of_the_distinct_canonical_rows(m, width, nrows, seed):
+    # a system in column form, as identity solves assemble it: repeated
+    # rows, zero rows (some left out of the table, some held as entries
+    # that vanish only mod m) and entries shifted by multiples of m, some
+    # negative; against howell_kernel of its distinct nonzero canonical
+    # rows and the dense two-step reference
+    rng = random.Random(seed)
+    divisors = [d for d in range(1, m) if m % d == 0]
+    rows = []
+    for _ in range(nrows):
+        roll = rng.random()
+        if rows and roll < 0.25:
+            rows.append(rng.choice(rows))
+        elif roll < 0.4:
+            rows.append([0] * width)
+        else:
+            rows.append([rng.choice(divisors) * rng.randrange(m) % m if rng.random() < 0.4 else 0
+                         for _ in range(width)])
+    columns = {}
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if v or rng.random() < 0.2:
+                columns.setdefault(j, {})[i] = v + m * rng.randrange(-2, 3)
+    got = linalg.column_kernel(m, width, nrows, columns)
+    canonical = linalg._canonical(rows, width, m)
+    distinct = list(dict.fromkeys(r for r in canonical if r))
+    assert got == linalg.howell_kernel(m, width, distinct)
+    assert got.generators.to_rows() == kernel_dense_reference(rows, width, m)
+
+
 @given(sparse_case)
 @settings(max_examples=80, deadline=None)
 def test_howell_from_a_start_column_keeps_the_rows_pivoted_there(case):
@@ -594,6 +631,11 @@ def test_bad_rows_fail_before_elimination(monkeypatch):
             linalg.howell_kernel(3, 2, rows)
         with pytest.raises(ValueError, match="outside width 2"):
             SolutionModule.from_rows(3, 2, rows)
+    # the column form, which identity solves hand the kernel step: a column
+    # -1 or 2, or a row outside the system
+    for columns in ({0: {0: 1}, -1: {0: 1}}, {2: {1: 1}}, {0: {2: 1}}, {1: {-1: 1}}):
+        with pytest.raises(ValueError, match="outside"):
+            linalg.column_kernel(3, 2, 2, columns)
     monkeypatch.undo()
     assert SolutionModule.from_rows(3, 2, [{1: 4}, [0, 0]]).generators.to_rows() == [[0, 1]]
     assert linalg.howell_kernel(3, 2, [((1, 1),), (), ((1, 1),)]).generators.to_rows() == [[1, 0]]
