@@ -27,14 +27,14 @@ on the way, so the work follows the nonzeros, not the width.  Rows are passed
 around in one form, the canonical row: a tuple of (column, residue) pairs,
 residues reduced and nonzero, in column order.  A ``SolutionModule`` is its
 Howell rows in that form, and ``_canonical`` is the one converter from dense
-or dict rows.  There is one kernel elimination, ``column_kernel``, and every
-kernel in the package is one call to it.  It reads a system by its columns,
-{column: {row: entry}}, the A^T block of [A^T | I]: identity solves assemble
-their constraints in that form, repeated and zero rows kept.  The other
-kernels (centres, structural and annihilator kernels,
-``solve_homogeneous``) come through ``howell_kernel``, which drops zero and
-repeated canonical rows and passes their transpose on.  Both check every
-column against the width before elimination.  The dense
+or dict rows; a tuple row that is not canonical is refused there.  There is
+one kernel routine, ``column_kernel``, and every kernel in the package is
+one call to it.  It reads a system by its columns, {column: {row: entry}},
+the A^T block of [A^T | I], entries as they come: identity solves and the
+action-table kernels (centres, structural and annihilator kernels) write
+their systems in that form, repeated and zero rows kept, and
+``solve_homogeneous`` reads a dense matrix's columns.  It checks every
+column and row against the system's shape before elimination.  The dense
 ``ResidueMatrix`` is a container with no arithmetic: it holds an additive
 map's coordinates (``maps`` computes on them), and it is built on demand for
 constraint systems, JSON, and a module's ``generators`` when first read.
@@ -48,7 +48,6 @@ callers need no coordination.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
@@ -122,9 +121,10 @@ def annihilator(a, n):
 def _canonical(rows, width, n):
     """``rows`` as canonical rows (the zero row is ()).  A row is a sequence
     of ``width`` residues, a {column: residue} dict with columns in
-    [0, width), or a tuple of (column, residue) pairs, canonical already and
-    kept as it is; any other dense or dict row raises ``ValueError`` naming
-    its index and the width."""
+    [0, width), or a tuple of (column, residue) pairs, kept as it is if it
+    is canonical: columns strictly increasing in [0, width), residues in
+    (0, n).  Any other row raises ``ValueError`` naming its index and the
+    width."""
     _check_modulus(n)
     out = []
     for i, r in enumerate(rows):
@@ -132,23 +132,18 @@ def _canonical(rows, width, n):
             if r and (min(r) < 0 or max(r) >= width):
                 raise ValueError(f"row {i} has a column outside width {width}")
             r = tuple(sorted((k, x) for k, v in r.items() if (x := v % n)))
-        elif not (type(r) is tuple and (not r or type(r[0]) is tuple)):
-            if len(r) != width:
-                raise ValueError(f"row {i} has {len(r)} entries, not width {width}")
+        elif type(r) is tuple and (not r or type(r[0]) is tuple):
+            last = -1
+            for k, x in r:
+                if not (last < k < width and 0 < x < n):
+                    raise ValueError(f"row {i} is not a canonical row of width {width}")
+                last = k
+        elif len(r) != width:
+            raise ValueError(f"row {i} has {len(r)} entries, not width {width}")
+        else:
             r = tuple((k, x) for k, v in enumerate(r) if (x := v % n))
         out.append(r)
     return out
-
-
-def _checked(rows, width):
-    """The distinct nonzero rows among canonical ``rows``, in the order first
-    seen; a column outside [0, width), read at the ends of each distinct
-    row, raises ``ValueError`` naming the width."""
-    rows = dict.fromkeys(rows)
-    rows.pop((), None)
-    if rows and (min(r[0][0] for r in rows) < 0 or max(r[-1][0] for r in rows) >= width):
-        raise ValueError(f"a row has a column outside width {width}")
-    return list(rows)
 
 
 def _draws(rng, n, count):
@@ -190,10 +185,10 @@ def _combine(s, x, t, y, n):
 
 def _howell(rows, n, start=0):
     """Howell normal form of the elements of the span of ``rows`` (canonical
-    rows or {column: residue} dicts, nonzero and reduced) that vanish before
-    column ``start``, as new sparse rows in pivot order; the input is not
-    modified.  By saturation these are the basis rows with pivot >=
-    ``start``, the only ones back-reduced.
+    rows or {column: residue} dicts, reduced; zero rows are skipped) that
+    vanish before column ``start``, as new sparse rows in pivot order; the
+    input is not modified.  By saturation these are the basis rows with
+    pivot >= ``start``, the only ones back-reduced.
 
     Each row is reduced against a basis keyed by pivot column, leftmost column
     first.  Where its leading column has no basis row yet, the row becomes one,
@@ -364,7 +359,7 @@ class SolutionModule:
         """The module spanned by ``rows``: dense sequences of length
         ``ambient_rank``, {column: residue} dicts or canonical rows (see
         ``_canonical``)."""
-        rows = _checked(_canonical(rows, ambient_rank, modulus), ambient_rank)
+        rows = dict.fromkeys(_canonical(rows, ambient_rank, modulus))
         return cls(modulus, ambient_rank, _frozen(_howell(rows, modulus)))
 
     @cached_property
@@ -450,19 +445,6 @@ def module_equal(s1, s2):
     return s1.rows == s2.rows
 
 
-def howell_kernel(modulus, width, rows):
-    """The kernel in (Z/mZ)^width of the canonical rows A (see
-    ``_canonical``; any rows, a Howell form or not): ``column_kernel`` of
-    their transpose.  Zero and repeated rows are dropped, and a column
-    outside [0, width) raises ``ValueError`` before any elimination."""
-    rows = _checked(rows, width)
-    columns = defaultdict(dict)
-    for i, row in enumerate(rows):
-        for j, v in row:
-            columns[j][i] = v
-    return column_kernel(modulus, width, len(rows), columns)
-
-
 def column_kernel(modulus, width, nrows, columns):
     """The kernel in (Z/mZ)^width of the nrows x width system A given by its
     columns, {column j: {row i: entry}}, read off one Howell form of
@@ -490,6 +472,8 @@ def column_kernel(modulus, width, nrows, columns):
 
 
 def solve_homogeneous(matrix):
-    """The solution module {x : matrix @ x = 0 (mod m)}."""
-    n, width = matrix.modulus, matrix.cols
-    return howell_kernel(n, width, _canonical(matrix.to_rows(), width, n))
+    """The solution module {x : matrix @ x = 0 (mod m)}: ``column_kernel``
+    of the matrix's columns, read off its row-major entries."""
+    e, width = matrix.entries, matrix.cols
+    columns = {j: dict(enumerate(e[j::width])) for j in range(width)}
+    return column_kernel(matrix.modulus, width, matrix.rows, columns)

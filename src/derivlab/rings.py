@@ -29,12 +29,13 @@ Even moduli are constructible here for exploration; entry points that need
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
 from .errors import EvenModulusError, GuardError
-from .linalg import SolutionModule, _canonical, _check_modulus, howell_kernel, module_equal
+from .linalg import SolutionModule, _check_modulus, column_kernel, module_equal
 from .linalg import _json_field, _json_int, _json_ints
 
 MAX_RANK = 64
@@ -457,22 +458,21 @@ def bimodule_tables(bim):
                                           for side, ts in tables.items()})
 
 
-def _table_rows(rank, parts):
-    """Sparse rows, unreduced, of the sum of the tables in ``parts``: each a
-    (triples, coefficient, column offset)."""
-    out = [{} for _ in range(rank)]
-    for triples, c, offset in parts:
-        for e, j, w in triples:
-            row = out[e]
-            row[offset + j] = row.get(offset + j, 0) + c * w
-    return out
-
-
 def _table_kernel(m, rank, width, blocks):
-    """The kernel in (Z/mZ)^width of the stacked ``_table_rows`` of each
-    block of parts, one ``howell_kernel`` call."""
-    rows = [row for parts in blocks for row in _table_rows(rank, parts)]
-    return howell_kernel(m, width, _canonical(rows, width, m))
+    """The kernel in (Z/mZ)^width of the stacked blocks, one
+    ``column_kernel`` call.  A block is the sum of the tables in its parts,
+    each a (triples, coefficient, column offset): row p * rank + e is row e
+    of block p, and a triple (e, j, w) adds coefficient * w to column
+    offset + j of it.  The entries are written straight into the column
+    table, as the sums come, unreduced; the kernel step reduces them."""
+    columns = defaultdict(dict)
+    for p, parts in enumerate(blocks):
+        first = p * rank
+        for triples, c, offset in parts:
+            for e, j, w in triples:
+                col, i = columns[offset + j], first + e
+                col[i] = col.get(i, 0) + c * w
+    return column_kernel(m, width, len(blocks) * rank, columns)
 
 
 def _check_ring_coords(ring_coords, tables):
@@ -489,7 +489,11 @@ def action_rows(bim, side, ring_coords):
     n = tb.m
     tables = tb.side(side)
     _check_ring_coords(ring_coords, tables)
-    out = _table_rows(tb.rank, [(t, c, 0) for c, t in zip(ring_coords, tables) if c])
+    out = [{} for _ in range(tb.rank)]
+    for c, triples in zip(ring_coords, tables):
+        if c:
+            for e, j, w in triples:
+                out[e][j] = out[e].get(j, 0) + c * w
     return [{j: v % n for j, v in ot.items() if v % n} for ot in out]
 
 
@@ -578,9 +582,9 @@ CONDITIONS = tuple(_CONDITION_OPERATORS)
 
 def _annihilator_operator(desc, condition):
     """a |-> K_a: the kernel of the condition's operator A_a, one
-    ``howell_kernel`` call on the rows of A_a.  The ring-size guard fires
-    here, before any kernel is solved.  Each block of A_a sums the action
-    tables of the sides it names, weighted by a's coordinates."""
+    ``_table_kernel`` call on the action tables of A_a.  The ring-size guard
+    fires here, before any kernel is solved.  Each block of A_a sums the
+    action tables of the sides it names, weighted by a's coordinates."""
     blocks = _CONDITION_OPERATORS[condition]
     size = ring_size(desc)
     if size > EXHAUSTIVE_ELEMENT_BUDGET:

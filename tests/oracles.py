@@ -1,7 +1,9 @@
 """Independent brute-force oracles for the test suite.
 
 Apart from ``howell_form``, the dense view through which the tests read the
-package's sparse Howell routine, and the package's pair spans, which the
+package's sparse Howell routine, ``kernel_of_rows``, which builds the
+transpose of its rows itself and hands those columns to the package's one
+kernel routine (``column_kernel``), and the package's pair spans, which the
 reference assembly combines its blocks by, nothing here goes through the
 package's Howell machinery, and apart from the per-pair constraint blocks
 and the orbit walk below nothing goes through its action tables: spans are
@@ -9,12 +11,13 @@ enumerated by closure, matrix products are computed entry by entry on
 explicit 2 x 2 representations (identities are evaluated on them pair by
 pair, term by term), and echelon forms over prime fields use a textbook
 RREF.  Routines the package used before it moved to sparse, shared work are
-kept here as references: the dense Howell routine, for the sparse one; the
-per-pair constraint block evaluator and the assembly of its dict rows, zero
-rows included, for the one-sweep block builder and the column table it
-writes, repeated rows kept, for the kernel step; the membership test that
-reduces every entry before it reads a generator, for the one that follows
-the generators' nonzeros; the dense row-by-column
+kept here as references: the dense Howell routine and the dense two-step
+kernel, for the sparse one and for every kernel the package writes in
+column form; the per-pair constraint block evaluator and the assembly of
+its dict rows, zero rows included, for the one-sweep block builder and the
+column table it writes, repeated rows kept, for the kernel step; the
+membership test that reduces every entry before it reads a generator, for
+the one that follows the generators' nonzeros; the dense row-by-column
 product, for maps that sum the columns of their argument's nonzero
 coordinates and compose column by column; the dense structure-constant
 table and the per-basis sparse action rows built from it, for the (row,
@@ -33,7 +36,7 @@ from itertools import permutations, product
 from math import gcd
 
 from derivlab.errors import GuardError
-from derivlab.linalg import SolutionModule, _canonical, annihilator, howell_kernel, lift_unit, xgcd
+from derivlab.linalg import SolutionModule, annihilator, column_kernel, lift_unit, xgcd
 from derivlab.rings import (
     action_rows,
     basis_elements,
@@ -58,9 +61,13 @@ def howell_form(matrix):
 
 
 def kernel_of_rows(m, width, rows):
-    """The kernel of dense or dict ``rows``: the package's converter, then its
-    kernel routine."""
-    return howell_kernel(m, width, _canonical(rows, width, m))
+    """The kernel of dense or dict ``rows``: their transpose, {column: {row:
+    entry}}, built here, then the package's kernel routine."""
+    columns = {}
+    for i, row in enumerate(rows):
+        for j, v in row.items() if isinstance(row, dict) else enumerate(row):
+            columns.setdefault(j, {})[i] = v
+    return column_kernel(m, width, len(rows), columns)
 
 
 def span_elements(rows, m):

@@ -1,5 +1,4 @@
 import random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -510,15 +509,16 @@ def test_sparse_kernel_equals_dense_reference(case):
 @given(sparse_case, st.integers(0, 2**32))
 @settings(max_examples=120, deadline=None)
 def test_kernel_of_any_rows_equals_two_step_reference(case, seed):
-    # howell_kernel takes canonical rows as they come, in no normal form:
-    # drawn rows with some of them repeated and zero rows among them, which
-    # it drops, against the reference that eliminates twice
+    # the kernel routine takes rows as they come, in no normal form: drawn
+    # rows with some of them repeated and zero rows among them, which it
+    # keeps, transposed as they are, against the reference that eliminates
+    # twice
     m, width, rows = draw_rows(case)
     rng = random.Random(seed)
     rows = rows + [rng.choice(rows) for _ in range(len(rows) // 3)]
     rng.shuffle(rows)
     sparse = [{k: v for k, v in enumerate(r) if v} for r in rows]
-    got = linalg.howell_kernel(m, width, linalg._canonical(sparse, width, m))
+    got = kernel_of_rows(m, width, sparse)
     assert got.generators.to_rows() == kernel_dense_reference(rows, width, m)
 
 
@@ -533,8 +533,8 @@ def test_column_kernel_equals_the_kernel_of_the_distinct_canonical_rows(m, width
     # a system in column form, as identity solves assemble it: repeated
     # rows, zero rows (some left out of the table, some held as entries
     # that vanish only mod m) and entries shifted by multiples of m, some
-    # negative; against howell_kernel of its distinct nonzero canonical
-    # rows and the dense two-step reference
+    # negative; against the dense two-step reference, which eliminates the
+    # distinct rows
     rng = random.Random(seed)
     divisors = [d for d in range(1, m) if m % d == 0]
     rows = []
@@ -553,9 +553,6 @@ def test_column_kernel_equals_the_kernel_of_the_distinct_canonical_rows(m, width
             if v or rng.random() < 0.2:
                 columns.setdefault(j, {})[i] = v + m * rng.randrange(-2, 3)
     got = linalg.column_kernel(m, width, nrows, columns)
-    canonical = linalg._canonical(rows, width, m)
-    distinct = list(dict.fromkeys(r for r in canonical if r))
-    assert got == linalg.howell_kernel(m, width, distinct)
     assert got.generators.to_rows() == kernel_dense_reference(rows, width, m)
 
 
@@ -620,22 +617,30 @@ def test_bad_rows_fail_before_elimination(monkeypatch):
     for rows, bad in cases:
         with pytest.raises(ValueError, match=f"row {bad} .*width 2"):
             SolutionModule.from_rows(3, 2, rows)
-        # no ResidueMatrix holds a row of another width, so a stand-in does
-        matrix = SimpleNamespace(modulus=3, cols=2, to_rows=lambda rows=rows: rows)
-        with pytest.raises(ValueError, match=f"row {bad} .*width 2"):
-            solve_homogeneous(matrix)
-    # canonical rows, which the kernel routine reads: column -1 and column 2
-    for column in (-1, 2):
-        rows = [((0, 1),), ((column, 1),)]
-        with pytest.raises(ValueError, match="outside width 2"):
-            linalg.howell_kernel(3, 2, rows)
-        with pytest.raises(ValueError, match="outside width 2"):
+        # solve_homogeneous reads a ResidueMatrix, which refuses dense rows
+        # of unequal widths before it exists
+        if not isinstance(rows[0], dict):
+            with pytest.raises(ValueError, match="ragged rows"):
+                ResidueMatrix.from_rows(3, rows)
+    # tuple rows that are not canonical: a column -1 or 2, columns out of
+    # order or repeated, a residue 0 or unreduced
+    for rows in ([((0, 1),), ((-1, 1),)], [((0, 1),), ((2, 1),)], [(), ((1, 1), (0, 1))],
+                 [((0, 1), (0, 2))], [((1, 0),)], [((0, 1),), ((1, 3),)]):
+        with pytest.raises(ValueError, match=f"row {len(rows) - 1} .*width 2"):
             SolutionModule.from_rows(3, 2, rows)
-    # the column form, which identity solves hand the kernel step: a column
+    # a residue m is not the zero row, and a column past the width is not
+    # read as a module coordinate
+    with pytest.raises(ValueError, match="row 0 .*width 1"):
+        SolutionModule.from_rows(3, 1, [((0, 3),)])
+    with pytest.raises(ValueError, match="row 0 .*width 3"):
+        SolutionModule.from_rows(3, 3, [((5, 1), (0, 1))])
+    # the column form, which every kernel hands the kernel step: a column
     # -1 or 2, or a row outside the system
     for columns in ({0: {0: 1}, -1: {0: 1}}, {2: {1: 1}}, {0: {2: 1}}, {1: {-1: 1}}):
         with pytest.raises(ValueError, match="outside"):
             linalg.column_kernel(3, 2, 2, columns)
     monkeypatch.undo()
     assert SolutionModule.from_rows(3, 2, [{1: 4}, [0, 0]]).generators.to_rows() == [[0, 1]]
-    assert linalg.howell_kernel(3, 2, [((1, 1),), (), ((1, 1),)]).generators.to_rows() == [[1, 0]]
+    assert SolutionModule.from_rows(3, 2, [((1, 1),), (), ((1, 1),)]).generators.to_rows() == [[0, 1]]
+    # rows 0 and 2 are (0, 1), row 1 is zero
+    assert linalg.column_kernel(3, 2, 3, {1: {0: 1, 2: 1}}).generators.to_rows() == [[1, 0]]

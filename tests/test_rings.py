@@ -49,6 +49,7 @@ from oracles import (
     action_rows_reference,
     coords_to_mat2,
     dense_products_reference,
+    kernel_dense_reference,
     mat2_is_zero,
     mat2_mul,
     mat2_to_coords,
@@ -321,6 +322,58 @@ def test_action_rows_equal_reference_rows(bim):
     for x in basis_elements(bim.ring):
         for side in "LR":
             assert action_rows(bim, side, x.coords) == action_rows_reference(bim, side, x.coords)
+
+
+# each pair condition on (a, b) as the stack of blocks whose kernel is
+# {b : (a, b) meets it}, a block summing b |-> ab (L) and b |-> ba (R) as
+# it lists them
+KERNEL_BLOCKS = {"two_sided_zero": ("L", "R"), "anti_commuting": ("LR",), "left_zero": ("L",)}
+
+
+def _summed_rows(rank, parts):
+    # the rows of a sum of reference action matrices, each part given as
+    # (rows, coefficient, column offset)
+    out = [{} for _ in range(rank)]
+    for rows, c, offset in parts:
+        for acc, row in zip(out, rows):
+            for j, w in row.items():
+                acc[offset + j] = acc.get(offset + j, 0) + c * w
+    return out
+
+
+def test_table_kernels_equal_dense_reference_of_reference_rows():
+    # every kernel solved from the action tables, against the dense
+    # two-step kernel of rows summed from the reference action rows: the
+    # centre {c : a.c = c.a} of regular, matrix_over and inflated
+    # bimodules, the structural kernel on A (x) A of each condition, and
+    # the annihilator kernel K_a of every element a
+    def expect(module, rows, width, m):
+        dense = [[row.get(j, 0) for j in range(width)] for row in rows]
+        assert module.generators.to_rows() == kernel_dense_reference(dense, width, m)
+
+    for bim in [Bimodule.regular(M2Z3), Bimodule.regular(T2Z3)] + ACT_BIMODULES[2:]:
+        rank = bimodule_rank(bim)
+        rows = [row for x in basis_elements(bim.ring) for row in _summed_rows(
+            rank, [(action_rows_reference(bim, "L", x.coords), 1, 0),
+                   (action_rows_reference(bim, "R", x.coords), -1, 0)])]
+        expect(bimodule_center(bim), rows, rank, bim.ring.m)
+    for ring in (M2Z3, dual_numbers(9), T2Z3):
+        bim, r = Bimodule.regular(ring), ring_rank(ring)
+        basis = [x.coords for x in basis_elements(ring)]
+        for condition, blocks in KERNEL_BLOCKS.items():
+            rows = [row for block in blocks for row in _summed_rows(
+                r * r, [(action_rows_reference(bim, side, x), 1, i * r)
+                        for side in block for i, x in enumerate(basis)])]
+            expect(rings._structural_kernel(ring, condition), rows, r * r, ring.m)
+    for ring in (M2Z3, dual_numbers(9)):
+        bim, r = Bimodule.regular(ring), ring_rank(ring)
+        operators = {c: rings._annihilator_operator(ring, c) for c in KERNEL_BLOCKS}
+        for a in product(range(ring.m), repeat=r):
+            actions = {side: action_rows_reference(bim, side, a) for side in "LR"}
+            for condition, blocks in KERNEL_BLOCKS.items():
+                rows = [row for block in blocks for row in _summed_rows(
+                    r, [(actions[side], 1, 0) for side in block])]
+                expect(operators[condition](a), rows, r, ring.m)
 
 
 @pytest.mark.parametrize("side", ["l", "x"])
@@ -625,11 +678,11 @@ def _log_walk_steps(monkeypatch):
     # of the compacted span with S, and ("tensor",) per coordinate map
     # applied while building tensors
     log = []
-    kernel_step, compare, mapped = rings.howell_kernel, rings.module_equal, rings._mapped
+    kernel_step, compare, mapped = rings.column_kernel, rings.module_equal, rings._mapped
 
-    def kernel(m, width, rows):
+    def kernel(m, width, nrows, columns):
         log.append(("kernel", width))
-        return kernel_step(m, width, rows)
+        return kernel_step(m, width, nrows, columns)
 
     def compared(a, b):
         log.append(("compare", compare(a, b)))
@@ -639,7 +692,7 @@ def _log_walk_steps(monkeypatch):
         log.append(("tensor",))
         return mapped(*args)
 
-    monkeypatch.setattr(rings, "howell_kernel", kernel)
+    monkeypatch.setattr(rings, "column_kernel", kernel)
     monkeypatch.setattr(rings, "module_equal", compared)
     monkeypatch.setattr(rings, "_mapped", tensor)
     return log
@@ -692,10 +745,10 @@ def test_pivot_count_equals_kernel_size(label, condition):
 
 def test_exact_span_guard_fires_before_any_solve(monkeypatch):
     # neither S nor any annihilator kernel is solved above the budget
-    def no_solve(*args):
+    def no_solve(m, width, nrows, columns):
         raise AssertionError("the guard must fire before any solve")
 
-    monkeypatch.setattr(rings, "howell_kernel", no_solve)
+    monkeypatch.setattr(rings, "column_kernel", no_solve)
     big = matrix_ring(2, zmod(101))
     for condition in CONDITIONS:
         with pytest.raises(GuardError, match="element budget"):
@@ -746,10 +799,10 @@ def test_left_zero_pairs_one_sided():
 def test_pair_budget_guard(monkeypatch):
     big = matrix_ring(2, zmod(101))  # 101^4 elements, over the element budget
 
-    def no_kernel(*args):
+    def no_kernel(m, width, nrows, columns):
         raise AssertionError("the guard must fire before any kernel is solved")
 
-    monkeypatch.setattr(rings, "howell_kernel", no_kernel)
+    monkeypatch.setattr(rings, "column_kernel", no_kernel)
     message = f"ring size {101 ** 4} is over the {EXHAUSTIVE_ELEMENT_BUDGET}-element budget"
     for enumerate_pairs in (zero_product_pairs, anti_commuting_pairs, left_zero_pairs):
         with pytest.raises(GuardError, match=message):
